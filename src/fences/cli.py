@@ -61,11 +61,20 @@ def _parse_rep(text: str) -> tuple[int, ...]:
     return tuple(int(t.strip().lstrip("x")) for t in text.split(","))
 
 
-def _parse_index_range(text: str) -> list[int]:
+def _parse_index_range(text: str) -> range:
+    """Orbit indices from 'i' or 'lo..hi' (inclusive); non-empty and
+    non-negative, so Python's negative indexing never picks an orbit.
+    A range, so a huge upper end costs nothing before the bounds check."""
     if ".." in text:
         lo, _, hi = text.partition("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+        indices = range(int(lo), int(hi) + 1)
+    else:
+        indices = range(int(text), int(text) + 1)
+    if not indices:
+        raise _UsageError(f"orbit index range {text!r} is empty")
+    if indices[0] < 0:
+        raise _UsageError(f"orbit index {indices[0]} is negative")
+    return indices
 
 
 def _emit(args, text: str) -> None:

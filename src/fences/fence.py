@@ -9,9 +9,12 @@ neighbours.  The element count is n = sum(alpha) - 1, and the shared
 element of segments i and i+1 sits at position a_1 + ... + a_i.
 
 Elements are exposed 1-based (x_1 ... x_n) in every public interface.
-Internally subsets are bitmasks with bit k-1 standing for x_k; all
-operations are pure and fences are immutable after construction, so a
-Fence can be shared freely across threads.
+Internally subsets are bitmasks with bit k-1 standing for x_k, and every
+operation is pure.  The poset data set up by the constructor never
+changes, but families, orbit lists and orbit profiles are memoised lazily
+in ``Fence._cache`` on first use.  A Fence shared across threads is
+therefore mutated by those first uses: concurrent callers may each
+compute the same (equal) result before one of them is stored.
 """
 
 from __future__ import annotations
@@ -224,6 +227,11 @@ class Fence:
                 elems = elems[::-1]
             unshared.append(tuple(elems))
         self.unshared = tuple(unshared)
+        # unshared_masks[i]: the unshared elements of segment i as a mask;
+        # an antichain meets it exactly where its tiling column is black
+        self.unshared_masks = tuple(
+            sum(1 << (x - 1) for x in elems) for elems in unshared
+        )
         self._unshared_pos = {
             x: (i, j)
             for i in range(1, self.s + 1)

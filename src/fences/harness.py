@@ -24,8 +24,8 @@ from .rowmotion import (
     ideal_orbits,
     superorbits,
 )
-from .stats import indicator, orbit_element_counts, orbit_stats_from_tiling
-from .tiling import AlphaTiling, TileCounts, tile_counts, tiling_of_orbit, validate_tiling
+from .stats import indicator, orbit_element_counts
+from .tiling import TileCounts, orbit_tile_counts
 from .toggles import (
     ToggleWord,
     base_graph,
@@ -82,14 +82,6 @@ class VerificationReport:
         }
 
 
-def _report(claim: str, params: dict, instances) -> VerificationReport:
-    t0 = time.perf_counter()
-    items = list(instances)
-    rep = VerificationReport(claim, params, items)
-    rep.runtime_ms = int((time.perf_counter() - t0) * 1000)
-    return rep
-
-
 def _timed(rep: VerificationReport, t0: float) -> VerificationReport:
     rep.runtime_ms = int((time.perf_counter() - t0) * 1000)
     return rep
@@ -136,38 +128,36 @@ class OrbitProfile:
     ideal_counts: tuple[int, ...]
     chi: int
     chihat: int
-    tiling: AlphaTiling
     counts: TileCounts
 
 
 def orbit_profiles(F: Fence, cap: int | None = None) -> tuple[OrbitProfile, ...]:
+    """Profiles of every antichain orbit, canonically ordered; memoised on F.
+
+    Everything is counted from the orbit masks: the tile counts come from
+    orbit_tile_counts, so no tiling is built here.  Callers that want to
+    render or round-trip an orbit's tiling build it with tiling_of_orbit.
+    """
     key = "profiles"
     cached = F._cache.get(key)
     if cached is not None:
         return cached
     out = []
     for orbit in antichain_orbits(F, cap):
-        a_counts = orbit_element_counts(orbit, F.n)
-        i_counts = [0] * F.n
-        chihat = 0
-        for S in orbit.reps:
-            m = F._down_closure_mask(S.mask)
-            chihat += bin(m).count("1")
-            while m:
-                low = m & -m
-                m ^= low
-                i_counts[low.bit_length() - 1] += 1
-        T = tiling_of_orbit(F, orbit)
+        masks = orbit.masks
+        a_counts = orbit_element_counts(masks, F.n)
+        i_counts = orbit_element_counts(
+            [F._down_closure_mask(m) for m in masks], F.n
+        )
         out.append(
             OrbitProfile(
                 orbit,
                 orbit.size,
                 a_counts,
-                tuple(i_counts),
+                i_counts,
                 sum(a_counts),
-                chihat,
-                T,
-                tile_counts(T),
+                sum(i_counts),
+                orbit_tile_counts(F, masks),
             )
         )
     cached = tuple(out)
@@ -676,9 +666,7 @@ def verify_general_homomesies(alpha) -> VerificationReport:
     if F._self_duality_failure() is None:
         bad = None
         for so in superorbits(F):
-            total = sum(
-                sum(len(S) for S in o.reps) for o in so.orbits
-            )
+            total = sum(m.bit_count() for o in so.orbits for m in o.masks)
             if 2 * total != F.n * so.size:
                 bad = {"superorbit": repr(so), "chihat": total, "size": so.size}
                 break

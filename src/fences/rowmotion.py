@@ -8,7 +8,8 @@ two actions, so the orbit structures coincide.
 
 Orbits are canonicalised deterministically: each orbit is listed starting
 from its member with the smallest bitmask (bit k-1 for x_k), and orbits
-are sorted by that representative.
+are sorted by that representative.  An orbit stores only the bitmasks of
+its members; ElementSets are built on demand at the API edge.
 """
 
 from __future__ import annotations
@@ -28,25 +29,33 @@ from .fence import (
 
 @dataclass(frozen=True)
 class Orbit:
-    """A cyclic rowmotion orbit; consecutive reps are related by the step."""
+    """A cyclic rowmotion orbit held as the bitmasks of its members;
+    consecutive masks are related by the step.
+
+    Counting code reads `masks` directly.  `reps` and `representative`
+    wrap the masks as ElementSets on each access, and the cylindrical
+    tiling of an antichain orbit is built only when it is rendered or
+    round-tripped (see `fences.tiling`).
+    """
 
     family: str
-    reps: tuple[ElementSet, ...]
+    masks: tuple[int, ...]
 
     @property
     def size(self) -> int:
-        return len(self.reps)
+        return len(self.masks)
 
     @property
-    def masks(self) -> tuple[int, ...]:
-        return tuple(S.mask for S in self.reps)
+    def reps(self) -> tuple[ElementSet, ...]:
+        return tuple(ElementSet(m, self.family) for m in self.masks)
 
     @property
     def representative(self) -> ElementSet:
-        return self.reps[0]
+        return ElementSet(self.masks[0], self.family)
 
     def __repr__(self) -> str:
-        return f"Orbit({self.family}, size={self.size}, rep={self.reps[0].label()})"
+        rep = self.representative.label()
+        return f"Orbit({self.family}, size={self.size}, rep={rep})"
 
 
 @dataclass(frozen=True)
@@ -149,16 +158,14 @@ def _orbit_mask_lists(F: Fence, family: str, cap: int | None = None) -> list[lis
 def antichain_orbits(F: Fence, cap: int | None = None) -> tuple[Orbit, ...]:
     """All rowmotion orbits on antichains, canonically ordered."""
     return tuple(
-        Orbit(ANTICHAIN, tuple(ElementSet(m, ANTICHAIN) for m in ms))
-        for ms in _orbit_mask_lists(F, ANTICHAIN, cap)
+        Orbit(ANTICHAIN, tuple(ms)) for ms in _orbit_mask_lists(F, ANTICHAIN, cap)
     )
 
 
 def ideal_orbits(F: Fence, cap: int | None = None) -> tuple[Orbit, ...]:
     """All rowmotion orbits on ideals, canonically ordered."""
     return tuple(
-        Orbit(IDEAL, tuple(ElementSet(m, IDEAL) for m in ms))
-        for ms in _orbit_mask_lists(F, IDEAL, cap)
+        Orbit(IDEAL, tuple(ms)) for ms in _orbit_mask_lists(F, IDEAL, cap)
     )
 
 
@@ -181,7 +188,7 @@ def orbit_of(F: Fence, S: ElementSet) -> Orbit:
         x = step(F, x)
     start = cycle.index(min(cycle))
     cycle = cycle[start:] + cycle[:start]
-    return Orbit(S.role, tuple(ElementSet(m, S.role) for m in cycle))
+    return Orbit(S.role, tuple(cycle))
 
 
 # -- ideal complement and superorbits ------------------------------------
@@ -210,7 +217,7 @@ def superorbits(F: Fence, cap: int | None = None) -> tuple[Superorbit, ...]:
     """
     F.index_reversal()
     orbits = ideal_orbits(F, cap)
-    rep_to_index = {o.reps[0].mask: i for i, o in enumerate(orbits)}
+    rep_to_index = {o.masks[0]: i for i, o in enumerate(orbits)}
 
     def orbit_index_of(mask: int) -> int:
         cycle_min = mask
@@ -227,7 +234,7 @@ def superorbits(F: Fence, cap: int | None = None) -> tuple[Superorbit, ...]:
         if i in used:
             continue
         used.add(i)
-        j = orbit_index_of(_ideal_complement_mask(F, o.reps[0].mask))
+        j = orbit_index_of(_ideal_complement_mask(F, o.masks[0]))
         if j == i:
             paired.append(Superorbit((o,)))
         else:

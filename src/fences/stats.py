@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Iterable
 
 from .fence import ANTICHAIN, IDEAL, ElementSet, Fence, FenceError, RoleError
 from .rowmotion import Orbit, antichain_orbits, ideal_orbits
@@ -196,8 +197,8 @@ def orbit_sum(F: Fence, expr: StatExpr, orbit: Orbit) -> Fraction:
     fam = expr.family()
     if fam is not None and orbit.family != fam:
         raise RoleError(f"statistic over {fam}s summed over a {orbit.family} orbit")
-    counts = orbit_element_counts(orbit, F.n)
-    sizes = sum(len(S) for S in orbit.reps)
+    counts = orbit_element_counts(orbit.masks, F.n)
+    sizes = sum(counts)
     total = expr.constant * orbit.size
     for coeff, atom in expr.terms:
         if atom.element is None:
@@ -211,11 +212,11 @@ def orbit_sum(F: Fence, expr: StatExpr, orbit: Orbit) -> Fraction:
     return total
 
 
-def orbit_element_counts(orbit: Orbit, n: int) -> tuple[int, ...]:
-    """How often each of x_1..x_n occurs across the orbit (direct count)."""
+def orbit_element_counts(masks: Iterable[int], n: int) -> tuple[int, ...]:
+    """How often each of x_1..x_n occurs across the masks of an orbit
+    (direct count); the one member-counting kernel for every orbit."""
     counts = [0] * n
-    for S in orbit.reps:
-        m = S.mask
+    for m in masks:
         while m:
             low = m & -m
             m ^= low

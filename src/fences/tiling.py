@@ -12,13 +12,19 @@ j-th smallest unshared element of the segment.
 Tilings are stored cut at the orbit's canonical representative; equality
 is up to horizontal rotation, decided on the lexicographically least
 rotation of the column colour sequence.
+
+The statistics of an orbit depend on its tiling only through the tile
+counts, and `orbit_tile_counts` reads those straight from the orbit's
+masks.  An AlphaTiling is built, and validated, only to render an orbit
+or to round-trip it through `orbit_of_tiling`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .fence import ANTICHAIN, Composition, ElementSet, Fence, FenceError
+from .fence import ANTICHAIN, Composition, Fence, FenceError
 from .rowmotion import Orbit, _rho_mask
 
 YELLOW = "yellow"
@@ -143,6 +149,36 @@ class TilingReport:
     violations: tuple[str, ...]
 
 
+# -- orbit -> tile counts ----------------------------------------------------
+
+
+def orbit_tile_counts(F: Fence, masks: Sequence[int]) -> TileCounts:
+    """The tile counts of an antichain orbit's tiling, without the tiling.
+
+    `masks` lists the orbit's antichains in rowmotion order, as its
+    columns.  A black tile of row i starts in column c when antichain c
+    meets the unshared elements of segment i and antichain c-1 (cyclically)
+    does not; the red heads of row i are the antichains containing s_i.
+    Equals tile_counts(tiling_of_orbit(F, orbit)), and raises the same
+    TilingError for a row that is black in every column.
+    """
+    prevs = masks[-1:] + masks[:-1]
+    black = []
+    for i, u in enumerate(F.unshared_masks[1:], start=1):
+        starts = sum(1 for p, m in zip(prevs, masks) if m & u and not p & u)
+        if not starts and masks[0] & u:
+            raise TilingError(
+                f"row {i} is entirely black; no tiling decomposition exists"
+            )
+        black.append(starts)
+    red = [0]
+    for x in F.shared:
+        bit = 1 << (x - 1)
+        red.append(sum(1 for m in masks if m & bit))
+    red.append(0)
+    return TileCounts(tuple(black), tuple(red))
+
+
 # -- orbit -> tiling ---------------------------------------------------------
 
 
@@ -160,8 +196,7 @@ def tiling_of_orbit(F: Fence, orbit: Orbit) -> AlphaTiling:
     tiles: list[Tile] = []
     # cell occupancy per row: None (yellow), 'red', or the unshared element
     rows: list[list] = [[None] * w for _ in range(s + 1)]
-    for c, S in enumerate(orbit.reps):
-        m = S.mask
+    for c, m in enumerate(orbit.masks):
         rest = m
         while rest:
             low = rest & -rest
@@ -232,7 +267,7 @@ def orbit_of_tiling(F: Fence, T: AlphaTiling) -> Orbit:
         raise TilingError("tiling repeats a column antichain")
     start = masks.index(min(masks))
     cycle = masks[start:] + masks[:start]
-    return Orbit(ANTICHAIN, tuple(ElementSet(m, ANTICHAIN) for m in cycle))
+    return Orbit(ANTICHAIN, tuple(cycle))
 
 
 # -- validation ---------------------------------------------------------------

@@ -22,7 +22,12 @@ from typing import Callable, Iterable, Sequence
 
 from .fence import ANTICHAIN, IDEAL, ElementSet, Fence, FenceError, RoleError
 from .rowmotion import decompose
-from .stats import MesyReport, StatExpr, classify_orbit_sums
+from .stats import (
+    MesyReport,
+    StatExpr,
+    classify_orbit_sums,
+    orbit_element_counts,
+)
 
 
 @dataclass(frozen=True)
@@ -341,10 +346,7 @@ def word_orbits(F: Fence, word: ToggleWord, cap: int | None = None):
 
     step = compile_word(F, word)
     masks = F.family_masks(word.family, cap)
-    return tuple(
-        Orbit(word.family, tuple(ElementSet(m, word.family) for m in ms))
-        for ms in decompose(masks, step)
-    )
+    return tuple(Orbit(word.family, tuple(ms)) for ms in decompose(masks, step))
 
 
 def _word_profiles(
@@ -355,15 +357,8 @@ def _word_profiles(
     masks = F.family_masks(word.family, cap)
     profiles = []
     for ms in decompose(masks, step):
-        counts = [0] * F.n
-        total = 0
-        for m in ms:
-            total += bin(m).count("1")
-            while m:
-                low = m & -m
-                m ^= low
-                counts[low.bit_length() - 1] += 1
-        profiles.append((len(ms), tuple(counts), total))
+        counts = orbit_element_counts(ms, F.n)
+        profiles.append((len(ms), counts, sum(counts)))
     return profiles
 
 

@@ -10,8 +10,22 @@ small n.
 from itertools import combinations
 
 
+_LEQ_TABLES = {}
+
+
 def leq_table(F):
-    """leq[a][b] iff x_a <= x_b, from the cover list by transitive closure."""
+    """leq[a][b] iff x_a <= x_b, from the cover list by transitive closure.
+
+    Memoised per composition, so the brute_* helpers share one table per
+    fence; the rows are tuples so no caller can alter a shared table.
+    """
+    leq = _LEQ_TABLES.get(F.alpha)
+    if leq is None:
+        leq = _LEQ_TABLES[F.alpha] = _leq_closure(F)
+    return leq
+
+
+def _leq_closure(F):
     n = F.n
     leq = [[False] * (n + 1) for _ in range(n + 1)]
     for k in range(1, n + 1):
@@ -28,7 +42,7 @@ def leq_table(F):
                 if leq[b][c] and not leq[a][c]:
                     leq[a][c] = True
                     changed = True
-    return leq
+    return tuple(map(tuple, leq))
 
 
 def brute_ideals(F):

@@ -99,6 +99,15 @@ class TestTiling:
         code, _, err = run(capsys, "tiling", "--alpha", "2,2")
         assert code == 1
 
+    @pytest.mark.parametrize("index", ["3..1", "-1", "-2..1", "0..1000000000000"])
+    def test_bad_orbit_index_is_usage_error(self, capsys, index):
+        code, out, err = run(
+            capsys, "tiling", "--alpha", "4,3,4", "--orbit-index", index
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("fences: error:") and "\n" not in err.strip()
+
 
 class TestCheck:
     def test_homomesic_zero(self, capsys):

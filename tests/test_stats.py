@@ -16,6 +16,7 @@ from fences import (
     orbit_stats_from_tiling,
     orbit_sum,
     parse_stat,
+    tile_counts,
     tiling_of_orbit,
 )
 from fences.harness import all_fence_compositions, orbit_profiles
@@ -158,7 +159,7 @@ class TestTilingFormulas:
 
     def test_odd_shared_ideal_count_is_red_heads(self, f434):
         for p in orbit_profiles(f434):
-            st = orbit_stats_from_tiling(f434, p.tiling)
+            st = orbit_stats_from_tiling(f434, tiling_of_orbit(f434, p.orbit))
             x = f434.shared_element(1)  # odd index: maximal element
             assert st.ideal_counts[x - 1] == p.counts.red_heads_in_row(1)
 
@@ -166,7 +167,9 @@ class TestTilingFormulas:
         for alpha in all_fence_compositions(9):
             F = build_fence(alpha)
             for p in orbit_profiles(F):
-                st = orbit_stats_from_tiling(F, p.tiling)
+                T = tiling_of_orbit(F, p.orbit)
+                assert p.counts == tile_counts(T), alpha
+                st = orbit_stats_from_tiling(F, T)
                 assert st.antichain_counts == p.antichain_counts, alpha
                 assert st.ideal_counts == p.ideal_counts, alpha
                 assert st.antichain_total == p.chi
@@ -174,7 +177,7 @@ class TestTilingFormulas:
 
     def test_direct_counts_helper(self, f22):
         o = antichain_orbits(f22)[0]
-        counts = orbit_element_counts(o, f22.n)
+        counts = orbit_element_counts(o.masks, f22.n)
         assert sum(counts) == sum(len(S) for S in o.reps)
 
     def test_indicator_builder(self, f434):
