@@ -6,14 +6,34 @@ stated hypothesis does not hold.  A failing instance always carries a
 witness complete enough to re-check by hand: the composition, the orbit
 representative, and the statistic values involved.  All arithmetic is
 exact, so there are no tolerances anywhere.
+
+The linear identities are data.  A row names its keys (x, y, segment, j,
+k or stat), integer weights over an orbit profile's antichain_counts or
+ideal_counts, and the expected orbit sum as a function of the orbit
+size; one checker (_first_failure) runs every row over every orbit.  A
+part with rows fails on the first orbit that breaks one, with the witness
+
+    {instance params, row keys, orbit, size, value, expected}
+
+where orbit is the representative's label and value the row's weighted
+sum on it.  A part whose hypothesis leaves it no rows is vacuous.  The
+chi orbomesy parts ask the statistic classifier and report the same
+witness, expected being the sum of the first orbit of that size.  Checks
+that are not linear (size multisets, even sizes, superorbits, tile
+sequences) keep their own witnesses.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import combinations
 from math import gcd
+from operator import mul
+from typing import Callable, NamedTuple
 
 from .fence import ANTICHAIN, IDEAL, Composition, ElementSet, Fence, FenceError
 from .rowmotion import (
@@ -24,7 +44,7 @@ from .rowmotion import (
     ideal_orbits,
     superorbits,
 )
-from .stats import indicator, orbit_element_counts
+from .stats import classify_orbit_sums, indicator, orbit_element_counts, weighted_sum
 from .tiling import TileCounts, orbit_tile_counts
 from .toggles import (
     ToggleWord,
@@ -82,9 +102,22 @@ class VerificationReport:
         }
 
 
+def _result(params: dict, witness: dict | None) -> InstanceResult:
+    """A checked instance: it fails exactly when it has a witness."""
+    return InstanceResult(params, "pass" if witness is None else "fail", witness)
+
+
 def _timed(rep: VerificationReport, t0: float) -> VerificationReport:
     rep.runtime_ms = int((time.perf_counter() - t0) * 1000)
     return rep
+
+
+def _sweep(claim: str, params: dict, reports) -> VerificationReport:
+    """One report holding the instances of every report in `reports`, an
+    iterable that runs the checks as it is consumed."""
+    t0 = time.perf_counter()
+    instances = [r for rep in reports for r in rep.instances]
+    return _timed(VerificationReport(claim, params, instances), t0)
 
 
 def _fence(alpha) -> Fence:
@@ -138,9 +171,9 @@ def orbit_profiles(F: Fence, cap: int | None = None) -> tuple[OrbitProfile, ...]
     orbit_tile_counts, so no tiling is built here.  Callers that want to
     render or round-trip an orbit's tiling build it with tiling_of_orbit.
     """
-    key = "profiles"
-    cached = F._cache.get(key)
+    cached = F._cache.get("profiles")
     if cached is not None:
+        F.family_masks(ANTICHAIN, cap)  # a smaller cap applies to the cache too
         return cached
     out = []
     for orbit in antichain_orbits(F, cap):
@@ -161,30 +194,78 @@ def orbit_profiles(F: Fence, cap: int | None = None) -> tuple[OrbitProfile, ...]
             )
         )
     cached = tuple(out)
-    F._cache[key] = cached
+    F._cache["profiles"] = cached
     return cached
 
 
-def _size_chi_multiset(profiles) -> dict[tuple[int, int], int]:
-    out: dict[tuple[int, int], int] = {}
-    for p in profiles:
-        key = (p.size, p.chi)
-        out[key] = out.get(key, 0) + 1
-    return out
+def _sizes_part(params: dict, profiles, expected: dict[int, int]) -> InstanceResult:
+    """The orbit sizes, as {size: number of orbits}, equal `expected`."""
+    got = dict(Counter(p.size for p in profiles))
+    ok = got == expected
+    return _result(params, None if ok else {"sizes": got, "expected": expected})
 
 
-def _orbomesic(profiles, attr: str) -> tuple[bool, dict | None]:
-    by_size: dict[int, int] = {}
-    for p in profiles:
-        v = getattr(p, attr)
-        if p.size in by_size and by_size[p.size] != v:
-            return False, {
-                "size": p.size,
-                "values": sorted({by_size[p.size], v}),
-                "orbit": p.orbit.representative.label(),
-            }
-        by_size[p.size] = v
-    return True, None
+# -- linear rows ---------------------------------------------------------------
+
+
+class _Row(NamedTuple):
+    """A linear orbit identity: on every orbit the weighted element counts
+    of one profile field sum to expected(orbit size)."""
+
+    keys: dict  # identifies the row in a witness: x, y, segment, j, k or stat
+    counts: str  # "antichain_counts" or "ideal_counts"
+    weights: tuple[tuple[int, int], ...]  # (0-based element index, weight)
+    expected: Callable[[int], int | None]
+
+
+def _total(n: int, w: int = 1) -> tuple[tuple[int, int], ...]:
+    """w times the cardinality statistic."""
+    return tuple((k, w) for k in range(n))
+
+
+def _times(c: int) -> Callable[[int], int]:
+    """Expected orbit sum c * size."""
+    return partial(mul, c)
+
+
+def _half_n_chihat(n: int) -> _Row:
+    """chihat averages n/2: twice its orbit sum is n times the size."""
+    return _Row({}, "ideal_counts", _total(n, 2), _times(n))
+
+
+def _witness(keys: dict, p: OrbitProfile, value: int, expected) -> dict:
+    orbit = p.orbit.representative.label()
+    return dict(keys, orbit=orbit, size=p.size, value=value, expected=expected)
+
+
+def _first_failure(profiles, rows) -> dict | None:
+    """The witness of the first orbit breaking a row, rows taken in order."""
+    for keys, counts, weights, expected_sum in rows:
+        for p in profiles:
+            value = weighted_sum(0, weights, p.size, getattr(p, counts))
+            expected = expected_sum(p.size)
+            if value != expected:
+                return _witness(keys, p, value, expected)
+    return None
+
+
+def _rows_part(params: dict, profiles, rows) -> InstanceResult:
+    """A part checked as rows; vacuous when its hypothesis leaves no row."""
+    if not rows:
+        return InstanceResult(params, "vacuous")
+    return _result(params, _first_failure(profiles, rows))
+
+
+def _chi_orbomesic(params: dict, profiles) -> InstanceResult:
+    """chi has one sum per orbit size.  The classifier decides; a failure's
+    witness is the first orbit whose chi differs from the first orbit of
+    its size."""
+    bad = None
+    if not classify_orbit_sums([(p.size, p.chi) for p in profiles]).is_orbomesic:
+        first: dict[int, int] = {}
+        p = next(p for p in profiles if first.setdefault(p.size, p.chi) != p.chi)
+        bad = _witness({}, p, p.chi, first[p.size])
+    return _result(params, bad)
 
 
 # -- two-segment fences ------------------------------------------------------
@@ -200,76 +281,41 @@ def verify_two_segment(a: int, b: int) -> VerificationReport:
     profiles = orbit_profiles(F)
     g, ell = gcd(a, b), a * b // gcd(a, b)
     m = (2 * a * b - a - b) // g
-    instances = []
-
+    params = {"a": a, "b": b}
     sizes = sorted(p.size for p in profiles)
     want = sorted([ell] * (g - 1) + [ell + 1])
-    instances.append(
-        InstanceResult(
-            {"a": a, "b": b, "part": "orbit-sizes"},
-            "pass" if sizes == want else "fail",
+    count = len(profiles)
+    chi = _Row({}, "antichain_counts", _total(F.n), lambda w: m if w == ell else m + 1)
+    chihat = _Row(  # twice chihat, so the expected sums are integers
+        {},
+        "ideal_counts",
+        _total(F.n, 2),
+        lambda w: ell * (a + b - 2) if w == ell else (ell + 2) * (a + b - 2) + 2,
+    )
+    instances = [
+        _result(
+            {**params, "part": "orbit-sizes"},
             None if sizes == want else {"sizes": sizes, "expected": want},
-        )
-    )
-    ok = len(profiles) == g
-    instances.append(
-        InstanceResult(
-            {"a": a, "b": b, "part": "orbit-count"},
-            "pass" if ok else "fail",
-            None if ok else {"count": len(profiles), "expected": g},
-        )
-    )
-    for p in profiles:
-        want_chi = m if p.size == ell else m + 1
-        if p.chi != want_chi:
-            instances.append(
-                InstanceResult(
-                    {"a": a, "b": b, "part": "chi"},
-                    "fail",
-                    {
-                        "orbit": p.orbit.representative.label(),
-                        "size": p.size,
-                        "chi": p.chi,
-                        "expected": want_chi,
-                    },
-                )
-            )
-            break
-    else:
-        instances.append(InstanceResult({"a": a, "b": b, "part": "chi"}, "pass"))
-    for p in profiles:
-        if p.size == ell:
-            ok = 2 * p.chihat == ell * (a + b - 2)
-        else:
-            ok = 2 * p.chihat == (ell + 2) * (a + b - 2) + 2
-        if not ok:
-            instances.append(
-                InstanceResult(
-                    {"a": a, "b": b, "part": "chihat"},
-                    "fail",
-                    {
-                        "orbit": p.orbit.representative.label(),
-                        "size": p.size,
-                        "chihat": p.chihat,
-                    },
-                )
-            )
-            break
-    else:
-        instances.append(InstanceResult({"a": a, "b": b, "part": "chihat"}, "pass"))
-    return _timed(
-        VerificationReport("two-segment", {"a": a, "b": b}, instances), t0
-    )
+        ),
+        _result(
+            {**params, "part": "orbit-count"},
+            None if count == g else {"count": count, "expected": g},
+        ),
+        _rows_part({**params, "part": "chi"}, profiles, [chi]),
+        _rows_part({**params, "part": "chihat"}, profiles, [chihat]),
+    ]
+    return _timed(VerificationReport("two-segment", params, instances), t0)
 
 
 def sweep_two_segment(max_sum: int) -> VerificationReport:
-    t0 = time.perf_counter()
-    instances = []
-    for a in range(2, max_sum - 1):
-        for b in range(2, max_sum - a + 1):
-            instances.extend(verify_two_segment(a, b).instances)
-    return _timed(
-        VerificationReport("two-segment", {"max_sum": max_sum}, instances), t0
+    return _sweep(
+        "two-segment",
+        {"max_sum": max_sum},
+        (
+            verify_two_segment(a, b)
+            for a in range(2, max_sum - 1)
+            for b in range(2, max_sum - a + 1)
+        ),
     )
 
 
@@ -312,58 +358,27 @@ def verify_aba(a: int, b: int) -> VerificationReport:
     t0 = time.perf_counter()
     F = _fence((a, b, a))
     profiles = orbit_profiles(F)
-    info = aba_orbit_structure(a, b)
-    instances = []
-
-    got: dict[int, int] = {}
-    for p in profiles:
-        got[p.size] = got.get(p.size, 0) + 1
-    ok = got == info["expected_sizes"]
-    instances.append(
-        InstanceResult(
-            {"a": a, "b": b, "part": "orbit-sizes"},
-            "pass" if ok else "fail",
-            None if ok else {"sizes": got, "expected": info["expected_sizes"]},
-        )
-    )
-    ok, wit = _orbomesic(profiles, "chi")
-    instances.append(
-        InstanceResult(
-            {"a": a, "b": b, "part": "chi-orbomesic"},
-            "pass" if ok else "fail",
-            wit,
-        )
-    )
-    n = F.n
-    for p in profiles:
-        if 2 * p.chihat != n * p.size:
-            instances.append(
-                InstanceResult(
-                    {"a": a, "b": b, "part": "chihat-half-n"},
-                    "fail",
-                    {
-                        "orbit": p.orbit.representative.label(),
-                        "size": p.size,
-                        "chihat": p.chihat,
-                        "expected_average": f"{n}/2",
-                    },
-                )
-            )
-            break
-    else:
-        instances.append(
-            InstanceResult({"a": a, "b": b, "part": "chihat-half-n"}, "pass")
-        )
-    return _timed(VerificationReport("aba", {"a": a, "b": b}, instances), t0)
+    sizes = aba_orbit_structure(a, b)["expected_sizes"]
+    params = {"a": a, "b": b}
+    half_n = [_half_n_chihat(F.n)]
+    instances = [
+        _sizes_part({**params, "part": "orbit-sizes"}, profiles, sizes),
+        _chi_orbomesic({**params, "part": "chi-orbomesic"}, profiles),
+        _rows_part({**params, "part": "chihat-half-n"}, profiles, half_n),
+    ]
+    return _timed(VerificationReport("aba", params, instances), t0)
 
 
 def sweep_aba(max_sum: int) -> VerificationReport:
-    t0 = time.perf_counter()
-    instances = []
-    for a in range(2, max_sum):
-        for b in range(1, max_sum - a + 1):
-            instances.extend(verify_aba(a, b).instances)
-    return _timed(VerificationReport("aba", {"max_sum": max_sum}, instances), t0)
+    return _sweep(
+        "aba",
+        {"max_sum": max_sum},
+        (
+            verify_aba(a, b)
+            for a in range(2, max_sum)
+            for b in range(1, max_sum - a + 1)
+        ),
+    )
 
 
 # -- four equal segments -------------------------------------------------------
@@ -374,64 +389,31 @@ def verify_a4(a: int) -> VerificationReport:
     t0 = time.perf_counter()
     F = _fence((a, a, a, a))
     profiles = orbit_profiles(F)
-    expected_counts = {
-        a: (a - 1) ** 3,
-        a + 1: a,
-        a * a + a + 1: 1,
-        3 * a * a + a: a - 1,
+    # orbit size: (number of orbits of that size, chi sum, chihat sum)
+    chart = {
+        a: ((a - 1) ** 3, 4 * a - 4, 2 * a * a - a),
+        a + 1: (a, 4 * a - 2, 2 * a * a + 3 * a - 1),
+        a * a + a + 1: (1, 4 * a * a - a, 2 * a**3 + 3 * a - 1),
+        3 * a * a + a: (a - 1, 12 * a * a - 11 * a + 2, 6 * a**3 - a),
     }
-    chi_chart = {
-        a: 4 * a - 4,
-        a + 1: 4 * a - 2,
-        a * a + a + 1: 4 * a * a - a,
-        3 * a * a + a: 12 * a * a - 11 * a + 2,
-    }
-    chihat_chart = {
-        a: 2 * a * a - a,
-        a + 1: 2 * a * a + 3 * a - 1,
-        a * a + a + 1: 2 * a**3 + 3 * a - 1,
-        3 * a * a + a: 6 * a**3 - a,
-    }
-    instances = []
-    got: dict[int, int] = {}
-    for p in profiles:
-        got[p.size] = got.get(p.size, 0) + 1
-    expected = {k: v for k, v in expected_counts.items() if v}
-    ok = got == expected
-    instances.append(
-        InstanceResult(
-            {"a": a, "part": "orbit-sizes"},
-            "pass" if ok else "fail",
-            None if ok else {"sizes": got, "expected": expected},
-        )
-    )
-    bad = None
-    for p in profiles:
-        if p.chi != chi_chart[p.size] or p.chihat != chihat_chart[p.size]:
-            bad = {
-                "orbit": p.orbit.representative.label(),
-                "size": p.size,
-                "chi": p.chi,
-                "chihat": p.chihat,
-                "expected": (chi_chart[p.size], chihat_chart[p.size]),
-            }
-            break
-    instances.append(
-        InstanceResult(
-            {"a": a, "part": "statistic-chart"},
-            "pass" if bad is None else "fail",
-            bad,
-        )
-    )
+    expected = {size: count for size, (count, _, _) in chart.items() if count}
+    chi = {size: v for size, (_, v, _) in chart.items()}
+    chihat = {size: v for size, (_, _, v) in chart.items()}
+    rows = [
+        _Row({"stat": "chi"}, "antichain_counts", _total(F.n), chi.get),
+        _Row({"stat": "chihat"}, "ideal_counts", _total(F.n), chihat.get),
+    ]
+    instances = [
+        _sizes_part({"a": a, "part": "orbit-sizes"}, profiles, expected),
+        _rows_part({"a": a, "part": "statistic-chart"}, profiles, rows),
+    ]
     return _timed(VerificationReport("a4", {"a": a}, instances), t0)
 
 
 def sweep_a4(max_a: int) -> VerificationReport:
-    t0 = time.perf_counter()
-    instances = []
-    for a in range(2, max_a + 1):
-        instances.extend(verify_a4(a).instances)
-    return _timed(VerificationReport("a4", {"max_a": max_a}, instances), t0)
+    return _sweep(
+        "a4", {"max_a": max_a}, (verify_a4(a) for a in range(2, max_a + 1))
+    )
 
 
 # -- five segments (a,1,a,1,a) -------------------------------------------------
@@ -450,15 +432,11 @@ def verify_a1a1a(a: int) -> VerificationReport:
         (a * a + 2 * a, 3 * a * a + 3 * a - 2): a,
     }
     instances = []
-    got = _size_chi_multiset(profiles)
-    ok = got == {k: v for k, v in expected.items() if v}
-    instances.append(
-        InstanceResult(
-            {"a": a, "part": "sizes-and-chi"},
-            "pass" if ok else "fail",
-            None if ok else {"got": sorted(got.items()), "expected": sorted(expected.items())},
-        )
-    )
+    got = Counter((p.size, p.chi) for p in profiles)
+    bad = None
+    if got != {k: v for k, v in expected.items() if v}:
+        bad = {"got": sorted(got.items()), "expected": sorted(expected.items())}
+    instances.append(_result({"a": a, "part": "sizes-and-chi"}, bad))
     bad = None
     pairs = 0
     singles: dict[int, int] = {}
@@ -481,22 +459,14 @@ def verify_a1a1a(a: int) -> VerificationReport:
         merged[size] = merged.get(size, 0) + cnt
     if bad is None and (pairs != a - 1 or singles != merged):
         bad = {"pairs": pairs, "singles": sorted(singles.items()), "expected_pairs": a - 1}
-    instances.append(
-        InstanceResult(
-            {"a": a, "part": "superorbit-pairing"},
-            "pass" if bad is None else "fail",
-            bad,
-        )
-    )
+    instances.append(_result({"a": a, "part": "superorbit-pairing"}, bad))
     return _timed(VerificationReport("a1a1a", {"a": a}, instances), t0)
 
 
 def sweep_a1a1a(max_a: int) -> VerificationReport:
-    t0 = time.perf_counter()
-    instances = []
-    for a in range(2, max_a + 1):
-        instances.extend(verify_a1a1a(a).instances)
-    return _timed(VerificationReport("a1a1a", {"max_a": max_a}, instances), t0)
+    return _sweep(
+        "a1a1a", {"max_a": max_a}, (verify_a1a1a(a) for a in range(2, max_a + 1))
+    )
 
 
 # -- general homomesies ----------------------------------------------------------
@@ -515,164 +485,79 @@ def verify_general_homomesies(alpha) -> VerificationReport:
     profiles = orbit_profiles(F)
     instances = []
 
-    def inst(part: str, verdict: str, witness: dict | None = None) -> None:
-        instances.append(
-            InstanceResult({"alpha": key, "part": part}, verdict, witness)
-        )
+    def params(part: str) -> dict:
+        return {"alpha": key, "part": part}
+
+    n, s, A, I = F.n, F.s, "antichain_counts", "ideal_counts"
+    zero, orbit_size = _times(0), _times(1)
 
     # (a) same-segment unshared indicators agree on every orbit
-    bad = None
-    ran = False
-    for i in range(1, F.s + 1):
-        elems = F.unshared[i]
-        for ai in range(len(elems)):
-            for bi in range(ai + 1, len(elems)):
-                ran = True
-                x, y = elems[ai], elems[bi]
-                for p in profiles:
-                    if p.antichain_counts[x - 1] != p.antichain_counts[y - 1]:
-                        bad = {
-                            "x": x,
-                            "y": y,
-                            "orbit": p.orbit.representative.label(),
-                            "counts": (
-                                p.antichain_counts[x - 1],
-                                p.antichain_counts[y - 1],
-                            ),
-                        }
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    inst("same-segment-indicators", "fail" if bad else ("pass" if ran else "vacuous"), bad)
+    rows = [
+        _Row({"x": x, "y": y}, A, ((x - 1, 1), (y - 1, -1)), zero)
+        for i in range(1, s + 1)
+        for x, y in combinations(F.unshared[i], 2)
+    ]
+    instances.append(_rows_part(params("same-segment-indicators"), profiles, rows))
 
     # (b) alpha_i * chi_x + chi_{s_i} + chi_{s_{i-1}} sums to the orbit size
-    bad = None
-    ran = False
-    for i in range(1, F.s + 1):
-        y = F.shared[i - 1] if i <= F.s - 1 else None
-        z = F.shared[i - 2] if i >= 2 else None
+    rows = []
+    for i in range(1, s + 1):
+        ends = [F.shared[j - 1] for j in (i, i - 1) if 1 <= j <= s - 1]
         for x in F.unshared[i]:
-            ran = True
-            for p in profiles:
-                total = F.alpha[i - 1] * p.antichain_counts[x - 1]
-                if y is not None:
-                    total += p.antichain_counts[y - 1]
-                if z is not None:
-                    total += p.antichain_counts[z - 1]
-                if total != p.size:
-                    bad = {
-                        "segment": i,
-                        "x": x,
-                        "orbit": p.orbit.representative.label(),
-                        "sum": total,
-                        "size": p.size,
-                    }
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    inst("segment-balance", "fail" if bad else ("pass" if ran else "vacuous"), bad)
+            weights = ((x - 1, F.alpha[i - 1]), *((y - 1, 1) for y in ends))
+            rows.append(_Row({"segment": i, "x": x}, A, weights, orbit_size))
+    instances.append(_rows_part(params("segment-balance"), profiles, rows))
 
-    # (c) weighted first-segment ideal indicators
-    bad = None
-    ran = False
-    first = F.unshared[1]
-    for j in range(1, len(first) + 1):
-        for k in range(1, len(first) + 1):
-            if j == k:
-                continue
-            ran = True
-            x, y = first[j - 1], first[k - 1]
-            for p in profiles:
-                lhs = k * p.ideal_counts[x - 1] - j * p.ideal_counts[y - 1]
-                if lhs != (k - j) * p.size:
-                    bad = {
-                        "j": j,
-                        "k": k,
-                        "orbit": p.orbit.representative.label(),
-                        "value": lhs,
-                        "expected": (k - j) * p.size,
-                    }
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    inst("first-segment-weighted", "fail" if bad else ("pass" if ran else "vacuous"), bad)
+    # (c) weighted first-segment ideal indicators; the row of (k, j) is
+    # the row of (j, k) negated, so j < k covers every pair
+    rows = [
+        _Row({"j": j, "k": k}, I, ((x - 1, k), (y - 1, -j)), _times(k - j))
+        for (j, x), (k, y) in combinations(enumerate(F.unshared[1], 1), 2)
+    ]
+    instances.append(_rows_part(params("first-segment-weighted"), profiles, rows))
 
-    # (d) odd-shared + even-shared ideal indicators, gated on equal red heads
-    bad = None
-    ran = False
-    odd_shared = [i for i in range(1, F.s) if i % 2 == 1]
-    even_shared = [i for i in range(1, F.s) if i % 2 == 0]
-    for oi in odd_shared:
-        for ei in even_shared:
+    # (d) odd-shared + even-shared ideal indicators, for the pairs of shared
+    # rows with equal red-head counts on every orbit (the hypothesis)
+    rows = []
+    for oi in range(1, s, 2):
+        for ei in range(2, s, 2):
             if any(
                 p.counts.red_heads_in_row(oi) != p.counts.red_heads_in_row(ei)
                 for p in profiles
             ):
-                continue  # hypothesis fails for this pair: skip, not a failure
-            ran = True
+                continue  # hypothesis fails for this pair: no row, not a failure
             x, y = F.shared[oi - 1], F.shared[ei - 1]
-            for p in profiles:
-                total = p.ideal_counts[x - 1] + p.ideal_counts[y - 1]
-                if total != p.size:
-                    bad = {
-                        "x": x,
-                        "y": y,
-                        "orbit": p.orbit.representative.label(),
-                        "sum": total,
-                        "size": p.size,
-                    }
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    inst("shared-pair", "fail" if bad else ("pass" if ran else "vacuous"), bad)
+            weights = ((x - 1, 1), (y - 1, 1))
+            rows.append(_Row({"x": x, "y": y}, I, weights, orbit_size))
+    instances.append(_rows_part(params("shared-pair"), profiles, rows))
 
     # (e) odd segment count with all parts even forces even orbit sizes
-    if F.s % 2 == 1 and all(p % 2 == 0 for p in F.alpha):
+    if s % 2 == 1 and all(part % 2 == 0 for part in F.alpha):
         bad = None
         for p in profiles:
             if p.size % 2:
                 bad = {"orbit": p.orbit.representative.label(), "size": p.size}
                 break
-        inst("even-orbit-sizes", "fail" if bad else "pass", bad)
+        instances.append(_result(params("even-orbit-sizes"), bad))
     else:
-        inst("even-orbit-sizes", "vacuous")
+        instances.append(InstanceResult(params("even-orbit-sizes"), "vacuous"))
 
     # (f) all parts 2: chi averages s/2
-    if all(p == 2 for p in F.alpha):
-        bad = None
-        for p in profiles:
-            if 2 * p.chi != F.s * p.size:
-                bad = {
-                    "orbit": p.orbit.representative.label(),
-                    "chi": p.chi,
-                    "size": p.size,
-                }
-                break
-        inst("half-s-average", "fail" if bad else "pass", bad)
-    else:
-        inst("half-s-average", "vacuous")
+    all_twos = all(part == 2 for part in F.alpha)
+    rows = [_Row({}, A, _total(n, 2), _times(s))] if all_twos else []
+    instances.append(_rows_part(params("half-s-average"), profiles, rows))
 
     # chihat averages n/2 on superorbits of self-dual fences
     if F._self_duality_failure() is None:
         bad = None
         for so in superorbits(F):
             total = sum(m.bit_count() for o in so.orbits for m in o.masks)
-            if 2 * total != F.n * so.size:
+            if 2 * total != n * so.size:
                 bad = {"superorbit": repr(so), "chihat": total, "size": so.size}
                 break
-        inst("superorbit-half-n", "fail" if bad else "pass", bad)
+        instances.append(_result(params("superorbit-half-n"), bad))
     else:
-        inst("superorbit-half-n", "vacuous")
+        instances.append(InstanceResult(params("superorbit-half-n"), "vacuous"))
 
     return _timed(
         VerificationReport("homomesies", {"alpha": key}, instances), t0
@@ -680,12 +565,10 @@ def verify_general_homomesies(alpha) -> VerificationReport:
 
 
 def sweep_general_homomesies(max_n: int) -> VerificationReport:
-    t0 = time.perf_counter()
-    instances = []
-    for alpha in all_fence_compositions(max_n):
-        instances.extend(verify_general_homomesies(alpha).instances)
-    return _timed(
-        VerificationReport("homomesies", {"max_n": max_n}, instances), t0
+    return _sweep(
+        "homomesies",
+        {"max_n": max_n},
+        (verify_general_homomesies(alpha) for alpha in all_fence_compositions(max_n)),
     )
 
 
@@ -744,77 +627,27 @@ def verify_palindromic_props(alpha) -> VerificationReport:
                     "red": list(p.counts.red_sequence),
                 }
                 break
-        instances.append(
-            InstanceResult(
-                {"alpha": key, "part": "black-iff-red"},
-                "fail" if bad else "pass",
-                bad,
-            )
-        )
+        instances.append(_result({"alpha": key, "part": "black-iff-red"}, bad))
     else:
         instances.append(
             InstanceResult({"alpha": key, "part": "black-iff-red"}, "vacuous")
         )
 
+    # k and n+1-k give the same row, so k runs up to the middle element
     all_palindromic = not exceptions and all(part >= 2 for part in F.alpha)
-    if all_palindromic:
-        bad = None
-        for p in profiles:
-            for k in range(1, n + 1):
-                if p.antichain_counts[k - 1] != p.antichain_counts[n - k]:
-                    bad = {
-                        "k": k,
-                        "orbit": p.orbit.representative.label(),
-                        "counts": (
-                            p.antichain_counts[k - 1],
-                            p.antichain_counts[n - k],
-                        ),
-                    }
-                    break
-            if bad:
-                break
-        instances.append(
-            InstanceResult(
-                {"alpha": key, "part": "mirror-antichain"},
-                "fail" if bad else "pass",
-                bad,
-            )
-        )
-        if s % 2 == 1:
-            bad = None
-            for p in profiles:
-                for k in range(1, n + 1):
-                    if (
-                        p.ideal_counts[k - 1] + p.ideal_counts[n - k]
-                        != p.size
-                    ):
-                        bad = {
-                            "k": k,
-                            "orbit": p.orbit.representative.label(),
-                            "sum": p.ideal_counts[k - 1] + p.ideal_counts[n - k],
-                            "size": p.size,
-                        }
-                        break
-                if bad:
-                    break
-            instances.append(
-                InstanceResult(
-                    {"alpha": key, "part": "mirror-ideal"},
-                    "fail" if bad else "pass",
-                    bad,
-                )
-            )
-        else:
-            instances.append(
-                InstanceResult({"alpha": key, "part": "mirror-ideal"}, "vacuous")
-            )
-    else:
-        instances.append(
-            InstanceResult({"alpha": key, "part": "mirror-antichain"}, "vacuous")
-        )
-        instances.append(
-            InstanceResult({"alpha": key, "part": "mirror-ideal"}, "vacuous")
-        )
+    half = range(1, (n + 1) // 2 + 1) if all_palindromic else ()
+    rows = [
+        _Row({"k": k}, "antichain_counts", ((k - 1, 1), (n - k, -1)), _times(0))
+        for k in half
+    ]
+    instances.append(
+        _rows_part({"alpha": key, "part": "mirror-antichain"}, profiles, rows)
+    )
+    rows = [
+        _Row({"k": k}, "ideal_counts", ((k - 1, 1), (n - k, 1)), _times(1))
+        for k in (half if s % 2 == 1 else ())
+    ]
+    instances.append(_rows_part({"alpha": key, "part": "mirror-ideal"}, profiles, rows))
     return _timed(
         VerificationReport("palindromic", {"alpha": key}, instances), t0
     )
@@ -856,37 +689,12 @@ def scan_conjecture_constant_alpha(max_total: int) -> VerificationReport:
         for s in range(1, max_total - a + 1):
             F = _fence((a,) * s)
             profiles = orbit_profiles(F)
-            ok, wit = _orbomesic(profiles, "chi")
-            instances.append(
-                InstanceResult(
-                    {"a": a, "s": s, "part": "chi-orbomesic"},
-                    "pass" if ok else "fail",
-                    wit,
-                )
-            )
-            if s % 2 == 1:
-                bad = None
-                for p in profiles:
-                    if 2 * p.chihat != F.n * p.size:
-                        bad = {
-                            "orbit": p.orbit.representative.label(),
-                            "chihat": p.chihat,
-                            "size": p.size,
-                        }
-                        break
-                instances.append(
-                    InstanceResult(
-                        {"a": a, "s": s, "part": "chihat-half-n"},
-                        "fail" if bad else "pass",
-                        bad,
-                    )
-                )
-            else:
-                instances.append(
-                    InstanceResult(
-                        {"a": a, "s": s, "part": "chihat-half-n"}, "vacuous"
-                    )
-                )
+            rows = [_half_n_chihat(F.n)] if s % 2 == 1 else []
+            params = {"a": a, "s": s}
+            instances += [
+                _chi_orbomesic({**params, "part": "chi-orbomesic"}, profiles),
+                _rows_part({**params, "part": "chihat-half-n"}, profiles, rows),
+            ]
     return _timed(
         VerificationReport(
             "constant-alpha", {"max_total": max_total}, instances
@@ -968,7 +776,7 @@ def verify_linear_extension_toggles(
         VerificationReport(
             "linear-extension-toggles",
             {"alpha": key, "extensions": len(exts), "seed": seed},
-            [InstanceResult({"alpha": key}, "fail" if bad else "pass", bad)],
+            [_result({"alpha": key}, bad)],
         ),
         t0,
     )
@@ -994,34 +802,37 @@ def verify_base_graph(alpha) -> VerificationReport:
         VerificationReport(
             "base-graph",
             {"alpha": key},
-            [InstanceResult({"alpha": key}, "fail" if bad else "pass", bad)],
+            [_result({"alpha": key}, bad)],
         ),
         t0,
     )
 
 
-def _indicator_battery(family: str, n: int):
-    kind = "chi" if family == ANTICHAIN else "chihat"
-    exprs = [indicator(kind, k) for k in range(1, n + 1)]
-    exprs.append(indicator(kind, None))
-    return exprs
-
-
-def verify_transfer_ideal(
-    alpha, pairs: int = 200, seed: int = 0
+def _transfer(
+    claim: str,
+    family: str,
+    alpha,
+    samples: int,
+    seed: int,
+    rng_tag: str,
+    count_key: str,
 ) -> VerificationReport:
-    """Homomesy/orbomesy verdicts of every ideal indicator (and the
-    cardinality) agree between sampled pairs of ideal Coxeter words."""
+    """The transfer driver: on `samples` sampled pairs of Coxeter words of
+    the family, every indicator and the cardinality get the same
+    homomesy/orbomesy verdict under both words.  The claim name, the rng
+    tag and the params key of the sample count are the caller's."""
     t0 = time.perf_counter()
     F = _fence(alpha)
     key = tuple(F.alpha.parts)
-    rng = random.Random(f"transfer:{seed}:{key}")
-    battery = _indicator_battery(IDEAL, F.n)
+    rng = random.Random(f"{rng_tag}:{seed}:{key}")
+    kind = "chi" if family == ANTICHAIN else "chihat"
+    battery = [indicator(kind, k) for k in range(1, F.n + 1)]
+    battery.append(indicator(kind, None))
     bad = None
-    for _ in range(pairs):
-        wa = ToggleWord(IDEAL, rng.sample(range(1, F.n + 1), F.n))
-        wb = ToggleWord(IDEAL, rng.sample(range(1, F.n + 1), F.n))
-        rep = transfer_check(F, IDEAL, wa, wb, battery)
+    for _ in range(samples):
+        wa = ToggleWord(family, rng.sample(range(1, F.n + 1), F.n))
+        wb = ToggleWord(family, rng.sample(range(1, F.n + 1), F.n))
+        rep = transfer_check(F, family, wa, wb, battery)
         if not rep.agree:
             d = rep.disagreements()[0]
             bad = {
@@ -1033,11 +844,27 @@ def verify_transfer_ideal(
             break
     return _timed(
         VerificationReport(
-            "transfer-ideal",
-            {"alpha": key, "pairs": pairs, "seed": seed},
-            [InstanceResult({"alpha": key}, "fail" if bad else "pass", bad)],
+            claim,
+            {"alpha": key, count_key: samples, "seed": seed},
+            [_result({"alpha": key}, bad)],
         ),
         t0,
+    )
+
+
+def verify_transfer_ideal(
+    alpha, pairs: int = 200, seed: int = 0
+) -> VerificationReport:
+    """Homomesy/orbomesy verdicts of every ideal indicator (and the
+    cardinality) agree between sampled pairs of ideal Coxeter words."""
+    return _transfer(
+        "transfer-ideal",
+        IDEAL,
+        alpha,
+        pairs,
+        seed,
+        rng_tag="transfer",
+        count_key="pairs",
     )
 
 
@@ -1047,30 +874,12 @@ def scan_conjecture_antichain_transfer(
     """The antichain analogue of the transfer theorem, checked on sampled
     Coxeter word pairs; a disagreement is a counterexample discovery,
     reported rather than raised."""
-    t0 = time.perf_counter()
-    F = _fence(alpha)
-    key = tuple(F.alpha.parts)
-    rng = random.Random(f"antichain-transfer:{seed}:{key}")
-    battery = _indicator_battery(ANTICHAIN, F.n)
-    bad = None
-    for _ in range(samples):
-        wa = ToggleWord(ANTICHAIN, rng.sample(range(1, F.n + 1), F.n))
-        wb = ToggleWord(ANTICHAIN, rng.sample(range(1, F.n + 1), F.n))
-        rep = transfer_check(F, ANTICHAIN, wa, wb, battery)
-        if not rep.agree:
-            d = rep.disagreements()[0]
-            bad = {
-                "word_a": str(wa),
-                "word_b": str(wb),
-                "stat": d.stat,
-                "verdicts": (d.report_a.kind, d.report_b.kind),
-            }
-            break
-    return _timed(
-        VerificationReport(
-            "antichain-transfer",
-            {"alpha": key, "samples": samples, "seed": seed},
-            [InstanceResult({"alpha": key}, "fail" if bad else "pass", bad)],
-        ),
-        t0,
+    return _transfer(
+        "antichain-transfer",
+        ANTICHAIN,
+        alpha,
+        samples,
+        seed,
+        rng_tag="antichain-transfer",
+        count_key="samples",
     )

@@ -141,10 +141,10 @@ def decompose(masks, step) -> list[list[int]]:
 
 
 def _orbit_mask_lists(F: Fence, family: str, cap: int | None = None) -> list[list[int]]:
+    masks = F.family_masks(family, cap)  # checks the cap, also on a cached family
     key = ("orbits", family)
     cached = F._cache.get(key)
     if cached is None:
-        masks = F.family_masks(family, cap)
         if family == ANTICHAIN:
             cached = decompose(masks, lambda m: _rho_mask(F, m))
         elif family == IDEAL:

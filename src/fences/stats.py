@@ -8,6 +8,13 @@ when every orbit average equals one constant, and orbomesic when orbits
 of equal size have equal sums.  Floating point would mask violations, so
 none is used.
 
+Orbit sums are integers.  A statistic is scaled once by the lcm d of its
+denominators (scaled_weights); d times an orbit sum is then constant*size
+plus integer weights times the orbit's element counts (weighted_sum), and
+classify_orbit_sums compares orbits by cross-multiplying these integers.
+Fractions are built only at the report: MesyReport.constant, and
+MesyReport.per_orbit when it is read.
+
 Text syntax (whitespace-insensitive, 1-based element indices):
 
     2*chi[3] - chi[5] + 1/2        chihat[10]        chi
@@ -18,8 +25,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Iterable
+from math import comb, lcm
+from typing import Iterable, Sequence
 
 from .fence import ANTICHAIN, IDEAL, ElementSet, Fence, FenceError, RoleError
 from .rowmotion import Orbit, antichain_orbits, ideal_orbits
@@ -192,24 +199,50 @@ def evaluate(F: Fence, expr: StatExpr, S: ElementSet) -> Fraction:
     return total
 
 
+def scaled_weights(
+    expr: StatExpr, n: int
+) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """The statistic times the lcm d of its denominators, as integers.
+
+    Returns (d, constant, weights): weights pairs a 0-based element index
+    with its integer weight, nonzero weights only, and a cardinality atom
+    adds its weight to every element.  d times an orbit sum is then
+    weighted_sum(constant, weights, size, counts).
+    """
+    denom = lcm(expr.constant.denominator, *(c.denominator for c, _ in expr.terms))
+    weights = [0] * n
+    for coeff, atom in expr.terms:
+        w = int(coeff * denom)
+        if atom.element is None:
+            weights = [x + w for x in weights]
+        elif 1 <= atom.element <= n:
+            weights[atom.element - 1] += w
+        else:
+            raise FenceError(f"element x{atom.element} out of range 1..{n}")
+    pairs = tuple((k, w) for k, w in enumerate(weights) if w)
+    return denom, int(expr.constant * denom), pairs
+
+
+def weighted_sum(
+    constant: int, weights: Iterable[tuple[int, int]], size: int, counts: Sequence[int]
+) -> int:
+    """constant*size + the weighted element counts: the one evaluator of an
+    integer linear statistic on an orbit of `size` members whose element
+    occurrences are `counts`."""
+    total = constant * size
+    for k, w in weights:
+        total += w * counts[k]
+    return total
+
+
 def orbit_sum(F: Fence, expr: StatExpr, orbit: Orbit) -> Fraction:
     """Sum of the statistic over all members of an orbit."""
     fam = expr.family()
     if fam is not None and orbit.family != fam:
         raise RoleError(f"statistic over {fam}s summed over a {orbit.family} orbit")
+    denom, constant, weights = scaled_weights(expr, F.n)
     counts = orbit_element_counts(orbit.masks, F.n)
-    sizes = sum(counts)
-    total = expr.constant * orbit.size
-    for coeff, atom in expr.terms:
-        if atom.element is None:
-            total += coeff * sizes
-        else:
-            if not 1 <= atom.element <= F.n:
-                raise FenceError(
-                    f"element x{atom.element} out of range 1..{F.n}"
-                )
-            total += coeff * counts[atom.element - 1]
-    return total
+    return Fraction(weighted_sum(constant, weights, orbit.size, counts), denom)
 
 
 def orbit_element_counts(masks: Iterable[int], n: int) -> tuple[int, ...]:
@@ -229,9 +262,22 @@ def orbit_element_counts(masks: Iterable[int], n: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class MesyReport:
+    """The verdict on one statistic.  `sums` holds each orbit's (size,
+    denom * sum) as integers; the Fractions of `per_orbit` are built only
+    when it is read."""
+
     kind: str  # "homomesic" | "orbomesic" | "neither"
     constant: Fraction | None
-    per_orbit: tuple[tuple[int, Fraction, Fraction], ...]
+    sums: tuple[tuple[int, int], ...]
+    denom: int = 1
+
+    @property
+    def per_orbit(self) -> tuple[tuple[int, Fraction, Fraction], ...]:
+        """(size, sum, average) of every orbit."""
+        d = self.denom
+        return tuple(
+            (size, Fraction(sm, d), Fraction(sm, size * d)) for size, sm in self.sums
+        )
 
     @property
     def is_homomesic(self) -> bool:
@@ -252,20 +298,30 @@ class MesyReport:
         }
 
 
-def classify_orbit_sums(data: list[tuple[int, Fraction]]) -> MesyReport:
-    """Build a MesyReport from (orbit size, statistic sum) pairs."""
-    per_orbit = tuple(
-        (size, sm, Fraction(sm, size)) for size, sm in data
-    )
-    averages = {avg for _, _, avg in per_orbit}
-    if len(averages) == 1:
-        return MesyReport("homomesic", next(iter(averages)), per_orbit)
-    by_size: dict[int, set[Fraction]] = {}
-    for size, sm, _ in per_orbit:
-        by_size.setdefault(size, set()).add(sm)
-    if all(len(v) == 1 for v in by_size.values()):
-        return MesyReport("orbomesic", None, per_orbit)
-    return MesyReport("neither", None, per_orbit)
+def classify_orbit_sums(data: Sequence[tuple[int, int]], denom: int = 1) -> MesyReport:
+    """Classify integer (orbit size, denom * statistic sum) pairs.
+
+    Homomesic when every average sum/size is equal, compared by cross-
+    multiplying; orbomesic when orbits of equal size have equal sums.
+    """
+    sums = tuple(data)
+    if sums:
+        size0, sum0 = sums[0]
+        if all(sm * size0 == sum0 * size for size, sm in sums):
+            return MesyReport("homomesic", Fraction(sum0, size0 * denom), sums, denom)
+    first: dict[int, int] = {}
+    if all(first.setdefault(size, sm) == sm for size, sm in sums):
+        return MesyReport("orbomesic", None, sums, denom)
+    return MesyReport("neither", None, sums, denom)
+
+
+def classify_counts(
+    expr: StatExpr, n: int, profiles: Iterable[tuple[int, Sequence[int]]]
+) -> MesyReport:
+    """Classify a statistic from per-orbit (size, element counts)."""
+    denom, constant, weights = scaled_weights(expr, n)
+    sums = [(size, weighted_sum(constant, weights, size, c)) for size, c in profiles]
+    return classify_orbit_sums(sums, denom)
 
 
 def _orbits_for(F: Fence, family: str, orbits) -> tuple[Orbit, ...]:
@@ -284,14 +340,11 @@ def check_homomesy(F: Fence, family: str, expr: StatExpr, orbits=None) -> MesyRe
     if fam is not None and fam != family:
         raise RoleError(f"statistic over {fam}s checked on {family} orbits")
     orbs = _orbits_for(F, family, orbits)
-    return classify_orbit_sums(
-        [(o.size, orbit_sum(F, expr, o)) for o in orbs]
+    if fam is not None and any(o.family != fam for o in orbs):
+        raise RoleError(f"statistic over {fam}s summed over another family's orbit")
+    return classify_counts(
+        expr, F.n, [(o.size, orbit_element_counts(o.masks, F.n)) for o in orbs]
     )
-
-
-def check_orbomesy(F: Fence, family: str, expr: StatExpr, orbits=None) -> MesyReport:
-    """Same classification; exposed separately for orbomesy-focused checks."""
-    return check_homomesy(F, family, expr, orbits)
 
 
 # -- statistics read off a tiling -----------------------------------------

@@ -17,17 +17,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .fence import ANTICHAIN, IDEAL, ElementSet, Fence, FenceError, RoleError
 from .rowmotion import decompose
-from .stats import (
-    MesyReport,
-    StatExpr,
-    classify_orbit_sums,
-    orbit_element_counts,
-)
+from .stats import MesyReport, StatExpr, classify_counts, orbit_element_counts
 
 
 @dataclass(frozen=True)
@@ -351,27 +345,11 @@ def word_orbits(F: Fence, word: ToggleWord, cap: int | None = None):
 
 def _word_profiles(
     F: Fence, word: ToggleWord, cap: int | None = None
-) -> list[tuple[int, tuple[int, ...], int]]:
-    """Per-orbit (size, element counts, total cardinality) under a word."""
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Per-orbit (size, element counts) under a word."""
     step = compile_word(F, word)
     masks = F.family_masks(word.family, cap)
-    profiles = []
-    for ms in decompose(masks, step):
-        counts = orbit_element_counts(ms, F.n)
-        profiles.append((len(ms), counts, sum(counts)))
-    return profiles
-
-
-def _classify_expr(
-    expr: StatExpr, profiles: list[tuple[int, tuple[int, ...], int]]
-) -> MesyReport:
-    data = []
-    for size, counts, total in profiles:
-        val = expr.constant * size
-        for coeff, atom in expr.terms:
-            val += coeff * (total if atom.element is None else counts[atom.element - 1])
-        data.append((size, Fraction(val)))
-    return classify_orbit_sums(data)
+    return [(len(ms), orbit_element_counts(ms, F.n)) for ms in decompose(masks, step)]
 
 
 @dataclass(frozen=True)
@@ -428,7 +406,9 @@ def transfer_check(
     pa = _word_profiles(F, word_a, cap)
     pb = _word_profiles(F, word_b, cap)
     results = tuple(
-        TransferResult(str(e), _classify_expr(e, pa), _classify_expr(e, pb))
+        TransferResult(
+            str(e), classify_counts(e, F.n, pa), classify_counts(e, F.n, pb)
+        )
         for e in exprs
     )
     return TransferReport(family, word_a, word_b, results)

@@ -7,6 +7,7 @@ Slow on purpose; used to cross-check the bitmask implementations at
 small n.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 
@@ -137,3 +138,23 @@ def brute_orbits(F, family, step):
             x = step(F, x)
         orbits.append(orbit)
     return orbits
+
+
+def classify_orbit_sums(data):
+    """Reference homomesy/orbomesy classifier over exact Fraction sums.
+
+    From (orbit size, statistic sum) pairs, returns (kind, constant,
+    per_orbit) with per_orbit the (size, sum, average) triples.  It
+    compares averages and per-size sums as Fractions, independently of the
+    library's integer cross-multiplication.
+    """
+    per_orbit = tuple((size, sm, Fraction(sm, size)) for size, sm in data)
+    averages = {avg for _, _, avg in per_orbit}
+    if len(averages) == 1:
+        return "homomesic", next(iter(averages)), per_orbit
+    by_size = {}
+    for size, sm, _ in per_orbit:
+        by_size.setdefault(size, set()).add(sm)
+    if all(len(v) == 1 for v in by_size.values()):
+        return "orbomesic", None, per_orbit
+    return "neither", None, per_orbit

@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from fences import FenceError, build_fence
+from fences import FamilyCapError, FenceError, build_fence, harness
 from fences.harness import (
     aba_orbit_structure,
     all_fence_compositions,
@@ -186,3 +188,65 @@ class TestToggleHarness:
         rep = verify_two_segment(3, 2)
         d = rep.to_json_dict()
         assert set(d) == {"claim", "params", "verdict", "witnesses", "runtime_ms"}
+
+
+class TestProfileCache:
+    def test_cached_profiles_respect_a_smaller_cap(self):
+        F = build_fence((3, 3, 3))  # 33 antichains
+        assert sum(p.size for p in orbit_profiles(F)) == 33
+        with pytest.raises(FamilyCapError):
+            orbit_profiles(F, 5)
+        assert orbit_profiles(F, 33) == orbit_profiles(F)
+
+
+def _bump(value, at):
+    """value + 1, or a tuple with 1 added at index `at`."""
+    if at is None:
+        return value + 1
+    return value[:at] + (value[at] + 1,) + value[at + 1 :]
+
+
+class TestForcedFailures:
+    """A corrupted profile makes one part fail with the row witness
+    {instance params, row keys, orbit, size, value, expected}."""
+
+    @pytest.mark.parametrize(
+        "check,args,index,field,at,part,want",
+        [
+            # homomesy row: chi[x1] - chi[x2] = 0 on (4,3,4)
+            (verify_general_homomesies, ((4, 3, 4),), 0, "antichain_counts", 0,
+             "same-segment-indicators",
+             {"alpha": (4, 3, 4), "x": 1, "y": 2, "orbit": "{}", "size": 5,
+              "value": 1, "expected": 0}),
+            # chart row: chihat sums 21 on the size-7 orbit of (2,2,2,2)
+            (verify_a4, (2,), 0, "ideal_counts", 0, "statistic-chart",
+             {"a": 2, "stat": "chihat", "orbit": "{}", "size": 7,
+              "value": 22, "expected": 21}),
+            # mirror row: chi[x1] - chi[x7] = 0 on (3,3,3)
+            (verify_palindromic_props, ((3, 3, 3),), 0, "antichain_counts", 0,
+             "mirror-antichain",
+             {"alpha": (3, 3, 3), "k": 1, "orbit": "{}", "size": 21,
+              "value": 1, "expected": 0}),
+            # orbomesy: the third size-17 orbit of (4,3,4) gets another chi sum
+            (verify_aba, (4, 3), 3, "chi", None, "chi-orbomesic",
+             {"a": 4, "b": 3, "orbit": "{x3}", "size": 17, "value": 37,
+              "expected": 36}),
+        ],
+    )
+    def test_witness(self, monkeypatch, check, args, index, field, at, part, want):
+        real = harness.orbit_profiles
+
+        def corrupted(F, cap=None):
+            profiles = list(real(F, cap))
+            p = profiles[index]
+            bumped = _bump(getattr(p, field), at)
+            profiles[index] = dataclasses.replace(p, **{field: bumped})
+            return tuple(profiles)
+
+        monkeypatch.setattr(harness, "orbit_profiles", corrupted)
+        rep = check(*args)
+        verdicts = {r.params["part"]: r.verdict for r in rep.instances}
+        assert verdicts[part] == "fail"
+        assert rep.verdict == "fail"
+        (w,) = [w for w in rep.witnesses if w["part"] == part]
+        assert w == {**want, "part": part}

@@ -2,8 +2,12 @@
 
 Each example draws a composition with first and last part >= 2 and
 sum(alpha) <= 15, then checks a mask-level fast path against either the
-oracle in tests/oracle.py or the tiling it replaces.
+oracle in tests/oracle.py or the tiling it replaces.  The integer
+statistic classifier is checked against the oracle's Fraction classifier
+on random rational statistics with n <= 12.
 """
+
+from fractions import Fraction
 
 import oracle
 import pytest
@@ -12,25 +16,29 @@ from hypothesis import strategies as st
 
 from fences import (
     ANTICHAIN,
+    IDEAL,
     ElementSet,
     Orbit,
     TilingError,
     antichain_orbits,
     build_fence,
+    check_homomesy,
+    evaluate,
     ideal_orbits,
     orbit_tile_counts,
     tile_counts,
     tiling_of_orbit,
 )
+from fences.stats import Atom, StatExpr
 
 MAX_N = 14
 
 
 @st.composite
-def compositions(draw):
-    """A total sum(alpha) <= MAX_N + 1 cut into parts, with no cut next to
+def compositions(draw, max_n=MAX_N):
+    """A total sum(alpha) <= max_n + 1 cut into parts, with no cut next to
     either end so that the first and last parts are >= 2."""
-    total = draw(st.integers(min_value=2, max_value=MAX_N + 1))
+    total = draw(st.integers(min_value=2, max_value=max_n + 1))
     cuts = []
     if total >= 4:
         cuts = sorted(draw(st.sets(st.integers(min_value=2, max_value=total - 2))))
@@ -85,3 +93,35 @@ def test_all_black_row_raises_like_the_tiling():
         orbit_tile_counts(F, bogus.masks)
     with pytest.raises(TilingError, match="row 1 is entirely black"):
         tiling_of_orbit(F, bogus)
+
+
+COEFFS = [Fraction(c) for c in (1, -1, 2, -3, "1/2", "-3/4", "5/3", "7/6")]
+
+
+@st.composite
+def statistics(draw, n):
+    """A rational statistic on antichains or ideals of an n-element fence:
+    one to four weighted indicators or cardinalities and a constant."""
+    family = draw(st.sampled_from([ANTICHAIN, IDEAL]))
+    kind = "chi" if family == ANTICHAIN else "chihat"
+    elements = st.one_of(st.none(), st.integers(min_value=1, max_value=n))
+    terms = draw(
+        st.lists(st.tuples(st.sampled_from(COEFFS), elements), min_size=1, max_size=4)
+    )
+    constant = draw(st.sampled_from([Fraction(0), *COEFFS]))
+    expr = StatExpr(tuple((c, Atom(kind, x)) for c, x in terms), constant)
+    return family, expr
+
+
+@PROPERTY
+@given(st.data())
+def test_integer_classifier_matches_fraction_reference(data):
+    F = build_fence(data.draw(compositions(max_n=12)))
+    family, expr = data.draw(statistics(F.n))
+    report = check_homomesy(F, family, expr)
+    orbits = antichain_orbits(F) if family == ANTICHAIN else ideal_orbits(F)
+    sums = [(o.size, sum(evaluate(F, expr, S) for S in o.reps)) for o in orbits]
+    kind, constant, per_orbit = oracle.classify_orbit_sums(sums)
+    assert report.kind == kind
+    assert report.constant == constant
+    assert report.per_orbit == per_orbit

@@ -4,6 +4,7 @@ import oracle
 from fences import (
     ANTICHAIN,
     IDEAL,
+    FamilyCapError,
     FenceError,
     RoleError,
     antichain_orbits,
@@ -153,6 +154,16 @@ class TestOrbits:
         A = f434.element_set([4, 10], ANTICHAIN)
         o = orbit_of(f434, A)
         assert o.size == 5 and o.representative.mask == 0
+
+    @pytest.mark.parametrize("orbits", [antichain_orbits, ideal_orbits])
+    def test_cached_orbits_respect_a_smaller_cap(self, orbits):
+        # (3,3,3) has 33 antichains and 33 ideals; the uncapped call fills
+        # the orbit cache, which must not answer a later call under cap 5
+        F = build_fence((3, 3, 3))
+        assert sum(o.size for o in orbits(F)) == 33
+        with pytest.raises(FamilyCapError):
+            orbits(F, 5)
+        assert orbits(F, 33) == orbits(F)
 
     def test_matches_oracle_orbits(self):
         for alpha in [(2, 2), (2, 2, 2), (3, 3, 2)]:
