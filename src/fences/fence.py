@@ -10,9 +10,21 @@ element of segments i and i+1 sits at position a_1 + ... + a_i.
 
 Elements are exposed 1-based (x_1 ... x_n) in every public interface.
 Internally subsets are bitmasks with bit k-1 standing for x_k, and every
-operation is pure.  The poset data set up by the constructor never
-changes, but families, orbit lists and orbit profiles are memoised lazily
-in ``Fence._cache`` on first use.  A Fence shared across threads is
+operation is pure.
+
+Covers join only path neighbours, and the composition fixes each cover's
+direction, so four cover-direction masks describe the whole order: bit k
+of up_right (up_left) is set when the element at bit k has an upper cover
+at bit k+1 (k-1), and down_right, down_left likewise for lower covers.
+"Which members of m have an upper cover in m" is then one shift of m each
+way ANDed with these masks, which gives the maximal elements of an ideal
+and the minimal elements of an upper ideal with no loop over m's bits.
+A closure repeats such a step until it adds nothing, at most once per
+element of the longest chain.  Masks are Python ints, so n is unbounded.
+
+The poset data set up by the constructor never changes, but families,
+orbit lists and orbit profiles are memoised lazily in ``Fence._cache`` on
+first use.  A Fence shared across threads is
 therefore mutated by those first uses: concurrent callers may each
 compute the same (equal) result before one of them is stored.
 """
@@ -161,43 +173,36 @@ class Fence:
 
         lower = [0] * n  # lower covers of each element, as masks
         upper = [0] * n
+        # the cover-direction masks of the module docstring
+        up_right = up_left = down_right = down_left = 0
         for e, up in enumerate(self.edge_up):
             if up:  # x_{e+1} < x_{e+2}
                 upper[e] |= 1 << (e + 1)
                 lower[e + 1] |= 1 << e
+                up_right |= 1 << e
+                down_left |= 1 << (e + 1)
             else:  # x_{e+1} > x_{e+2}
                 lower[e] |= 1 << (e + 1)
                 upper[e + 1] |= 1 << e
+                down_right |= 1 << e
+                up_left |= 1 << (e + 1)
         self.lower_covers = tuple(lower)
         self.upper_covers = tuple(upper)
+        self.up_right = up_right
+        self.up_left = up_left
+        self.down_right = down_right
+        self.down_left = down_left
 
-        # Full strict down/up sets.  The Hasse diagram is a path, so walking
-        # covers transitively is linear in practice.
-        down = [0] * n
-        up_ = [0] * n
-        for e in range(n):
-            seen = lower[e]
-            frontier = lower[e]
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                more = lower[low.bit_length() - 1] & ~seen
-                seen |= more
-                frontier |= more
-            down[e] = seen
-        for e in range(n):
-            seen = upper[e]
-            frontier = upper[e]
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                more = upper[low.bit_length() - 1] & ~seen
-                seen |= more
-                frontier |= more
-            up_[e] = seen
-        self.strict_down = tuple(down)
-        self.strict_up = tuple(up_)
-        self.comparable = tuple(down[e] | up_[e] for e in range(n))
+        # Full strict down/up sets, from the closure of each single element.
+        self.strict_down = tuple(
+            self._down_closure_mask(1 << e) ^ (1 << e) for e in range(n)
+        )
+        self.strict_up = tuple(
+            self._up_closure_mask(1 << e) ^ (1 << e) for e in range(n)
+        )
+        self.comparable = tuple(
+            self.strict_down[e] | self.strict_up[e] for e in range(n)
+        )
 
         # Segment data, 1-based segment indices.  Segment i spans positions
         # [max(cums[i-1],1), min(cums[i], n)] inclusive (1-based).
@@ -298,27 +303,17 @@ class Fence:
         return m
 
     def is_ideal_mask(self, m: int) -> bool:
-        for e, up in enumerate(self.edge_up):
-            a = m >> e & 1
-            b = m >> (e + 1) & 1
-            if up:
-                if b and not a:
-                    return False
-            elif a and not b:
-                return False
-        return True
+        """True when every lower cover of a member is a member too."""
+        needed = ((m & self.down_right) << 1) | ((m & self.down_left) >> 1)
+        return not needed & ~m
 
     def is_upper_mask(self, m: int) -> bool:
         return self.is_ideal_mask(self.full_mask ^ m)
 
     def is_antichain_mask(self, m: int) -> bool:
-        rest = m
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if self.comparable[low.bit_length() - 1] & m:
-                return False
-        return True
+        """True when m is the set of maximal elements of the ideal it
+        generates, i.e. no two members are comparable."""
+        return self._maximal_mask(self._down_closure_mask(m)) == m
 
     def _role_ok(self, m: int, role: str) -> bool:
         if role == ANTICHAIN:
@@ -352,42 +347,30 @@ class Fence:
     # -- closures and extremal elements -----------------------------------
 
     def _down_closure_mask(self, m: int) -> int:
-        acc = m
-        rest = m
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            acc |= self.strict_down[low.bit_length() - 1]
-        return acc
+        """Add lower covers of members until nothing changes; the loop runs
+        at most the length of the longest chain."""
+        up_right, up_left = self.up_right, self.up_left
+        while True:
+            grown = m | ((m >> 1) & up_right) | ((m << 1) & up_left)
+            if grown == m:
+                return m
+            m = grown
 
     def _up_closure_mask(self, m: int) -> int:
-        acc = m
-        rest = m
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            acc |= self.strict_up[low.bit_length() - 1]
-        return acc
+        down_right, down_left = self.down_right, self.down_left
+        while True:
+            grown = m | ((m >> 1) & down_right) | ((m << 1) & down_left)
+            if grown == m:
+                return m
+            m = grown
 
     def _maximal_mask(self, m: int) -> int:
-        acc = 0
-        rest = m
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if not self.strict_up[low.bit_length() - 1] & m:
-                acc |= low
-        return acc
+        """Members with no upper cover in m; exact when m is an ideal."""
+        return m & ~(((m >> 1) & self.up_right) | ((m << 1) & self.up_left))
 
     def _minimal_mask(self, m: int) -> int:
-        acc = 0
-        rest = m
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if not self.strict_down[low.bit_length() - 1] & m:
-                acc |= low
-        return acc
+        """Members with no lower cover in m; exact when m is an upper set."""
+        return m & ~(((m >> 1) & self.down_right) | ((m << 1) & self.down_left))
 
     def down_closure(self, A: ElementSet) -> ElementSet:
         """Smallest ideal containing the antichain A."""
@@ -402,11 +385,15 @@ class Fence:
     def maximal_elements(self, I: ElementSet) -> ElementSet:
         """The antichain of maximal elements of an ideal."""
         self.require_role(I, IDEAL)
+        if not self.is_ideal_mask(I.mask):
+            raise RoleError(f"{I} is not an ideal of {self!r}")
         return ElementSet(self._maximal_mask(I.mask), ANTICHAIN)
 
     def minimal_elements(self, U: ElementSet) -> ElementSet:
         """The antichain of minimal elements of an upper ideal."""
         self.require_role(U, UPPER)
+        if not self.is_upper_mask(U.mask):
+            raise RoleError(f"{U} is not an upper ideal of {self!r}")
         return ElementSet(self._minimal_mask(U.mask), ANTICHAIN)
 
     def complement(self, S: ElementSet) -> ElementSet:
@@ -458,11 +445,7 @@ class Fence:
 
     def reversed_mask(self, m: int) -> int:
         """Mirror a mask through k -> n+1-k (no duality check)."""
-        out = 0
-        for e in range(self.n):
-            if m >> e & 1:
-                out |= 1 << (self.n - 1 - e)
-        return out
+        return int(format(m, f"0{self.n}b")[::-1], 2)
 
     # -- enumeration -------------------------------------------------------
 
@@ -483,29 +466,21 @@ class Fence:
                     f"{len(cached)} ideals exceed the cap {limit}"
                 )
             return cached
-        cur: list[tuple[int, int]] = [(0, 0), (1, 1)]
-        if self.n == 0:  # unreachable: compositions force n >= 1
-            cur = [(0, 0)]
+        # Ideals of the prefix x_1..x_{e+1}, split by whether x_{e+1} is
+        # absent or present.  Each list stays sorted and every present mask
+        # exceeds every absent one, so absent + present is sorted.
+        absent, present = [0], [1]
         for e, up in enumerate(self.edge_up):
             bit = 1 << (e + 1)
-            nxt: list[tuple[int, int]] = []
-            append = nxt.append
-            if up:  # forbid absent below present
-                for m, last in cur:
-                    append((m, 0))
-                    if last:
-                        append((m | bit, 1))
-            else:  # forbid present above absent
-                for m, last in cur:
-                    if not last:
-                        append((m, 0))
-                    append((m | bit, 1))
-            if len(nxt) > limit:
+            if up:  # x_{e+2} needs x_{e+1}
+                absent, present = absent + present, [m | bit for m in present]
+            else:  # x_{e+1} needs x_{e+2}
+                present = [m | bit for m in absent + present]
+            if len(absent) + len(present) > limit:
                 raise FamilyCapError(
                     f"ideal enumeration of {self!r} exceeded cap {limit}"
                 )
-            cur = nxt
-        masks = tuple(sorted(m for m, _ in cur))
+        masks = tuple(absent + present)
         self._cache["ideal_masks"] = masks
         return masks
 
@@ -513,9 +488,7 @@ class Fence:
         """All antichains as sorted bitmasks (maximal elements of ideals)."""
         cached = self._cache.get("antichain_masks")
         if cached is None:
-            cached = tuple(
-                sorted(self._maximal_mask(m) for m in self.ideal_masks(cap))
-            )
+            cached = tuple(sorted(map(self._maximal_mask, self.ideal_masks(cap))))
             self._cache["antichain_masks"] = cached
         if cap is None:
             cap = self.max_family

@@ -15,6 +15,7 @@ its members; ElementSets are built on demand at the API edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .fence import (
     ANTICHAIN,
@@ -130,12 +131,11 @@ def decompose(masks, step) -> list[list[int]]:
         if m in seen:
             continue
         orbit = [m]
-        seen.add(m)
         x = step(m)
         while x != m:
             orbit.append(x)
-            seen.add(x)
             x = step(x)
+        seen.update(orbit)
         orbits.append(orbit)
     return orbits
 
@@ -146,9 +146,9 @@ def _orbit_mask_lists(F: Fence, family: str, cap: int | None = None) -> list[lis
     cached = F._cache.get(key)
     if cached is None:
         if family == ANTICHAIN:
-            cached = decompose(masks, lambda m: _rho_mask(F, m))
+            cached = decompose(masks, partial(_rho_mask, F))
         elif family == IDEAL:
-            cached = decompose(masks, lambda m: _rho_hat_mask(F, m))
+            cached = decompose(masks, partial(_rho_hat_mask, F))
         else:
             raise FenceError(f"no rowmotion orbits for family {family!r}")
         F._cache[key] = cached

@@ -15,6 +15,10 @@ classify_orbit_sums compares orbits by cross-multiplying these integers.
 Fractions are built only at the report: MesyReport.constant, and
 MesyReport.per_orbit when it is read.
 
+The element counts of an orbit come from one kernel, orbit_element_counts,
+which adds the orbit's masks into bit planes (every element's counter held
+bit-sliced across a few integers) and reads the planes out once per orbit.
+
 Text syntax (whitespace-insensitive, 1-based element indices):
 
     2*chi[3] - chi[5] + 1/2        chihat[10]        chi
@@ -246,14 +250,35 @@ def orbit_sum(F: Fence, expr: StatExpr, orbit: Orbit) -> Fraction:
 
 
 def orbit_element_counts(masks: Iterable[int], n: int) -> tuple[int, ...]:
-    """How often each of x_1..x_n occurs across the masks of an orbit
-    (direct count); the one member-counting kernel for every orbit."""
-    counts = [0] * n
+    """How often each of x_1..x_n occurs across the masks of an orbit; the
+    one member-counting kernel for every orbit.
+
+    The counts are kept as bit planes: bit k of planes[i] is bit i of the
+    count of x_{k+1}.  Adding a mask is a ripple-carry add of a one-bit
+    value into every element's counter at once, so its cost follows the
+    number of carries rather than the mask's popcount.  Each plane's set
+    bits are read out once at the end.
+    """
+    planes: list[int] = []
     for m in masks:
-        while m:
-            low = m & -m
-            m ^= low
-            counts[low.bit_length() - 1] += 1
+        i = 0
+        for p in planes:
+            planes[i] = p ^ m
+            m &= p
+            if not m:
+                break
+            i += 1
+        else:
+            if m:
+                planes.append(m)
+    counts = [0] * n
+    weight = 1
+    for p in planes:
+        while p:
+            low = p & -p
+            p ^= low
+            counts[low.bit_length() - 1] += weight
+        weight <<= 1
     return tuple(counts)
 
 

@@ -166,12 +166,26 @@ def base_graph(F: Fence, family: str, cap: int | None = None) -> BaseGraph:
     Commutation is decided exhaustively over the enumerated family rather
     than by structural rules, so the antichain graph (which has no known
     structural description) is obtained the same way as the ideal one.
+    Toggling x reads x and its neighbours (the covers of x for ideals,
+    the elements comparable to x for antichains) and writes only x.  So
+    when neither of x, y is a neighbour of the other the two toggles
+    commute everywhere, and otherwise (neighbourhood is symmetric) both
+    lie in the union of their neighbourhoods; either way they commute on
+    a member exactly when they commute on its restriction to that union,
+    and each pair is tested once on every distinct restriction.
     """
     masks = F.family_masks(family, cap)
+    if family == IDEAL:
+        neighbours = [lo | up for lo, up in zip(F.lower_covers, F.upper_covers)]
+    elif family == ANTICHAIN:
+        neighbours = F.comparable
+    else:
+        raise FenceError(f"no toggles for family {family!r}")
     edges = set()
     for x in range(1, F.n + 1):
         for y in range(x + 1, F.n + 1):
-            for m in masks:
+            window = neighbours[x - 1] | neighbours[y - 1]
+            for m in {m & window for m in masks}:
                 a = toggle_mask(F, family, x, toggle_mask(F, family, y, m))
                 b = toggle_mask(F, family, y, toggle_mask(F, family, x, m))
                 if a != b:

@@ -140,6 +140,27 @@ def brute_orbits(F, family, step):
     return orbits
 
 
+def brute_base_graph(F, family):
+    """Base-graph edges (x, y), x < y, found by applying both orders of
+    every pair of toggles to every member of the family.  The single
+    toggle is the library's toggle_mask; what this checks is the
+    library's reduction of each pair to the patterns of the members on
+    the two toggles' neighbourhoods."""
+    from fences.toggles import toggle_mask
+
+    masks = F.family_masks(family)
+    edges = set()
+    for x in range(1, F.n + 1):
+        for y in range(x + 1, F.n + 1):
+            for m in masks:
+                a = toggle_mask(F, family, x, toggle_mask(F, family, y, m))
+                b = toggle_mask(F, family, y, toggle_mask(F, family, x, m))
+                if a != b:
+                    edges.add((x, y))
+                    break
+    return edges
+
+
 def classify_orbit_sums(data):
     """Reference homomesy/orbomesy classifier over exact Fraction sums.
 

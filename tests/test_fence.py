@@ -139,6 +139,14 @@ class TestClosures:
         with pytest.raises(RoleError):
             f434.maximal_elements(f434.element_set([1], ANTICHAIN))
 
+    def test_extremal_elements_need_a_true_ideal(self, f434):
+        # set_from_mask checks only the bounds; the cover-shift rule for
+        # extremal elements is exact only on ideals and upper ideals
+        with pytest.raises(RoleError):
+            f434.maximal_elements(f434.set_from_mask(0b10, IDEAL))  # no x1
+        with pytest.raises(RoleError):
+            f434.minimal_elements(f434.set_from_mask(0b01, UPPER))  # no x2
+
     def test_invalid_sets_rejected(self, f434):
         with pytest.raises(RoleError):
             f434.element_set([4, 7], ANTICHAIN)  # comparable along segment 2

@@ -2,9 +2,13 @@
 
 Each example draws a composition with first and last part >= 2 and
 sum(alpha) <= 15, then checks a mask-level fast path against either the
-oracle in tests/oracle.py or the tiling it replaces.  The integer
-statistic classifier is checked against the oracle's Fraction classifier
-on random rational statistics with n <= 12.
+oracle in tests/oracle.py or the tiling it replaces: the ideal and
+antichain families, closures, extremal elements and role predicates,
+orbits, tile counts and base graphs.  The integer statistic classifier is
+checked against the oracle's Fraction classifier on random rational
+statistics with n <= 12, and the bit-plane counter against a plain count.
+Three fixed fences with n >= 64 check families and orbits past one
+machine word.
 """
 
 from fractions import Fraction
@@ -21,15 +25,17 @@ from fences import (
     Orbit,
     TilingError,
     antichain_orbits,
+    base_graph,
     build_fence,
     check_homomesy,
+    count_ideals,
     evaluate,
     ideal_orbits,
     orbit_tile_counts,
     tile_counts,
     tiling_of_orbit,
 )
-from fences.stats import Atom, StatExpr
+from fences.stats import Atom, StatExpr, orbit_element_counts
 
 MAX_N = 14
 
@@ -125,3 +131,96 @@ def test_integer_classifier_matches_fraction_reference(data):
     assert report.kind == kind
     assert report.constant == constant
     assert report.per_orbit == per_orbit
+
+
+def _mask(members):
+    return sum(1 << (k - 1) for k in members)
+
+
+def _members(m):
+    return frozenset(k for k in range(1, m.bit_length() + 1) if m >> (k - 1) & 1)
+
+
+@PROPERTY
+@given(compositions())
+def test_families_match_subset_scan(alpha):
+    F = build_fence(alpha)
+    assert F.ideal_masks() == tuple(sorted(map(_mask, oracle.brute_ideals(F))))
+    assert F.antichain_masks() == tuple(
+        sorted(map(_mask, oracle.brute_antichains(F)))
+    )
+
+
+@PROPERTY
+@given(st.data())
+def test_closures_and_extremal_elements_match_oracle(data):
+    F = build_fence(data.draw(compositions()))
+    full = F.full_mask
+    for m in data.draw(st.lists(st.integers(0, full), min_size=1, max_size=20)):
+        S = _members(m)
+        down = oracle.brute_down_closure(F, S)
+        up = oracle.brute_up_closure(F, S)
+        assert F._down_closure_mask(m) == _mask(down)
+        assert F._up_closure_mask(m) == _mask(up)
+        assert F.is_ideal_mask(m) == (down == S)
+        assert F.is_upper_mask(m) == (up == S)
+        assert F.is_antichain_mask(m) == (oracle.brute_maximal(F, S) == S)
+    for m in F.ideal_masks():
+        I = _members(m)
+        assert F._maximal_mask(m) == _mask(oracle.brute_maximal(F, I))
+        U = _members(full ^ m)
+        assert F._minimal_mask(full ^ m) == _mask(oracle.brute_minimal(F, U))
+
+
+@PROPERTY
+@given(
+    st.integers(1, 70).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=200)
+        )
+    )
+)
+def test_orbit_element_counts_match_plain_count(case):
+    n, masks = case
+    want = tuple(sum(m >> k & 1 for m in masks) for k in range(n))
+    assert orbit_element_counts(masks, n) == want
+
+
+def test_orbit_element_counts_of_no_masks():
+    assert orbit_element_counts([], 4) == (0, 0, 0, 0)
+    assert orbit_element_counts([0, 0], 3) == (0, 0, 0)
+
+
+@PROPERTY
+@given(compositions())
+def test_base_graph_matches_every_member_scan(alpha):
+    F = build_fence(alpha)
+    for family in (ANTICHAIN, IDEAL):
+        assert set(base_graph(F, family).edges) == oracle.brute_base_graph(F, family)
+
+
+@pytest.mark.parametrize(
+    "alpha,ideals,orbits",
+    [((65,), 65, 1), ((33, 33), 1090, 33), ((40, 1, 30), 1270, 2)],
+)
+def test_fences_wider_than_64_bits(alpha, ideals, orbits):
+    # n >= 64: masks are Python ints, so no fixed-width path can apply
+    F = build_fence(alpha)
+    assert F.n >= 64
+    imasks = F.ideal_masks()
+    assert len(imasks) == len(set(imasks)) == ideals == count_ideals(alpha)
+    sets = [_members(m) for m in imasks]
+    assert all(oracle.brute_down_closure(F, I) == I for I in sets if I)
+    assert F.antichain_masks() == tuple(
+        sorted(_mask(oracle.brute_maximal(F, I)) for I in sets)
+    )
+    for orbs, brute_step in (
+        (antichain_orbits(F), oracle.brute_rho),
+        (ideal_orbits(F), oracle.brute_rho_hat),
+    ):
+        assert len(orbs) == orbits
+        assert sum(o.size for o in orbs) == ideals
+        for o in orbs:
+            members = [_members(m) for m in o.masks]
+            for i, S in enumerate(members):
+                assert brute_step(F, S) == members[(i + 1) % o.size], (alpha, o)
