@@ -57,6 +57,22 @@ def _parse_alpha(text: str) -> Composition:
     return Composition(parts)
 
 
+def _positive_int(text: str) -> int:
+    """Type of the size and count options, so 0 and negatives are usage
+    errors rather than silently standing for the default."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _or(value: int | None, default: int) -> int:
+    return default if value is None else value
+
+
 def _parse_rep(text: str) -> tuple[int, ...]:
     return tuple(int(t.strip().lstrip("x")) for t in text.split(","))
 
@@ -297,28 +313,30 @@ def _report_exit(args, report) -> int:
 def _cmd_verify(args) -> int:
     claim = args.claim
     if claim == "two-segment":
-        if args.a and args.b:
+        if args.a is not None and args.b is not None:
             rep = harness.verify_two_segment(args.a, args.b)
         else:
-            rep = harness.sweep_two_segment(args.max_sum or 14)
+            rep = harness.sweep_two_segment(_or(args.max_sum, 14))
     elif claim == "aba":
-        if args.a and args.b:
+        if args.a is not None and args.b is not None:
             rep = harness.verify_aba(args.a, args.b)
         else:
-            rep = harness.sweep_aba(args.max_sum or 12)
+            rep = harness.sweep_aba(_or(args.max_sum, 12))
     elif claim == "a4":
-        rep = harness.verify_a4(args.a) if args.a else harness.sweep_a4(args.max_a or 6)
+        if args.a is not None:
+            rep = harness.verify_a4(args.a)
+        else:
+            rep = harness.sweep_a4(_or(args.max_a, 6))
     elif claim == "a1a1a":
-        rep = (
-            harness.verify_a1a1a(args.a)
-            if args.a
-            else harness.sweep_a1a1a(args.max_a or 6)
-        )
+        if args.a is not None:
+            rep = harness.verify_a1a1a(args.a)
+        else:
+            rep = harness.sweep_a1a1a(_or(args.max_a, 6))
     elif claim == "homomesies":
         if args.alpha:
             rep = harness.verify_general_homomesies(_parse_alpha(args.alpha))
         else:
-            rep = harness.sweep_general_homomesies(args.max_n or 12)
+            rep = harness.sweep_general_homomesies(_or(args.max_n, 12))
     elif claim == "palindromic":
         if not args.alpha:
             raise _UsageError("verify palindromic needs --alpha")
@@ -331,13 +349,13 @@ def _cmd_verify(args) -> int:
         if not args.alpha:
             raise _UsageError("verify linear-extensions needs --alpha")
         rep = harness.verify_linear_extension_toggles(
-            _parse_alpha(args.alpha), args.samples or 50, args.seed
+            _parse_alpha(args.alpha), _or(args.samples, 50), args.seed
         )
     elif claim == "transfer-ideal":
         if not args.alpha:
             raise _UsageError("verify transfer-ideal needs --alpha")
         rep = harness.verify_transfer_ideal(
-            _parse_alpha(args.alpha), args.samples or 200, args.seed
+            _parse_alpha(args.alpha), _or(args.samples, 200), args.seed
         )
     else:
         raise _UsageError(f"unknown claim {claim!r}")
@@ -347,14 +365,14 @@ def _cmd_verify(args) -> int:
 def _cmd_scan(args) -> int:
     target = args.conjecture
     if target == "constant-alpha":
-        rep = harness.scan_conjecture_constant_alpha(args.max or 12)
+        rep = harness.scan_conjecture_constant_alpha(_or(args.max, 12))
     elif target == "tile-palindromes":
-        rep = harness.scan_palindromic_tiles(args.max or 12)
+        rep = harness.scan_palindromic_tiles(_or(args.max, 12))
     elif target == "antichain-transfer":
         if not args.alpha:
             raise _UsageError("scan antichain-transfer needs --alpha")
         rep = harness.scan_conjecture_antichain_transfer(
-            _parse_alpha(args.alpha), args.samples or 200, args.seed
+            _parse_alpha(args.alpha), _or(args.samples, 200), args.seed
         )
     elif target == "cross-orbit-complement":
         if not args.alpha:
@@ -426,12 +444,12 @@ def build_parser() -> _Parser:
         ],
     )
     p.add_argument("--alpha", default=None)
-    p.add_argument("--a", type=int, default=None)
-    p.add_argument("--b", type=int, default=None)
-    p.add_argument("--max-sum", type=int, default=None)
-    p.add_argument("--max-a", type=int, default=None)
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--a", type=_positive_int, default=None)
+    p.add_argument("--b", type=_positive_int, default=None)
+    p.add_argument("--max-sum", type=_positive_int, default=None)
+    p.add_argument("--max-a", type=_positive_int, default=None)
+    p.add_argument("--max-n", type=_positive_int, default=None)
+    p.add_argument("--samples", type=_positive_int, default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -446,8 +464,8 @@ def build_parser() -> _Parser:
         ],
     )
     p.add_argument("--alpha", default=None)
-    p.add_argument("--max", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--max", type=_positive_int, default=None)
+    p.add_argument("--samples", type=_positive_int, default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_scan)
 

@@ -4,33 +4,23 @@ The count of ideals (equivalently antichains) satisfies a two-term
 recurrence: removing the last segment either keeps its shared element out
 of the ideal (dropping two parts) or splits off a chain (multiplying by
 the last part).  Base cases: a single part a is a chain with a-1 elements
-and a ideals, and two parts (a, b) give ab + 1.
+and a ideals, and two parts (a, b) give ab + 1.  The recurrence lives on
+Composition.ideal_count, where Fence.ideal_masks also reads it to check
+the family cap before enumerating.
 
 Counts are plain Python integers, so arbitrary precision comes for free.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable
 
 from .fence import Composition, FenceError
 
 
-@lru_cache(maxsize=None)
-def _count(parts: tuple[int, ...]) -> int:
-    s = len(parts)
-    if s == 1:
-        return parts[0]
-    if s == 2:
-        return parts[0] * parts[1] + 1
-    return parts[-1] * _count(parts[:-1]) + _count(parts[:-2])
-
-
 def count_ideals(alpha: Composition | Iterable[int]) -> int:
     """Number of ideals of the fence of alpha, via the recurrence."""
-    alpha = Composition.coerce(alpha)
-    return _count(alpha.parts)
+    return Composition.coerce(alpha).ideal_count
 
 
 def count_antichains(alpha: Composition | Iterable[int]) -> int:

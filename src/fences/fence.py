@@ -22,18 +22,24 @@ and the minimal elements of an upper ideal with no loop over m's bits.
 A closure repeats such a step until it adds nothing, at most once per
 element of the longest chain.  Masks are Python ints, so n is unbounded.
 
-The poset data set up by the constructor never changes, but families,
-orbit lists and orbit profiles are memoised lazily in ``Fence._cache`` on
-first use.  A Fence shared across threads is
-therefore mutated by those first uses: concurrent callers may each
-compute the same (equal) result before one of them is stored.
+One cap bounds every family.  Antichains are in bijection with ideals
+(through the ideal an antichain generates) and upper ideals are the
+complements of ideals, so all three families have the ideal count, which
+the two-term recurrence of Composition.ideal_count gives without
+enumerating.  Fence.ideal_masks compares that count with the cap
+(max_family, or DEFAULT_MAX_FAMILY when not given) before it builds
+anything, and every other family is built from the ideals.
+
+The poset data set up by the constructor never changes; derived results
+(families, orbit lists, orbit profiles, the self-duality check) are
+memoised through Fence.memo, whose docstring lists the keys.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 ANTICHAIN = "antichain"
 IDEAL = "ideal"
@@ -93,6 +99,21 @@ class Composition:
     def is_palindromic(self) -> bool:
         return self.parts == self.parts[::-1]
 
+    @property
+    def ideal_count(self) -> int:
+        """Number of ideals of the fence, by the two-term recurrence.
+
+        Removing the last segment either keeps its shared element out of
+        the ideal (dropping two parts) or splits off a chain (multiplying
+        by the last part): c(a_1..a_s) = a_s c(a_1..a_{s-1}) + c(a_1..a_{s-2}),
+        with c(a) = a (a chain of a-1 elements) and c() = 1.  A loop, so
+        the cost is O(s) and long compositions need no recursion.
+        """
+        prev, cur = 1, self.parts[0]
+        for a in self.parts[1:]:
+            prev, cur = cur, a * cur + prev
+        return cur
+
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)
 
@@ -146,7 +167,13 @@ class ElementSet:
 
 
 class Fence:
-    """The fence poset of a composition, with precomputed index maps."""
+    """The fence poset of a composition, with precomputed index maps.
+
+    max_family caps the size of every enumerated family (None means
+    DEFAULT_MAX_FAMILY).  It is read once, when the ideals are first
+    built, and checked against the ideal count before any enumeration, so
+    a capped fence fails fast with FamilyCapError.
+    """
 
     def __init__(
         self,
@@ -204,18 +231,6 @@ class Fence:
             self.strict_down[e] | self.strict_up[e] for e in range(n)
         )
 
-        # Segment data, 1-based segment indices.  Segment i spans positions
-        # [max(cums[i-1],1), min(cums[i], n)] inclusive (1-based).
-        seg_masks = [0]
-        seg_elems: list[tuple[int, ...]] = [()]
-        for i in range(1, self.s + 1):
-            lo = max(cums[i - 1], 1)
-            hi = min(cums[i], n)
-            seg_masks.append(((1 << hi) - 1) ^ ((1 << (lo - 1)) - 1))
-            seg_elems.append(tuple(range(lo, hi + 1)))
-        self.segment_masks = tuple(seg_masks)
-        self._segment_elements = tuple(seg_elems)
-
         # shared element s_i = x_{cums[i]} for 1 <= i <= s-1
         self.shared = tuple(cums[i] for i in range(1, self.s))
         self._shared_index = {x: i for i, x in enumerate(self.shared, start=1)}
@@ -249,6 +264,24 @@ class Fence:
 
     def __repr__(self) -> str:
         return f"Fence{self.alpha}"
+
+    def memo(self, key, build):
+        """The result stored under key, calling build() to make it the
+        first time.  The keys in use:
+
+        - "ideal_masks", "antichain_masks": the two families (this module);
+        - "self_dual": why the fence is not self-dual, or None (this module);
+        - ("orbits", family): the orbit mask lists of rowmotion on the
+          family, ANTICHAIN or IDEAL (fences.rowmotion);
+        - "profiles": the antichain orbit profiles (fences.harness).
+
+        A Fence shared across threads is mutated by first uses: concurrent
+        callers may each build the same (equal) result before one is kept.
+        """
+        cache = self._cache
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
 
     def cover_pairs(self) -> tuple[tuple[int, int], ...]:
         """All covers as (lower, upper) element pairs along the path."""
@@ -288,9 +321,6 @@ class Fence:
     def unshared_position(self, k: int) -> tuple[int, int] | None:
         """(i, j) with x_k the j-th smallest unshared element of segment i."""
         return self._unshared_pos.get(k)
-
-    def segment_elements(self, i: int) -> tuple[int, ...]:
-        return self._segment_elements[i]
 
     # -- element sets ----------------------------------------------------
 
@@ -410,8 +440,9 @@ class Fence:
     # -- self-duality ------------------------------------------------------
 
     def _self_duality_failure(self) -> str | None:
-        if "self_dual" in self._cache:
-            return self._cache["self_dual"]
+        return self.memo("self_dual", self._find_self_duality_failure)
+
+    def _find_self_duality_failure(self) -> str | None:
         reason: str | None = None
         if not self.alpha.is_palindromic:
             reason = f"alpha {self.alpha} is not palindromic"
@@ -427,7 +458,6 @@ class Fence:
                         "palindromes are self-isomorphic, not self-dual)"
                     )
                     break
-        self._cache["self_dual"] = reason
         return reason
 
     def index_reversal(self) -> tuple[int, ...]:
@@ -449,23 +479,20 @@ class Fence:
 
     # -- enumeration -------------------------------------------------------
 
-    def ideal_masks(self, cap: int | None = None) -> tuple[int, ...]:
+    def ideal_masks(self) -> tuple[int, ...]:
         """All ideals as sorted bitmasks, via transfer along the spine.
 
         The adjacency constraints of the zigzag make ideals exactly the
-        bit strings with no forbidden step between consecutive positions,
-        so the frontier never exceeds the final count.
+        bit strings with no forbidden step between consecutive positions.
+        The ideal count is checked against the cap first: the prefix
+        counts only grow, so the final count is the largest list built.
         """
-        if cap is None:
-            cap = self.max_family
-        limit = DEFAULT_MAX_FAMILY if cap is None else cap
-        cached = self._cache.get("ideal_masks")
-        if cached is not None:
-            if len(cached) > limit:
-                raise FamilyCapError(
-                    f"{len(cached)} ideals exceed the cap {limit}"
-                )
-            return cached
+        return self.memo("ideal_masks", self._build_ideal_masks)
+
+    def _build_ideal_masks(self) -> tuple[int, ...]:
+        limit = DEFAULT_MAX_FAMILY if self.max_family is None else self.max_family
+        if self.alpha.ideal_count > limit:
+            raise FamilyCapError(f"ideal enumeration of {self!r} exceeded cap {limit}")
         # Ideals of the prefix x_1..x_{e+1}, split by whether x_{e+1} is
         # absent or present.  Each list stays sorted and every present mask
         # exceeds every absent one, so absent + present is sorted.
@@ -476,46 +503,30 @@ class Fence:
                 absent, present = absent + present, [m | bit for m in present]
             else:  # x_{e+1} needs x_{e+2}
                 present = [m | bit for m in absent + present]
-            if len(absent) + len(present) > limit:
-                raise FamilyCapError(
-                    f"ideal enumeration of {self!r} exceeded cap {limit}"
-                )
-        masks = tuple(absent + present)
-        self._cache["ideal_masks"] = masks
-        return masks
+        return tuple(absent + present)
 
-    def antichain_masks(self, cap: int | None = None) -> tuple[int, ...]:
+    def antichain_masks(self) -> tuple[int, ...]:
         """All antichains as sorted bitmasks (maximal elements of ideals)."""
-        cached = self._cache.get("antichain_masks")
-        if cached is None:
-            cached = tuple(sorted(map(self._maximal_mask, self.ideal_masks(cap))))
-            self._cache["antichain_masks"] = cached
-        if cap is None:
-            cap = self.max_family
-        limit = DEFAULT_MAX_FAMILY if cap is None else cap
-        if len(cached) > limit:
-            raise FamilyCapError(
-                f"{len(cached)} antichains exceed the cap {limit}"
-            )
-        return cached
+        return self.memo(
+            "antichain_masks",
+            lambda: tuple(sorted(map(self._maximal_mask, self.ideal_masks()))),
+        )
 
-    def family_masks(self, family: str, cap: int | None = None) -> tuple[int, ...]:
+    def family_masks(self, family: str) -> tuple[int, ...]:
         if family == IDEAL:
-            return self.ideal_masks(cap)
+            return self.ideal_masks()
         if family == ANTICHAIN:
-            return self.antichain_masks(cap)
+            return self.antichain_masks()
         if family == UPPER:
-            return tuple(
-                sorted(self.full_mask ^ m for m in self.ideal_masks(cap))
-            )
+            return tuple(sorted(self.full_mask ^ m for m in self.ideal_masks()))
         raise FenceError(f"unknown family {family!r}")
 
-    def enumerate_ideals(self, cap: int | None = None) -> tuple[ElementSet, ...]:
+    def enumerate_ideals(self) -> tuple[ElementSet, ...]:
         """Every ideal exactly once, as validated ElementSets."""
-        return tuple(ElementSet(m, IDEAL) for m in self.ideal_masks(cap))
+        return tuple(ElementSet(m, IDEAL) for m in self.ideal_masks())
 
-    def enumerate_antichains(self, cap: int | None = None) -> tuple[ElementSet, ...]:
-        return tuple(ElementSet(m, ANTICHAIN) for m in self.antichain_masks(cap))
+    def enumerate_antichains(self) -> tuple[ElementSet, ...]:
+        return tuple(ElementSet(m, ANTICHAIN) for m in self.antichain_masks())
 
 
 def build_fence(

@@ -164,38 +164,30 @@ class OrbitProfile:
     counts: TileCounts
 
 
-def orbit_profiles(F: Fence, cap: int | None = None) -> tuple[OrbitProfile, ...]:
+def orbit_profiles(F: Fence) -> tuple[OrbitProfile, ...]:
     """Profiles of every antichain orbit, canonically ordered; memoised on F.
 
     Everything is counted from the orbit masks: the tile counts come from
     orbit_tile_counts, so no tiling is built here.  Callers that want to
     render or round-trip an orbit's tiling build it with tiling_of_orbit.
     """
-    cached = F._cache.get("profiles")
-    if cached is not None:
-        F.family_masks(ANTICHAIN, cap)  # a smaller cap applies to the cache too
-        return cached
-    out = []
-    for orbit in antichain_orbits(F, cap):
-        masks = orbit.masks
-        a_counts = orbit_element_counts(masks, F.n)
-        i_counts = orbit_element_counts(
-            [F._down_closure_mask(m) for m in masks], F.n
-        )
-        out.append(
-            OrbitProfile(
-                orbit,
-                orbit.size,
-                a_counts,
-                i_counts,
-                sum(a_counts),
-                sum(i_counts),
-                orbit_tile_counts(F, masks),
-            )
-        )
-    cached = tuple(out)
-    F._cache["profiles"] = cached
-    return cached
+    build = partial(_profile, F)
+    return F.memo("profiles", lambda: tuple(map(build, antichain_orbits(F))))
+
+
+def _profile(F: Fence, orbit: Orbit) -> OrbitProfile:
+    masks = orbit.masks
+    a_counts = orbit_element_counts(masks, F.n)
+    i_counts = orbit_element_counts([F._down_closure_mask(m) for m in masks], F.n)
+    return OrbitProfile(
+        orbit,
+        orbit.size,
+        a_counts,
+        i_counts,
+        sum(a_counts),
+        sum(i_counts),
+        orbit_tile_counts(F, masks),
+    )
 
 
 def _sizes_part(params: dict, profiles, expected: dict[int, int]) -> InstanceResult:

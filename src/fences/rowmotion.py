@@ -93,17 +93,22 @@ def _rho_hat_inv_mask(F: Fence, m: int) -> int:
     return F.full_mask ^ F._up_closure_mask(F._maximal_mask(m))
 
 
+_STEPS = {ANTICHAIN: _rho_mask, IDEAL: _rho_hat_mask}
+
+
+def _step_of(F: Fence, S: ElementSet):
+    """The mask-level rowmotion step of S's family, once S is checked to
+    be a member of that family."""
+    if S.role not in _STEPS:
+        raise RoleError(f"rowmotion acts on antichains and ideals, not {S.role}")
+    if not F._role_ok(S.mask, S.role):
+        raise RoleError(f"{S} is not an {S.role} of {F!r}")
+    return partial(_STEPS[S.role], F)
+
+
 def rowmotion(F: Fence, S: ElementSet) -> ElementSet:
     """One rowmotion step, dispatching on the family of S."""
-    if S.role == ANTICHAIN:
-        if not F.is_antichain_mask(S.mask):
-            raise RoleError(f"{S} is not an antichain of {F!r}")
-        return ElementSet(_rho_mask(F, S.mask), ANTICHAIN)
-    if S.role == IDEAL:
-        if not F.is_ideal_mask(S.mask):
-            raise RoleError(f"{S} is not an ideal of {F!r}")
-        return ElementSet(_rho_hat_mask(F, S.mask), IDEAL)
-    raise RoleError(f"rowmotion acts on antichains and ideals, not {S.role}")
+    return ElementSet(_step_of(F, S)(S.mask), S.role)
 
 
 def rowmotion_inverse(F: Fence, S: ElementSet) -> ElementSet:
@@ -118,77 +123,64 @@ def rowmotion_inverse(F: Fence, S: ElementSet) -> ElementSet:
 # -- orbit decomposition ------------------------------------------------
 
 
+def _cycle(m: int, step, bound: int) -> list[int]:
+    """The cycle of m under step, listed from m.  A bijection on a family
+    of `bound` members brings m back within `bound` steps; a walk that
+    does not raises FenceError instead of growing without end."""
+    cycle = [m]
+    x = step(m)
+    for _ in range(bound):
+        if x == m:
+            return cycle
+        cycle.append(x)
+        x = step(x)
+    raise FenceError(f"step is not a bijection: mask {m} not back in {bound} steps")
+
+
 def decompose(masks, step) -> list[list[int]]:
     """Partition masks into orbits of a bijective step function.
 
     Seeds are taken in increasing mask order, so each orbit starts at its
     smallest member and the orbit list is sorted by that representative.
-    Cycles are detected by revisiting the seed, never by a length bound.
+    A cycle is closed by revisiting its seed; a walk longer than the
+    number of masks means step is not a bijection on them and raises
+    FenceError.
     """
+    order = sorted(masks)
+    bound = len(order)
     seen: set[int] = set()
     orbits: list[list[int]] = []
-    for m in sorted(masks):
+    for m in order:
         if m in seen:
             continue
-        orbit = [m]
-        x = step(m)
-        while x != m:
-            orbit.append(x)
-            x = step(x)
+        orbit = _cycle(m, step, bound)
         seen.update(orbit)
         orbits.append(orbit)
     return orbits
 
 
-def _orbit_mask_lists(F: Fence, family: str, cap: int | None = None) -> list[list[int]]:
-    masks = F.family_masks(family, cap)  # checks the cap, also on a cached family
-    key = ("orbits", family)
-    cached = F._cache.get(key)
-    if cached is None:
-        if family == ANTICHAIN:
-            cached = decompose(masks, partial(_rho_mask, F))
-        elif family == IDEAL:
-            cached = decompose(masks, partial(_rho_hat_mask, F))
-        else:
-            raise FenceError(f"no rowmotion orbits for family {family!r}")
-        F._cache[key] = cached
-    return cached
+def _orbit_mask_lists(F: Fence, family: str) -> list[list[int]]:
+    return F.memo(
+        ("orbits", family),
+        lambda: decompose(F.family_masks(family), partial(_STEPS[family], F)),
+    )
 
 
-def antichain_orbits(F: Fence, cap: int | None = None) -> tuple[Orbit, ...]:
+def antichain_orbits(F: Fence) -> tuple[Orbit, ...]:
     """All rowmotion orbits on antichains, canonically ordered."""
-    return tuple(
-        Orbit(ANTICHAIN, tuple(ms)) for ms in _orbit_mask_lists(F, ANTICHAIN, cap)
-    )
+    return tuple(Orbit(ANTICHAIN, tuple(ms)) for ms in _orbit_mask_lists(F, ANTICHAIN))
 
 
-def ideal_orbits(F: Fence, cap: int | None = None) -> tuple[Orbit, ...]:
+def ideal_orbits(F: Fence) -> tuple[Orbit, ...]:
     """All rowmotion orbits on ideals, canonically ordered."""
-    return tuple(
-        Orbit(IDEAL, tuple(ms)) for ms in _orbit_mask_lists(F, IDEAL, cap)
-    )
+    return tuple(Orbit(IDEAL, tuple(ms)) for ms in _orbit_mask_lists(F, IDEAL))
 
 
 def orbit_of(F: Fence, S: ElementSet) -> Orbit:
     """The canonical orbit containing S."""
-    if S.role == ANTICHAIN:
-        step = _rho_mask
-        if not F.is_antichain_mask(S.mask):
-            raise RoleError(f"{S} is not an antichain of {F!r}")
-    elif S.role == IDEAL:
-        step = _rho_hat_mask
-        if not F.is_ideal_mask(S.mask):
-            raise RoleError(f"{S} is not an ideal of {F!r}")
-    else:
-        raise RoleError(f"no rowmotion orbit for role {S.role}")
-    cycle = [S.mask]
-    x = step(F, S.mask)
-    while x != S.mask:
-        cycle.append(x)
-        x = step(F, x)
+    cycle = _cycle(S.mask, _step_of(F, S), F.alpha.ideal_count)
     start = cycle.index(min(cycle))
-    cycle = cycle[start:] + cycle[:start]
-    return Orbit(S.role, tuple(cycle))
+    return Orbit(S.role, tuple(cycle[start:] + cycle[:start]))
 
 
 # -- ideal complement and superorbits ------------------------------------
@@ -209,24 +201,19 @@ def ideal_complement(F: Fence, I: ElementSet) -> ElementSet:
     return ElementSet(m, IDEAL)
 
 
-def superorbits(F: Fence, cap: int | None = None) -> tuple[Superorbit, ...]:
+def superorbits(F: Fence) -> tuple[Superorbit, ...]:
     """Orbits of the group generated by ideal rowmotion and complement.
 
     Each superorbit is a single rowmotion orbit closed under the ideal
     complement, or a pair of equal-sized orbits swapped by it.
     """
     F.index_reversal()
-    orbits = ideal_orbits(F, cap)
+    orbits = ideal_orbits(F)
     rep_to_index = {o.masks[0]: i for i, o in enumerate(orbits)}
+    step, bound = partial(_rho_hat_mask, F), F.alpha.ideal_count
 
     def orbit_index_of(mask: int) -> int:
-        cycle_min = mask
-        x = _rho_hat_mask(F, mask)
-        while x != mask:
-            if x < cycle_min:
-                cycle_min = x
-            x = _rho_hat_mask(F, x)
-        return rep_to_index[cycle_min]
+        return rep_to_index[min(_cycle(mask, step, bound))]
 
     paired: list[Superorbit] = []
     used: set[int] = set()

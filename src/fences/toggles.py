@@ -160,7 +160,7 @@ class BaseGraph:
         return True
 
 
-def base_graph(F: Fence, family: str, cap: int | None = None) -> BaseGraph:
+def base_graph(F: Fence, family: str) -> BaseGraph:
     """Edges join toggles that fail to commute somewhere on the family.
 
     Commutation is decided exhaustively over the enumerated family rather
@@ -174,7 +174,7 @@ def base_graph(F: Fence, family: str, cap: int | None = None) -> BaseGraph:
     a member exactly when they commute on its restriction to that union,
     and each pair is tested once on every distinct restriction.
     """
-    masks = F.family_masks(family, cap)
+    masks = F.family_masks(family)
     if family == IDEAL:
         neighbours = [lo | up for lo, up in zip(F.lower_covers, F.upper_covers)]
     elif family == ANTICHAIN:
@@ -348,21 +348,19 @@ def is_linear_extension(F: Fence, order: Sequence[int]) -> bool:
 # -- orbits of a word and homomesy transfer ---------------------------------
 
 
-def word_orbits(F: Fence, word: ToggleWord, cap: int | None = None):
+def word_orbits(F: Fence, word: ToggleWord):
     """Orbit partition of the family under the cyclic group of the word."""
     from .rowmotion import Orbit
 
     step = compile_word(F, word)
-    masks = F.family_masks(word.family, cap)
+    masks = F.family_masks(word.family)
     return tuple(Orbit(word.family, tuple(ms)) for ms in decompose(masks, step))
 
 
-def _word_profiles(
-    F: Fence, word: ToggleWord, cap: int | None = None
-) -> list[tuple[int, tuple[int, ...]]]:
+def _word_profiles(F: Fence, word: ToggleWord) -> list[tuple[int, tuple[int, ...]]]:
     """Per-orbit (size, element counts) under a word."""
     step = compile_word(F, word)
-    masks = F.family_masks(word.family, cap)
+    masks = F.family_masks(word.family)
     return [(len(ms), orbit_element_counts(ms, F.n)) for ms in decompose(masks, step)]
 
 
@@ -401,7 +399,6 @@ def transfer_check(
     word_a: ToggleWord,
     word_b: ToggleWord,
     exprs: StatExpr | Sequence[StatExpr],
-    cap: int | None = None,
 ) -> TransferReport:
     """Compare homomesy/orbomesy verdicts of statistics under two words.
 
@@ -417,8 +414,8 @@ def transfer_check(
         fam = e.family()
         if fam is not None and fam != family:
             raise RoleError(f"statistic {e} targets {fam}s, not {family}s")
-    pa = _word_profiles(F, word_a, cap)
-    pb = _word_profiles(F, word_b, cap)
+    pa = _word_profiles(F, word_a)
+    pb = _word_profiles(F, word_b)
     results = tuple(
         TransferResult(
             str(e), classify_counts(e, F.n, pa), classify_counts(e, F.n, pb)

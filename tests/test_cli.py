@@ -159,6 +159,27 @@ class TestVerifyScan:
         assert code == 1
 
 
+class TestNumericOptions:
+    @pytest.mark.parametrize("command", ["count", "info"])
+    def test_long_composition_needs_no_recursion(self, capsys, command):
+        code, out, err = run(capsys, command, "--alpha", "2^1200")
+        assert code == 0 and err == ""
+        assert json.loads(out)["ideal_count"] > 2**1000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "transfer-ideal", "--alpha", "3,3", "--samples", "0"),
+            ("verify", "linear-extensions", "--alpha", "3,3", "--samples", "-1"),
+            ("verify", "aba", "--a", "0", "--b", "2"),
+        ],
+    )
+    def test_non_positive_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "expected a positive integer" in err
+
+
 class TestCaps:
     def test_max_family_flag(self, capsys):
         code, _, err = run(capsys, "orbits", "--alpha", "4,3,4", "--max-family", "10")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 import oracle
@@ -244,9 +246,21 @@ class TestEnumeration:
 
     def test_cap_is_enforced(self):
         with pytest.raises(FamilyCapError):
-            build_fence((4, 3, 4)).ideal_masks(cap=10)
-        with pytest.raises(FamilyCapError):
             build_fence((4, 3, 4), max_family=10).ideal_masks()
+
+    def test_cap_is_checked_before_enumerating(self):
+        # (2^40) has about 1.7e15 ideals: the count alone fails the default
+        # cap, so no prefix list is built (building them first takes 100 MB)
+        F = build_fence((2,) * 40)
+        message = r"^ideal enumeration of Fence\(2(,2){39}\) exceeded cap 2000000$"
+        tracemalloc.start()
+        try:
+            with pytest.raises(FamilyCapError, match=message):
+                F.antichain_masks()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_no_duplicates(self, f434):
         masks = f434.ideal_masks()

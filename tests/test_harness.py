@@ -191,12 +191,12 @@ class TestToggleHarness:
 
 
 class TestProfileCache:
-    def test_cached_profiles_respect_a_smaller_cap(self):
-        F = build_fence((3, 3, 3))  # 33 antichains
+    def test_cap_boundary(self):
+        F = build_fence((3, 3, 3), max_family=33)  # 33 antichains
         assert sum(p.size for p in orbit_profiles(F)) == 33
+        assert orbit_profiles(F) is orbit_profiles(F)
         with pytest.raises(FamilyCapError):
-            orbit_profiles(F, 5)
-        assert orbit_profiles(F, 33) == orbit_profiles(F)
+            orbit_profiles(build_fence((3, 3, 3), max_family=32))
 
 
 def _bump(value, at):
@@ -236,8 +236,8 @@ class TestForcedFailures:
     def test_witness(self, monkeypatch, check, args, index, field, at, part, want):
         real = harness.orbit_profiles
 
-        def corrupted(F, cap=None):
-            profiles = list(real(F, cap))
+        def corrupted(F):
+            profiles = list(real(F))
             p = profiles[index]
             bumped = _bump(getattr(p, field), at)
             profiles[index] = dataclasses.replace(p, **{field: bumped})

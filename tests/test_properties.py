@@ -7,8 +7,11 @@ antichain families, closures, extremal elements and role predicates,
 orbits, tile counts and base graphs.  The integer statistic classifier is
 checked against the oracle's Fraction classifier on random rational
 statistics with n <= 12, and the bit-plane counter against a plain count.
-Three fixed fences with n >= 64 check families and orbits past one
-machine word.
+The ideal-count recurrence, which the family cap is checked against, is
+compared with enumeration, and the cap boundary with every family
+accessor.  On self-dual fences the ideal complement is an involution
+conjugating rowmotion to its inverse.  Three fixed fences with n >= 64
+check families and orbits past one machine word.
 """
 
 from fractions import Fraction
@@ -21,7 +24,9 @@ from hypothesis import strategies as st
 from fences import (
     ANTICHAIN,
     IDEAL,
+    UPPER,
     ElementSet,
+    FamilyCapError,
     Orbit,
     TilingError,
     antichain_orbits,
@@ -30,11 +35,15 @@ from fences import (
     check_homomesy,
     count_ideals,
     evaluate,
+    ideal_complement,
     ideal_orbits,
     orbit_tile_counts,
+    rowmotion,
+    rowmotion_inverse,
     tile_counts,
     tiling_of_orbit,
 )
+from fences.harness import orbit_profiles
 from fences.stats import Atom, StatExpr, orbit_element_counts
 
 MAX_N = 14
@@ -224,3 +233,56 @@ def test_fences_wider_than_64_bits(alpha, ideals, orbits):
             members = [_members(m) for m in o.masks]
             for i, S in enumerate(members):
                 assert brute_step(F, S) == members[(i + 1) % o.size], (alpha, o)
+
+
+@PROPERTY
+@given(compositions())
+def test_recurrence_counts_the_enumerated_ideals(alpha):
+    F = build_fence(alpha)
+    assert count_ideals(alpha) == len(F.ideal_masks()) == len(F.antichain_masks())
+
+
+# every accessor that enumerates a family, directly or through the ideals
+FAMILY_ACCESSORS = {
+    "ideal_masks": lambda F: F.ideal_masks(),
+    "antichain_masks": lambda F: F.antichain_masks(),
+    "upper_masks": lambda F: F.family_masks(UPPER),
+    "antichain_orbits": antichain_orbits,
+    "ideal_orbits": ideal_orbits,
+    "orbit_profiles": orbit_profiles,
+    "antichain_base_graph": lambda F: base_graph(F, ANTICHAIN),
+    "ideal_base_graph": lambda F: base_graph(F, IDEAL),
+}
+
+
+@pytest.mark.parametrize("accessor", FAMILY_ACCESSORS.values(), ids=FAMILY_ACCESSORS)
+@PROPERTY
+@given(compositions())
+def test_cap_boundary_is_the_family_size(accessor, alpha):
+    size = count_ideals(alpha)
+    accessor(build_fence(alpha, max_family=size))
+    with pytest.raises(FamilyCapError):
+        accessor(build_fence(alpha, max_family=size - 1))
+
+
+@st.composite
+def self_dual_compositions(draw):
+    """Palindromes with an odd number of parts, (a_1..a_k, m, a_k..a_1),
+    and n <= 14; these are exactly the self-dual fences."""
+    left = draw(st.lists(st.integers(min_value=1, max_value=2), max_size=3))
+    if left:
+        left[0] += 1  # the end parts must be >= 2
+    mid = draw(st.integers(min_value=1 if left else 2, max_value=15 - 2 * sum(left)))
+    return (*left, mid, *left[::-1])
+
+
+@PROPERTY
+@given(self_dual_compositions())
+def test_ideal_complement_conjugates_rowmotion_to_its_inverse(alpha):
+    F = build_fence(alpha)
+    F.index_reversal()  # raises unless the fence is self-dual
+    for m in F.ideal_masks():
+        I = ElementSet(m, IDEAL)
+        c = ideal_complement(F, I)
+        assert ideal_complement(F, c) == I
+        assert ideal_complement(F, rowmotion(F, I)) == rowmotion_inverse(F, c)

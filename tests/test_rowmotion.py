@@ -18,6 +18,7 @@ from fences import (
     superorbits,
 )
 from fences.harness import all_fence_compositions
+from fences.rowmotion import decompose
 
 
 def orbit_sizes(orbits):
@@ -156,14 +157,18 @@ class TestOrbits:
         assert o.size == 5 and o.representative.mask == 0
 
     @pytest.mark.parametrize("orbits", [antichain_orbits, ideal_orbits])
-    def test_cached_orbits_respect_a_smaller_cap(self, orbits):
-        # (3,3,3) has 33 antichains and 33 ideals; the uncapped call fills
-        # the orbit cache, which must not answer a later call under cap 5
-        F = build_fence((3, 3, 3))
+    def test_cap_boundary(self, orbits):
+        # (3,3,3) has 33 antichains and 33 ideals
+        F = build_fence((3, 3, 3), max_family=33)
         assert sum(o.size for o in orbits(F)) == 33
+        assert orbits(F) == orbits(build_fence((3, 3, 3)))
         with pytest.raises(FamilyCapError):
-            orbits(F, 5)
-        assert orbits(F, 33) == orbits(F)
+            orbits(build_fence((3, 3, 3), max_family=32))
+
+    def test_decompose_rejects_a_step_that_is_not_a_bijection(self):
+        # 1 and 2 both step to the fixed point 0 and never come back
+        with pytest.raises(FenceError, match="not a bijection"):
+            decompose([0, 1, 2], lambda m: 0)
 
     def test_matches_oracle_orbits(self):
         for alpha in [(2, 2), (2, 2, 2), (3, 3, 2)]:
