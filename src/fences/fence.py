@@ -31,8 +31,8 @@ enumerating.  Fence.ideal_masks compares that count with the cap
 anything, and every other family is built from the ideals.
 
 The poset data set up by the constructor never changes; derived results
-(families, orbit lists, orbit profiles, the self-duality check) are
-memoised through Fence.memo, whose docstring lists the keys.
+(families, orbit lists, the tiling lemma, orbit profiles, the self-duality
+check) are memoised through Fence.memo, whose docstring lists the keys.
 """
 
 from __future__ import annotations
@@ -273,6 +273,7 @@ class Fence:
         - "self_dual": why the fence is not self-dual, or None (this module);
         - ("orbits", family): the orbit mask lists of rowmotion on the
           family, ANTICHAIN or IDEAL (fences.rowmotion);
+        - "tiling_lemma": the tiling lemma's index tables (fences.stats);
         - "profiles": the antichain orbit profiles (fences.harness).
 
         A Fence shared across threads is mutated by first uses: concurrent

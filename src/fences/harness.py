@@ -44,8 +44,10 @@ from .rowmotion import (
     ideal_orbits,
     superorbits,
 )
-from .stats import classify_orbit_sums, indicator, orbit_element_counts, weighted_sum
-from .tiling import TileCounts, orbit_tile_counts
+from .stats import (
+    classify_orbit_sums, indicator, orbit_element_counts, tiling_lemma, weighted_sum
+)
+from .tiling import TileCounts
 from .toggles import (
     ToggleWord,
     base_graph,
@@ -167,27 +169,21 @@ class OrbitProfile:
 def orbit_profiles(F: Fence) -> tuple[OrbitProfile, ...]:
     """Profiles of every antichain orbit, canonically ordered; memoised on F.
 
-    Everything is counted from the orbit masks: the tile counts come from
-    orbit_tile_counts, so no tiling is built here.  Callers that want to
-    render or round-trip an orbit's tiling build it with tiling_of_orbit.
+    Each is one orbit_element_counts pass over the orbit's masks, which
+    the tiling lemma (stats.TilingLemma) turns into the tile counts and
+    ideal counts: no tiling or generated ideal is built here.  Callers
+    that render or round-trip a tiling build it with tiling_of_orbit.
     """
-    build = partial(_profile, F)
-    return F.memo("profiles", lambda: tuple(map(build, antichain_orbits(F))))
+    return F.memo("profiles", partial(_profiles, F))
 
 
-def _profile(F: Fence, orbit: Orbit) -> OrbitProfile:
-    masks = orbit.masks
-    a_counts = orbit_element_counts(masks, F.n)
-    i_counts = orbit_element_counts([F._down_closure_mask(m) for m in masks], F.n)
-    return OrbitProfile(
-        orbit,
-        orbit.size,
-        a_counts,
-        i_counts,
-        sum(a_counts),
-        sum(i_counts),
-        orbit_tile_counts(F, masks),
-    )
+def _profiles(F: Fence) -> tuple[OrbitProfile, ...]:
+    lemma, out = tiling_lemma(F), []
+    for o in antichain_orbits(F):
+        a = orbit_element_counts(o.masks, F.n)
+        tiles, i = lemma.counts(a, o.size)
+        out.append(OrbitProfile(o, o.size, a, i, sum(a), sum(i), tiles))
+    return tuple(out)
 
 
 def _sizes_part(params: dict, profiles, expected: dict[int, int]) -> InstanceResult:

@@ -94,16 +94,17 @@ def _rho_hat_inv_mask(F: Fence, m: int) -> int:
 
 
 _STEPS = {ANTICHAIN: _rho_mask, IDEAL: _rho_hat_mask}
+_INVERSE_STEPS = {ANTICHAIN: _rho_inv_mask, IDEAL: _rho_hat_inv_mask}
 
 
-def _step_of(F: Fence, S: ElementSet):
-    """The mask-level rowmotion step of S's family, once S is checked to
-    be a member of that family."""
-    if S.role not in _STEPS:
+def _step_of(F: Fence, S: ElementSet, steps=_STEPS):
+    """The mask-level step of S's family from `steps` (rowmotion, or its
+    inverse), once S is checked to be a member of that family."""
+    if S.role not in steps:
         raise RoleError(f"rowmotion acts on antichains and ideals, not {S.role}")
     if not F._role_ok(S.mask, S.role):
         raise RoleError(f"{S} is not an {S.role} of {F!r}")
-    return partial(_STEPS[S.role], F)
+    return partial(steps[S.role], F)
 
 
 def rowmotion(F: Fence, S: ElementSet) -> ElementSet:
@@ -113,11 +114,7 @@ def rowmotion(F: Fence, S: ElementSet) -> ElementSet:
 
 def rowmotion_inverse(F: Fence, S: ElementSet) -> ElementSet:
     """Inverse rowmotion step on antichains or ideals."""
-    if S.role == ANTICHAIN:
-        return ElementSet(_rho_inv_mask(F, S.mask), ANTICHAIN)
-    if S.role == IDEAL:
-        return ElementSet(_rho_hat_inv_mask(F, S.mask), IDEAL)
-    raise RoleError(f"rowmotion acts on antichains and ideals, not {S.role}")
+    return ElementSet(_step_of(F, S, _INVERSE_STEPS)(S.mask), S.role)
 
 
 # -- orbit decomposition ------------------------------------------------

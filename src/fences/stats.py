@@ -19,6 +19,21 @@ The element counts of an orbit come from one kernel, orbit_element_counts,
 which adds the orbit's masks into bit planes (every element's counter held
 bit-sliced across a few integers) and reads the planes out once per orbit.
 
+The paper's tiling lemma reads an antichain orbit's statistics off the
+tile counts of its tiling.  With b_i black tiles and r_i red heads in
+row i (r_0 = r_s = 0) and w columns:
+
+- each unshared element of segment i occurs b_i times, and s_i r_i times;
+- the j-th smallest unshared element of segment i lies in
+  b_i*(alpha_i - j) + r_t of the generated ideals, s_t being the
+  segment's maximal end (t = i for odd i, i - 1 for even i);
+- s_i lies in r_i of them for odd i (a maximal element) and in w - r_i
+  for even i (a minimal one).
+
+TilingLemma (built once per fence by tiling_lemma) is the lemma's one
+home: it maps an orbit's antichain element counts to its tile counts and
+ideal counts, and orbit_stats_from_tiling runs it on a tiling's counts.
+
 Text syntax (whitespace-insensitive, 1-based element indices):
 
     2*chi[3] - chi[5] + 1/2        chihat[10]        chi
@@ -29,12 +44,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from functools import partial
+from math import lcm
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .fence import ANTICHAIN, IDEAL, ElementSet, Fence, FenceError, RoleError
 from .rowmotion import Orbit, antichain_orbits, ideal_orbits
-from .tiling import AlphaTiling, tile_counts
+from .tiling import AlphaTiling, TileCounts, TilingError, tile_counts
 
 
 class StatExprError(ValueError):
@@ -372,7 +389,66 @@ def check_homomesy(F: Fence, family: str, expr: StatExpr, orbits=None) -> MesyRe
     )
 
 
-# -- statistics read off a tiling -----------------------------------------
+# -- the tiling lemma --------------------------------------------------------
+
+
+class TilingLemma:
+    """The tiling lemma of the module docstring on one fence, as integer
+    index tables over the orbit's antichain element counts."""
+
+    def __init__(self, F: Fence):
+        n, s = F.n, F.s
+        # per row i, segment i's unshared elements as a slice of the counts
+        self._rows = tuple(slice(a, b - 1) for a, b in zip(F.cums, F.cums[1:]))
+        # indices into the counts padded with (0, size): n reads 0, n + 1 the size
+        self._black = tuple(r.start if r.start < r.stop else n for r in self._rows)
+        self._red = tuple(x - 1 for x in F.shared)
+        # the ideal count of x_{k+1}: weights[k] * counts[k] + padded counts[adds[k]]
+        weights, adds = [], []
+        for k in range(1, n + 1):
+            i = F.shared_index(k)
+            if i is not None:
+                weights.append(1 if i % 2 else -1)
+                adds.append(n if i % 2 else n + 1)
+                continue
+            i, j = F.unshared_position(k)
+            t = i if i % 2 else i - 1
+            weights.append(F.alpha[i - 1] - j)
+            adds.append(self._red[t - 1] if t < s else n)
+        self._weights, self._adds = tuple(weights), tuple(adds)
+
+    def counts(
+        self, counts: Sequence[int], size: int
+    ) -> tuple[TileCounts, tuple[int, ...]]:
+        """The tile counts and ideal counts of an antichain orbit of `size`
+        members with element counts `counts`.  An antichain meets segment
+        i's chain of unshared elements at most once, so row i is black in
+        every column exactly when their counts sum to the size: no real
+        orbit does that, and it raises TilingError as tiling_of_orbit does."""
+        sums = list(map(sum, map(counts.__getitem__, self._rows)))
+        if size in sums:
+            raise TilingError(
+                f"row {sums.index(size) + 1} is entirely black; no tiling "
+                "decomposition exists"
+            )
+        pick = (*counts, 0, size).__getitem__
+        tiles = TileCounts(tuple(map(pick, self._black)), (0, *map(pick, self._red), 0))
+        ideal = tuple(map(add, map(mul, self._weights, counts), map(pick, self._adds)))
+        return tiles, ideal
+
+    def element_counts(self, tiles: TileCounts) -> tuple[int, ...]:
+        """The antichain element counts that a tiling's tile counts give."""
+        counts = [0] * len(self._weights)
+        for r, b in zip(self._rows, tiles.black):
+            counts[r] = [b] * (r.stop - r.start)
+        for k, r in zip(self._red, tiles.red[1:]):
+            counts[k] = r
+        return tuple(counts)
+
+
+def tiling_lemma(F: Fence) -> TilingLemma:
+    """The fence's TilingLemma, memoised on F."""
+    return F.memo("tiling_lemma", partial(TilingLemma, F))
 
 
 @dataclass(frozen=True)
@@ -387,48 +463,9 @@ class OrbitStatistics:
 
 
 def orbit_stats_from_tiling(F: Fence, T: AlphaTiling) -> OrbitStatistics:
-    """Evaluate every indicator and both cardinality statistics of an
-    orbit purely from its tile counts.
-
-    For an unshared element that is j-th smallest on segment i the orbit
-    ideal count is b_i*(alpha_i - j) plus the red heads of the row that
-    carries the segment's maximal element; shared elements contribute
-    their red head count (maximal) or the complement of it (minimal).
-    """
-    counts = tile_counts(T)
-    w = T.width
-    alpha = F.alpha
-    s = F.s
-    chi_x = [0] * F.n
-    chihat_x = [0] * F.n
-    for k in range(1, F.n + 1):
-        si = F.shared_index(k)
-        if si is not None:
-            chi_x[k - 1] = counts.red_heads_in_row(si)
-            if si % 2 == 1:
-                chihat_x[k - 1] = counts.red_heads_in_row(si)
-            else:
-                chihat_x[k - 1] = w - counts.red_heads_in_row(si)
-        else:
-            i, j = F.unshared_position(k)
-            b = counts.black_in_row(i)
-            chi_x[k - 1] = b
-            r = counts.red_heads_in_row(i - 1 if i % 2 == 0 else i)
-            chihat_x[k - 1] = b * (alpha[i - 1] - j) + r
-    chi_total = sum(
-        counts.black_in_row(i) * (alpha[i - 1] - 1) + counts.red_heads_in_row(i)
-        for i in range(1, s + 1)
-    )
-    chihat_total = ((s - 1) // 2) * w
-    for i in range(1, s + 1):
-        chihat_total += counts.black_in_row(i) * comb(alpha[i - 1], 2)
-    for k in range(1, s):
-        if k % 2 == 1:
-            chihat_total += counts.red_heads_in_row(k) * (
-                alpha[k - 1] + alpha[k] - 1
-            )
-        else:
-            chihat_total -= counts.red_heads_in_row(k)
-    return OrbitStatistics(
-        w, tuple(chi_x), tuple(chihat_x), chi_total, chihat_total
-    )
+    """Every indicator and both cardinality statistics of an orbit, read
+    off the tile counts of its tiling through the tiling lemma."""
+    lemma = tiling_lemma(F)
+    chi_x = lemma.element_counts(tile_counts(T))
+    _, chihat_x = lemma.counts(chi_x, T.width)
+    return OrbitStatistics(T.width, chi_x, chihat_x, sum(chi_x), sum(chihat_x))

@@ -14,15 +14,15 @@ is up to horizontal rotation, decided on the lexicographically least
 rotation of the column colour sequence.
 
 The statistics of an orbit depend on its tiling only through the tile
-counts, and `orbit_tile_counts` reads those straight from the orbit's
-masks.  An AlphaTiling is built, and validated, only to render an orbit
-or to round-trip it through `orbit_of_tiling`.
+counts, and the paper's tiling lemma (`stats.TilingLemma`) reads those
+off the orbit's antichain element counts.  An AlphaTiling is built, and
+validated, only to render an orbit or to round-trip it through
+`orbit_of_tiling`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .fence import ANTICHAIN, Composition, Fence, FenceError
 from .rowmotion import Orbit, _rho_mask
@@ -147,36 +147,6 @@ class TileCounts:
 class TilingReport:
     valid: bool
     violations: tuple[str, ...]
-
-
-# -- orbit -> tile counts ----------------------------------------------------
-
-
-def orbit_tile_counts(F: Fence, masks: Sequence[int]) -> TileCounts:
-    """The tile counts of an antichain orbit's tiling, without the tiling.
-
-    `masks` lists the orbit's antichains in rowmotion order, as its
-    columns.  A black tile of row i starts in column c when antichain c
-    meets the unshared elements of segment i and antichain c-1 (cyclically)
-    does not; the red heads of row i are the antichains containing s_i.
-    Equals tile_counts(tiling_of_orbit(F, orbit)), and raises the same
-    TilingError for a row that is black in every column.
-    """
-    prevs = masks[-1:] + masks[:-1]
-    black = []
-    for i, u in enumerate(F.unshared_masks[1:], start=1):
-        starts = sum(1 for p, m in zip(prevs, masks) if m & u and not p & u)
-        if not starts and masks[0] & u:
-            raise TilingError(
-                f"row {i} is entirely black; no tiling decomposition exists"
-            )
-        black.append(starts)
-    red = [0]
-    for x in F.shared:
-        bit = 1 << (x - 1)
-        red.append(sum(1 for m in masks if m & bit))
-    red.append(0)
-    return TileCounts(tuple(black), tuple(red))
 
 
 # -- orbit -> tiling ---------------------------------------------------------

@@ -43,6 +43,7 @@ from fences.harness import (
     verify_linear_extension_toggles,
     verify_transfer_ideal,
 )
+from fences.stats import orbit_element_counts
 
 
 def emit(num: int, ok: bool, msg: str, t0: float) -> None:
@@ -53,10 +54,13 @@ def emit(num: int, ok: bool, msg: str, t0: float) -> None:
 @pytest.fixture(scope="session")
 def sweep12():
     """One pass over every fence with n <= 12: homomesy theorem parts,
-    tiling-formula agreement, mask-read tile counts against the built
+    tiling-formula agreement, the profile's tile counts against the built
     tiling, roundtrip and validation, injectivity.
 
     Orbit profiles carry no tiling, so every orbit's tiling is built here.
+    Profiles and orbit_stats_from_tiling share the tiling lemma, so the
+    profile's ideal counts are also checked against counts taken from the
+    generated ideals themselves.
     """
     t0 = time.perf_counter()
     failures = {"homomesies": [], "formulas": [], "roundtrip": []}
@@ -71,6 +75,10 @@ def sweep12():
             label = p.orbit.representative.label()
             if p.counts != tile_counts(T):
                 failures["formulas"].append((alpha, label, "tile counts"))
+            ideals = [F._down_closure_mask(m) for m in p.orbit.masks]
+            direct = orbit_element_counts(ideals, F.n)
+            if direct != p.ideal_counts or sum(direct) != p.chihat:
+                failures["formulas"].append((alpha, label, "ideal counts"))
             st = orbit_stats_from_tiling(F, T)
             if not (
                 st.antichain_counts == p.antichain_counts

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fences.cli import main
 
@@ -197,3 +202,115 @@ class TestCaps:
             capsys, "orbits", "--alpha", "4,3,4", "--max-family", "100"
         )
         assert code == 0
+
+
+# -- argv fuzz ------------------------------------------------------------------
+#
+# Random argv for every subcommand: a well-formed command line, three times
+# in four corrupted once (a junk value, a dropped option or a stray token).
+# Every size that reaches a sweep is given and small (n <= 11, --max <= 6,
+# --samples <= 3), and nothing starts a thread or a process, so each run
+# takes milliseconds.
+
+_JUNK = ["", "x", "abc", "-1", "0", "1.5", "1,3", "2^", "^2", "2,,2", "2^0",
+         "3^-1", "2^2^2", "chi[[", "1/0", "chi[99]", "xml", "-2..1", "3..1"]
+_STATS = ["chi", "chihat", "chi[1]-chi[2]", "2*chihat[3] + 1/2", "chi + chihat"]
+_CLAIMS = ["two-segment", "aba", "a4", "a1a1a", "homomesies", "palindromic",
+           "base-graph", "linear-extensions", "transfer-ideal"]
+_CONJECTURES = ["constant-alpha", "tile-palindromes", "antichain-transfer",
+                "cross-orbit-complement"]
+
+
+@st.composite
+def _alphas(draw):
+    if draw(st.booleans()):
+        return f"{draw(st.integers(2, 3))}^{draw(st.integers(1, 4))}"
+    ends = st.integers(2, 3)
+    middle = draw(st.lists(st.integers(1, 3), max_size=2))
+    return ",".join(map(str, [draw(ends), *middle, draw(ends)]))  # n <= 11
+
+
+def _ints(low, high):
+    return st.integers(low, high).map(str)
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(
+        ["info", "count", "orbits", "tiling", "check", "verify", "scan"]
+    ))
+    head, options = [command], [("--alpha", draw(_alphas()))]
+    if command == "verify":
+        head.append(draw(st.sampled_from(_CLAIMS)))
+        # every sweep bound is in head, where no corruption drops it, so no
+        # default-size sweep runs
+        for flag, high in (("--max-sum", 7), ("--max-a", 3), ("--max-n", 6),
+                           ("--samples", 3)):
+            head += [flag, draw(_ints(1, high))]
+        if draw(st.booleans()):
+            options += [("--a", draw(_ints(2, 4))), ("--b", draw(_ints(1, 4)))]
+        if draw(st.booleans()):
+            options.pop(0)  # sweep claims run without --alpha
+    elif command == "scan":
+        head.append(draw(st.sampled_from(_CONJECTURES)))
+        head += ["--max", draw(_ints(1, 6)), "--samples", draw(_ints(1, 3))]
+    elif command in ("orbits", "check"):
+        options.append(("--family", draw(st.sampled_from(["antichains", "ideals"]))))
+        if command == "check":
+            options.append(("--stat", draw(st.sampled_from(_STATS))))
+    elif command == "tiling":
+        if draw(st.booleans()):
+            reps = st.lists(st.integers(1, 11), min_size=1, max_size=3)
+            options.append(("--rep", ",".join(f"x{x}" for x in draw(reps))))
+        else:
+            lo = draw(st.integers(0, 4))
+            hi = draw(st.integers(lo, lo + 3))
+            index = draw(st.sampled_from([f"{lo}", f"{lo}..{hi}"]))
+            options.append(("--orbit-index", index))
+        options.append(("--render", draw(st.sampled_from(["ascii", "svg"]))))
+    if draw(st.booleans()):
+        options.append(("--format", draw(st.sampled_from(["json", "csv", "ascii"]))))
+    if draw(st.booleans()):
+        options.append(("--seed", draw(_ints(0, 9))))
+    if draw(st.booleans()):
+        cap = draw(st.sampled_from(["1", "9", "60", "10000"]))
+        options.append(("--max-family", cap))
+    corruption = draw(st.sampled_from([None, "value", "drop", "token"]))
+    if corruption == "value" and options:
+        i = draw(st.integers(0, len(options) - 1))
+        options[i] = (options[i][0], draw(st.sampled_from(_JUNK)))
+    elif corruption == "drop" and options:
+        options.pop(draw(st.integers(0, len(options) - 1)))
+    elif corruption == "token":
+        head.append(draw(st.sampled_from(["--bogus", "extra", "-h", "--alpha"])))
+    return head + [token for pair in options for token in pair]
+
+
+def _run_quietly(argv):
+    """(exit code, stdout, stderr) of one in-process run.  Only SystemExit
+    is caught (argparse's help exits through it); any other exception
+    escapes and fails the test with its traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+_RUNTIME = re.compile(r'"runtime_ms": \d+')
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+def test_argv_fuzz_exits_cleanly_and_deterministically(argv):
+    code, out, err = _run_quietly(argv)
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "Traceback" not in err, argv
+    if code in (1, 3):
+        assert out == "" and err.startswith("fences: error:"), (argv, err)
+        assert err.count("\n") == 1, (argv, err)
+    again, out2, _ = _run_quietly(argv)
+    assert again == code
+    assert _RUNTIME.sub("", out2) == _RUNTIME.sub("", out), argv

@@ -4,7 +4,10 @@ Each example draws a composition with first and last part >= 2 and
 sum(alpha) <= 15, then checks a mask-level fast path against either the
 oracle in tests/oracle.py or the tiling it replaces: the ideal and
 antichain families, closures, extremal elements and role predicates,
-orbits, tile counts and base graphs.  The integer statistic classifier is
+orbits, base graphs, and the tile counts and ideal counts that the
+tiling lemma reads off an orbit's antichain counts.  Every orbit
+round-trips through its tiling, and ideal toggles along sampled linear
+extensions equal the oracle's rowmotion.  The integer statistic classifier is
 checked against the oracle's Fraction classifier on random rational
 statistics with n <= 12, and the bit-plane counter against a plain count.
 The ideal-count recurrence, which the family cap is checked against, is
@@ -37,14 +40,15 @@ from fences import (
     evaluate,
     ideal_complement,
     ideal_orbits,
-    orbit_tile_counts,
+    orbit_of_tiling,
     rowmotion,
     rowmotion_inverse,
     tile_counts,
     tiling_of_orbit,
 )
 from fences.harness import orbit_profiles
-from fences.stats import Atom, StatExpr, orbit_element_counts
+from fences.stats import Atom, StatExpr, orbit_element_counts, tiling_lemma
+from fences.toggles import ToggleWord, compile_word, sample_linear_extensions
 
 MAX_N = 14
 
@@ -64,12 +68,52 @@ def compositions(draw, max_n=MAX_N):
 PROPERTY = settings(max_examples=100, deadline=None)
 
 
+def _lemma_counts(F, o):
+    """The tile counts and ideal counts the tiling lemma gives an orbit."""
+    return tiling_lemma(F).counts(orbit_element_counts(o.masks, F.n), o.size)
+
+
 @PROPERTY
 @given(compositions())
 def test_mask_tile_counts_match_built_tiling(alpha):
     F = build_fence(alpha)
     for o in antichain_orbits(F):
-        assert orbit_tile_counts(F, o.masks) == tile_counts(tiling_of_orbit(F, o))
+        assert _lemma_counts(F, o)[0] == tile_counts(tiling_of_orbit(F, o))
+
+
+@PROPERTY
+@given(compositions())
+def test_profiles_match_tilings_and_oracle_ideals(alpha):
+    # the profile's tile counts against the built tiling, and its ideal
+    # counts against the oracle's down-closures of the orbit's antichains
+    F = build_fence(alpha)
+    for p in orbit_profiles(F):
+        assert p.counts == tile_counts(tiling_of_orbit(F, p.orbit))
+        ideals = [oracle.brute_down_closure(F, A.elements) for A in p.orbit.reps]
+        want = tuple(sum(k in I for I in ideals) for k in range(1, F.n + 1))
+        assert p.ideal_counts == want
+        assert p.chihat == sum(map(len, ideals))
+
+
+@PROPERTY
+@given(compositions())
+def test_orbit_tiling_roundtrip(alpha):
+    F = build_fence(alpha)
+    for o in antichain_orbits(F):
+        assert orbit_of_tiling(F, tiling_of_orbit(F, o)) == o
+
+
+@PROPERTY
+@given(compositions(), st.integers(0, 2**32))
+def test_linear_extension_words_are_oracle_rowmotion(alpha, seed):
+    # toggling the ideals along a linear extension, maximal elements first,
+    # is rowmotion: compare with the oracle's three-map definition
+    F = build_fence(alpha)
+    masks = F.ideal_masks()
+    rho_hat = {m: _mask(oracle.brute_rho_hat(F, _members(m))) for m in masks}
+    for ext in sample_linear_extensions(F, 3, seed):
+        step = compile_word(F, ToggleWord(IDEAL, ext))
+        assert all(step(m) == want for m, want in rho_hat.items()), ext
 
 
 @PROPERTY
@@ -105,7 +149,7 @@ def test_all_black_row_raises_like_the_tiling():
     F = build_fence((4, 3, 4))
     bogus = Orbit(ANTICHAIN, (1 << (F.unshared_element(1, 1) - 1),))
     with pytest.raises(TilingError, match="row 1 is entirely black"):
-        orbit_tile_counts(F, bogus.masks)
+        _lemma_counts(F, bogus)
     with pytest.raises(TilingError, match="row 1 is entirely black"):
         tiling_of_orbit(F, bogus)
 

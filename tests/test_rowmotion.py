@@ -4,6 +4,7 @@ import oracle
 from fences import (
     ANTICHAIN,
     IDEAL,
+    ElementSet,
     FamilyCapError,
     FenceError,
     RoleError,
@@ -56,14 +57,24 @@ class TestRho:
                 assert got == oracle.brute_rho(F, frozenset(A.elements))
 
     def test_inverse(self):
-        for alpha in [(2, 2), (4, 3, 4), (2, 2, 2)]:
+        for alpha in [(2, 2), (4, 3, 4), (2, 2, 2), (2, 1, 1, 2), (3, 1, 3)]:
             F = build_fence(alpha)
             for m in F.antichain_masks():
                 A = F.set_from_mask(m, ANTICHAIN)
                 assert rowmotion_inverse(F, rowmotion(F, A)) == A
+                assert rowmotion(F, rowmotion_inverse(F, A)) == A
             for m in F.ideal_masks():
                 I = F.set_from_mask(m, IDEAL)
                 assert rowmotion_inverse(F, rowmotion(F, I)) == I
+                assert rowmotion(F, rowmotion_inverse(F, I)) == I
+
+    @pytest.mark.parametrize("step", [rowmotion, rowmotion_inverse])
+    def test_steps_reject_non_members(self, f434, step):
+        # x1 < x2, so {x1,x2} is no antichain; {x2} is no ideal without x1
+        with pytest.raises(RoleError, match="is not an antichain"):
+            step(f434, ElementSet(0b11, ANTICHAIN))
+        with pytest.raises(RoleError, match="is not an ideal"):
+            step(f434, ElementSet(0b10, IDEAL))
 
     def test_role_mismatch(self, f434):
         from fences import UPPER
