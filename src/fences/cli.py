@@ -47,14 +47,32 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+#: The largest --alpha accepted, in parts and in elements n = sum(alpha) - 1.
+#: It is checked before a^k builds its parts, so a huge power is a usage
+#: error rather than a MemoryError; the fence's per-element masks take
+#: O(n^2) bits, a few tens of MB at this n.
+MAX_ALPHA_SIZE = 10_000
+
+
 def _parse_alpha(text: str) -> Composition:
     text = text.strip()
     if "^" in text:
         base, _, power = text.partition("^")
-        parts = (int(base),) * int(power)
+        base, power = int(base), int(power)
+        _check_alpha_size(text, power, base * power - 1)
+        parts = (base,) * power
     else:
         parts = tuple(int(t) for t in text.split(","))
+        _check_alpha_size(text, len(parts), sum(parts) - 1)
     return Composition(parts)
+
+
+def _check_alpha_size(text: str, parts: int, n: int) -> None:
+    if max(parts, n) > MAX_ALPHA_SIZE:
+        raise _UsageError(
+            f"composition {text!r} has {parts} parts and {n} elements; "
+            f"at most {MAX_ALPHA_SIZE} of each are accepted"
+        )
 
 
 def _positive_int(text: str) -> int:

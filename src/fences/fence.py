@@ -22,6 +22,18 @@ and the minimal elements of an upper ideal with no loop over m's bits.
 A closure repeats such a step until it adds nothing, at most once per
 element of the longest chain.  Masks are Python ints, so n is unbounded.
 
+The same kernel steps a whole family at once.  A lane layout (Lanes,
+from Fence.lanes(count)) gives each member a lane of L = ceil(n/8) bytes
+of one int, member i in bytes i*L .. i*L + L - 1, little-endian, and
+replicates every cover-direction mask into each lane as mask * rep, where
+rep has bit 0 of every lane set.  No guard bit is needed: bit 0 of
+up_left and down_left and bit n-1 of up_right and down_right are always
+clear, so a bit that a shift carries across a lane boundary is ANDed
+away.  The closures and extremal-element methods take a layout and act
+on every lane; without one they use the one-lane layout Fence.lane
+(rep = 1), which is the per-mask kernel.  L grows with n, so n stays
+unbounded.
+
 One cap bounds every family.  Antichains are in bijection with ideals
 (through the ideal an antichain generates) and upper ideals are the
 complements of ideals, so all three families have the ideal count, which
@@ -37,9 +49,11 @@ check) are memoised through Fence.memo, whose docstring lists the keys.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 ANTICHAIN = "antichain"
 IDEAL = "ideal"
@@ -61,6 +75,78 @@ class RoleError(FenceError):
 
 class FamilyCapError(RuntimeError):
     """A family enumeration exceeded the configured cap."""
+
+
+def lane_width(n: int) -> int:
+    """Bytes per lane for masks of n bits."""
+    return (n + 7) // 8
+
+
+def lane_rep(width: int, count: int) -> int:
+    """The int with bit 0 of each of `count` lanes of `width` bytes set."""
+    return int.from_bytes((b"\1" + bytes(width - 1)) * count, "little")
+
+
+# Lanes of up to 8 bytes go through one array of 8-byte words, moved byte
+# by byte with strided slice copies; wider lanes (n > 64) go mask by mask.
+_WORD = 8
+_SWAP = sys.byteorder == "big"
+
+
+def pack(masks: Sequence[int], width: int) -> int:
+    """The masks as one int, mask i in lane i (bytes i*width onwards).
+    Each mask must fit in `width` bytes."""
+    if width > _WORD:
+        buf = bytearray()
+        for m in masks:
+            buf.extend(m.to_bytes(width, "little"))
+        return int.from_bytes(buf, "little")
+    words = array("Q", masks)
+    if _SWAP:
+        words.byteswap()
+    raw = words.tobytes()
+    buf = bytearray(width * len(masks))
+    for j in range(width):
+        buf[j::width] = raw[j::_WORD]
+    return int.from_bytes(buf, "little")
+
+
+def unpack(packed: int, width: int, count: int) -> list[int]:
+    """The `count` lanes of `packed`, lane 0 first; inverts pack."""
+    data = packed.to_bytes(width * count, "little")
+    if width > _WORD:
+        return [
+            int.from_bytes(data[i : i + width], "little")
+            for i in range(0, len(data), width)
+        ]
+    raw = bytearray(_WORD * count)
+    for j in range(width):
+        raw[j::_WORD] = data[j::width]
+    words = array("Q", raw)
+    if _SWAP:
+        words.byteswap()
+    return words.tolist()
+
+
+class Lanes(NamedTuple):
+    """A lane layout of `count` members of a fence, `width` bytes each:
+    `rep` has bit 0 of every lane set and the masks are the fence's full
+    mask and cover-direction masks replicated into every lane."""
+
+    count: int
+    width: int
+    rep: int
+    full: int
+    up_right: int
+    up_left: int
+    down_right: int
+    down_left: int
+
+    def pack(self, masks: Sequence[int]) -> int:
+        return pack(masks, self.width)
+
+    def unpack(self, packed: int) -> list[int]:
+        return unpack(packed, self.width, self.count)
 
 
 @dataclass(frozen=True)
@@ -198,27 +284,20 @@ class Fence:
         edge_segment = [bisect_right(cums, e + 1) for e in range(n - 1)]
         self.edge_up = tuple(i % 2 == 1 for i in edge_segment)
 
-        lower = [0] * n  # lower covers of each element, as masks
-        upper = [0] * n
         # the cover-direction masks of the module docstring
         up_right = up_left = down_right = down_left = 0
         for e, up in enumerate(self.edge_up):
             if up:  # x_{e+1} < x_{e+2}
-                upper[e] |= 1 << (e + 1)
-                lower[e + 1] |= 1 << e
                 up_right |= 1 << e
                 down_left |= 1 << (e + 1)
             else:  # x_{e+1} > x_{e+2}
-                lower[e] |= 1 << (e + 1)
-                upper[e + 1] |= 1 << e
                 down_right |= 1 << e
                 up_left |= 1 << (e + 1)
-        self.lower_covers = tuple(lower)
-        self.upper_covers = tuple(upper)
         self.up_right = up_right
         self.up_left = up_left
         self.down_right = down_right
         self.down_left = down_left
+        self.lane = self.lanes(1)
 
         # Full strict down/up sets, from the closure of each single element.
         self.strict_down = tuple(
@@ -283,6 +362,14 @@ class Fence:
         if key not in cache:
             cache[key] = build()
         return cache[key]
+
+    def lanes(self, count: int) -> Lanes:
+        """The lane layout of `count` members of this fence."""
+        width = lane_width(self.n)
+        rep = lane_rep(width, count)
+        masks = (self.full_mask, self.up_right, self.up_left,
+                 self.down_right, self.down_left)
+        return Lanes(count, width, rep, *(m * rep for m in masks))
 
     def cover_pairs(self) -> tuple[tuple[int, int], ...]:
         """All covers as (lower, upper) element pairs along the path."""
@@ -377,31 +464,36 @@ class Fence:
 
     # -- closures and extremal elements -----------------------------------
 
-    def _down_closure_mask(self, m: int) -> int:
-        """Add lower covers of members until nothing changes; the loop runs
-        at most the length of the longest chain."""
-        up_right, up_left = self.up_right, self.up_left
+    def _down_closure_mask(self, m: int, lanes: Lanes | None = None) -> int:
+        """Add lower covers of members, in every lane of the layout, until
+        nothing changes; the loop runs at most the length of the longest
+        chain."""
+        L = lanes or self.lane
+        up_right, up_left = L.up_right, L.up_left
         while True:
             grown = m | ((m >> 1) & up_right) | ((m << 1) & up_left)
             if grown == m:
                 return m
             m = grown
 
-    def _up_closure_mask(self, m: int) -> int:
-        down_right, down_left = self.down_right, self.down_left
+    def _up_closure_mask(self, m: int, lanes: Lanes | None = None) -> int:
+        L = lanes or self.lane
+        down_right, down_left = L.down_right, L.down_left
         while True:
             grown = m | ((m >> 1) & down_right) | ((m << 1) & down_left)
             if grown == m:
                 return m
             m = grown
 
-    def _maximal_mask(self, m: int) -> int:
+    def _maximal_mask(self, m: int, lanes: Lanes | None = None) -> int:
         """Members with no upper cover in m; exact when m is an ideal."""
-        return m & ~(((m >> 1) & self.up_right) | ((m << 1) & self.up_left))
+        L = lanes or self.lane
+        return m & ~(((m >> 1) & L.up_right) | ((m << 1) & L.up_left))
 
-    def _minimal_mask(self, m: int) -> int:
+    def _minimal_mask(self, m: int, lanes: Lanes | None = None) -> int:
         """Members with no lower cover in m; exact when m is an upper set."""
-        return m & ~(((m >> 1) & self.down_right) | ((m << 1) & self.down_left))
+        L = lanes or self.lane
+        return m & ~(((m >> 1) & L.down_right) | ((m << 1) & L.down_left))
 
     def down_closure(self, A: ElementSet) -> ElementSet:
         """Smallest ideal containing the antichain A."""
@@ -508,10 +600,13 @@ class Fence:
 
     def antichain_masks(self) -> tuple[int, ...]:
         """All antichains as sorted bitmasks (maximal elements of ideals)."""
-        return self.memo(
-            "antichain_masks",
-            lambda: tuple(sorted(map(self._maximal_mask, self.ideal_masks()))),
-        )
+        return self.memo("antichain_masks", self._build_antichain_masks)
+
+    def _build_antichain_masks(self) -> tuple[int, ...]:
+        ideals = self.ideal_masks()
+        lanes = self.lanes(len(ideals))
+        maximal = self._maximal_mask(lanes.pack(ideals), lanes)
+        return tuple(sorted(lanes.unpack(maximal)))
 
     def family_masks(self, family: str) -> tuple[int, ...]:
         if family == IDEAL:

@@ -744,21 +744,26 @@ def verify_linear_extension_toggles(
     F = _fence(alpha)
     key = tuple(F.alpha.parts)
     masks = F.ideal_masks()
-    targets = {m: _rho_hat_mask(F, m) for m in masks}
+    lanes = F.lanes(len(masks))
+    packed = lanes.pack(masks)
+    target = _rho_hat_mask(F, packed, lanes)
     bad = None
     exts = sample_linear_extensions(F, max_extensions, seed)
     for ext in exts:
-        step = compile_word(F, ToggleWord(IDEAL, ext))
-        for m in masks:
-            if step(m) != targets[m]:
-                bad = {
-                    "extension": list(ext),
-                    "ideal": ElementSet(m, IDEAL).label(),
-                    "got": ElementSet(step(m), IDEAL).label(),
-                    "rowmotion": ElementSet(targets[m], IDEAL).label(),
-                }
-                break
-        if bad:
+        got = compile_word(F, ToggleWord(IDEAL, ext))(packed, lanes)
+        if got != target:
+            # the witness is the first ideal whose lanes differ
+            m, g, t = next(
+                row
+                for row in zip(masks, lanes.unpack(got), lanes.unpack(target))
+                if row[1] != row[2]
+            )
+            bad = {
+                "extension": list(ext),
+                "ideal": ElementSet(m, IDEAL).label(),
+                "got": ElementSet(g, IDEAL).label(),
+                "rowmotion": ElementSet(t, IDEAL).label(),
+            }
             break
     return _timed(
         VerificationReport(

@@ -10,10 +10,19 @@ Orbits are canonicalised deterministically: each orbit is listed starting
 from its member with the smallest bitmask (bit k-1 for x_k), and orbits
 are sorted by that representative.  An orbit stores only the bitmasks of
 its members; ElementSets are built on demand at the API edge.
+
+decompose steps a whole family with one call of its step: it packs the
+sorted family into the lanes of one int (fences.fence.Lanes), applies the
+step to that int, unpacks the images and bisects each into the family.
+The orbits are then a walk over that successor table by index, so they
+hold the family's own mask objects; a step that sends two members to one
+image, or a member outside the family, raises FenceError in that walk.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 
@@ -24,6 +33,7 @@ from .fence import (
     ElementSet,
     Fence,
     FenceError,
+    Lanes,
     RoleError,
 )
 
@@ -75,22 +85,27 @@ class Superorbit:
 
 
 # -- mask-level steps (hot paths) ------------------------------------------
+# Each acts on every lane of a layout, or on one mask when lanes is None.
 
 
-def _rho_mask(F: Fence, m: int) -> int:
-    return F._minimal_mask(F.full_mask ^ F._down_closure_mask(m))
+def _rho_mask(F: Fence, m: int, lanes: Lanes | None = None) -> int:
+    L = lanes or F.lane
+    return F._minimal_mask(L.full ^ F._down_closure_mask(m, L), L)
 
 
-def _rho_hat_mask(F: Fence, m: int) -> int:
-    return F._down_closure_mask(F._minimal_mask(F.full_mask ^ m))
+def _rho_hat_mask(F: Fence, m: int, lanes: Lanes | None = None) -> int:
+    L = lanes or F.lane
+    return F._down_closure_mask(F._minimal_mask(L.full ^ m, L), L)
 
 
-def _rho_inv_mask(F: Fence, m: int) -> int:
-    return F._maximal_mask(F.full_mask ^ F._up_closure_mask(m))
+def _rho_inv_mask(F: Fence, m: int, lanes: Lanes | None = None) -> int:
+    L = lanes or F.lane
+    return F._maximal_mask(L.full ^ F._up_closure_mask(m, L), L)
 
 
-def _rho_hat_inv_mask(F: Fence, m: int) -> int:
-    return F.full_mask ^ F._up_closure_mask(F._maximal_mask(m))
+def _rho_hat_inv_mask(F: Fence, m: int, lanes: Lanes | None = None) -> int:
+    L = lanes or F.lane
+    return L.full ^ F._up_closure_mask(F._maximal_mask(m, L), L)
 
 
 _STEPS = {ANTICHAIN: _rho_mask, IDEAL: _rho_hat_mask}
@@ -134,24 +149,44 @@ def _cycle(m: int, step, bound: int) -> list[int]:
     raise FenceError(f"step is not a bijection: mask {m} not back in {bound} steps")
 
 
-def decompose(masks, step) -> list[list[int]]:
-    """Partition masks into orbits of a bijective step function.
+def decompose(F: Fence, masks, step) -> list[list[int]]:
+    """Partition masks, members of a family of F, into orbits of a
+    bijective step called as step(packed, lanes) on all of them at once.
 
     Seeds are taken in increasing mask order, so each orbit starts at its
     smallest member and the orbit list is sorted by that representative.
-    A cycle is closed by revisiting its seed; a walk longer than the
-    number of masks means step is not a bijection on them and raises
-    FenceError.
+    An image outside the masks, or a walk that reaches a member already
+    placed before it returns to its seed, means step is not a bijection
+    on them and raises FenceError.
     """
     order = sorted(masks)
-    bound = len(order)
-    seen: set[int] = set()
+    count = len(order)
+    lanes = F.lanes(count)
+    images = lanes.unpack(step(lanes.pack(order), lanes))
+    succ = array("l", map(partial(bisect_left, order), images))
+    seen = bytearray(count)
     orbits: list[list[int]] = []
-    for m in order:
-        if m in seen:
+    for seed in range(count):
+        if seen[seed]:
             continue
-        orbit = _cycle(m, step, bound)
-        seen.update(orbit)
+        orbit, i = [], seed
+        while True:
+            seen[i] = 1
+            orbit.append(order[i])
+            j = succ[i]
+            if j == count or order[j] != images[i]:
+                raise FenceError(
+                    f"step is not a bijection: mask {order[i]} steps to "
+                    f"{images[i]}, outside the masks"
+                )
+            if j == seed:
+                break
+            if seen[j]:
+                raise FenceError(
+                    f"step is not a bijection: mask {order[j]} is the image "
+                    "of two masks"
+                )
+            i = j
         orbits.append(orbit)
     return orbits
 
@@ -159,7 +194,7 @@ def decompose(masks, step) -> list[list[int]]:
 def _orbit_mask_lists(F: Fence, family: str) -> list[list[int]]:
     return F.memo(
         ("orbits", family),
-        lambda: decompose(F.family_masks(family), partial(_STEPS[family], F)),
+        lambda: decompose(F, F.family_masks(family), partial(_STEPS[family], F)),
     )
 
 

@@ -16,8 +16,10 @@ Fractions are built only at the report: MesyReport.constant, and
 MesyReport.per_orbit when it is read.
 
 The element counts of an orbit come from one kernel, orbit_element_counts,
-which adds the orbit's masks into bit planes (every element's counter held
-bit-sliced across a few integers) and reads the planes out once per orbit.
+which packs the orbit's masks into the lanes of one int (one lane per
+member, as fences.fence lays out a family) and reads each element's count
+as the popcount of its bit across the lanes: one shift, AND and
+bit_count per element, whatever the orbit's size.
 
 The paper's tiling lemma reads an antichain orbit's statistics off the
 tile counts of its tiling.  With b_i black tiles and r_i red heads in
@@ -49,7 +51,17 @@ from math import lcm
 from operator import add, mul
 from typing import Iterable, Sequence
 
-from .fence import ANTICHAIN, IDEAL, ElementSet, Fence, FenceError, RoleError
+from .fence import (
+    ANTICHAIN,
+    IDEAL,
+    ElementSet,
+    Fence,
+    FenceError,
+    RoleError,
+    lane_rep,
+    lane_width,
+    pack,
+)
 from .rowmotion import Orbit, antichain_orbits, ideal_orbits
 from .tiling import AlphaTiling, TileCounts, TilingError, tile_counts
 
@@ -266,37 +278,16 @@ def orbit_sum(F: Fence, expr: StatExpr, orbit: Orbit) -> Fraction:
     return Fraction(weighted_sum(constant, weights, orbit.size, counts), denom)
 
 
-def orbit_element_counts(masks: Iterable[int], n: int) -> tuple[int, ...]:
+def orbit_element_counts(masks: Sequence[int], n: int) -> tuple[int, ...]:
     """How often each of x_1..x_n occurs across the masks of an orbit; the
     one member-counting kernel for every orbit.
 
-    The counts are kept as bit planes: bit k of planes[i] is bit i of the
-    count of x_{k+1}.  Adding a mask is a ripple-carry add of a one-bit
-    value into every element's counter at once, so its cost follows the
-    number of carries rather than the mask's popcount.  Each plane's set
-    bits are read out once at the end.
+    The masks are packed one per lane (fences.fence.pack), so the count of
+    x_{k+1} is the popcount of bit k of every lane: ((S >> k) & rep).
     """
-    planes: list[int] = []
-    for m in masks:
-        i = 0
-        for p in planes:
-            planes[i] = p ^ m
-            m &= p
-            if not m:
-                break
-            i += 1
-        else:
-            if m:
-                planes.append(m)
-    counts = [0] * n
-    weight = 1
-    for p in planes:
-        while p:
-            low = p & -p
-            p ^= low
-            counts[low.bit_length() - 1] += weight
-        weight <<= 1
-    return tuple(counts)
+    width = lane_width(n)
+    packed, rep = pack(masks, width), lane_rep(width, len(masks))
+    return tuple(((packed >> k) & rep).bit_count() for k in range(n))
 
 
 # -- homomesy / orbomesy -------------------------------------------------
@@ -358,10 +349,12 @@ def classify_orbit_sums(data: Sequence[tuple[int, int]], denom: int = 1) -> Mesy
 
 
 def classify_counts(
-    expr: StatExpr, n: int, profiles: Iterable[tuple[int, Sequence[int]]]
+    scaled: tuple[int, int, tuple[tuple[int, int], ...]],
+    profiles: Iterable[tuple[int, Sequence[int]]],
 ) -> MesyReport:
-    """Classify a statistic from per-orbit (size, element counts)."""
-    denom, constant, weights = scaled_weights(expr, n)
+    """Classify a statistic, given as scaled_weights returns it, from
+    per-orbit (size, element counts)."""
+    denom, constant, weights = scaled
     sums = [(size, weighted_sum(constant, weights, size, c)) for size, c in profiles]
     return classify_orbit_sums(sums, denom)
 
@@ -385,7 +378,8 @@ def check_homomesy(F: Fence, family: str, expr: StatExpr, orbits=None) -> MesyRe
     if fam is not None and any(o.family != fam for o in orbs):
         raise RoleError(f"statistic over {fam}s summed over another family's orbit")
     return classify_counts(
-        expr, F.n, [(o.size, orbit_element_counts(o.masks, F.n)) for o in orbs]
+        scaled_weights(expr, F.n),
+        [(o.size, orbit_element_counts(o.masks, F.n)) for o in orbs],
     )
 
 

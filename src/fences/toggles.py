@@ -6,6 +6,17 @@ toggle is an involution.  A Coxeter word lists each element exactly once;
 words are written left to right but applied right to left, i.e. the
 rightmost toggle acts first.
 
+A toggle acts on every lane of a packed family at once (fences.fence.Lanes;
+one mask is the one-lane case), so compile_word returns a step that
+decompose can apply to a whole family in one call.  An ideal toggle of x
+flips x in the lanes where the ideal holds no upper cover of x and every
+lower cover: one shift of the set each way, XORed with the lower-cover
+direction masks, reads both tests at x's bit.  An antichain toggle flips
+x in the lanes where no element comparable to x is present; those
+elements form an interval of the path around x, and adding each side's
+interval mask to the set's bits inside it carries into one known bit
+exactly when one of them is present.
+
 The base graph joins two toggles when they fail to commute as functions
 on the whole family.  A toggle is admissible for a word when it is a
 source or a sink of the orientation the word induces on the base graph;
@@ -17,11 +28,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
-from .fence import ANTICHAIN, IDEAL, ElementSet, Fence, FenceError, RoleError
+from .fence import ANTICHAIN, IDEAL, ElementSet, Fence, FenceError, Lanes, RoleError
 from .rowmotion import decompose
-from .stats import MesyReport, StatExpr, classify_counts, orbit_element_counts
+from .stats import (
+    MesyReport, StatExpr, classify_counts, orbit_element_counts, scaled_weights
+)
 
 
 @dataclass(frozen=True)
@@ -60,23 +74,38 @@ def _check_word(F: Fence, word: ToggleWord) -> None:
         )
 
 
-def toggle_mask(F: Fence, family: str, x: int, m: int) -> int:
-    """Toggle one element on a bitmask (no role validation)."""
-    bit = 1 << (x - 1)
+def toggle_mask(
+    F: Fence, family: str, x: int, m: int, lanes: Lanes | None = None
+) -> int:
+    """Toggle x in every lane of m, or in the one mask m when lanes is
+    None, freezing the lanes where the result would leave the family.
+    There is no role validation: each lane must hold a family member."""
+    L = lanes or F.lane
+    k = x - 1
+    here = L.rep << k
+    blocked = 0  # at bit k: the lanes where x stays as it is
     if family == IDEAL:
-        if m & bit:
-            if not m & F.upper_covers[x - 1]:
-                return m ^ bit
-        elif (m & F.lower_covers[x - 1]) == F.lower_covers[x - 1]:
-            return m ^ bit
-        return m
-    if family == ANTICHAIN:
-        if m & bit:
-            return m ^ bit
-        if not m & F.comparable[x - 1]:
-            return m ^ bit
-        return m
-    raise FenceError(f"no toggles for family {family!r}")
+        # at bit k, (m >> 1) ^ down_right is set when the right neighbour
+        # is an upper cover in m or a lower cover missing from m; likewise
+        # (m << 1) ^ down_left for the left neighbour
+        if k + 1 < F.n:
+            blocked = (m >> 1) ^ L.down_right
+        if k:
+            blocked |= (m << 1) ^ L.down_left
+    elif family == ANTICHAIN:
+        span = F.comparable[k] | 1 << k  # an interval of the path
+        lo, hi = (span & -span).bit_length() - 1, span.bit_length() - 1
+        if lo < k:  # bits lo..k-1: their sum with m's bits carries into k
+            left = ((1 << k) - (1 << lo)) * L.rep
+            blocked = (m & left) + left
+        if hi > k:  # bits k+1..hi, moved to 0..w-1: the carry lands on w
+            w = hi - k
+            right = ((1 << w) - 1) * L.rep
+            carry = ((m >> (k + 1)) & right) + right
+            blocked |= carry << (k - w) if k >= w else carry >> (w - k)
+    else:
+        raise FenceError(f"no toggles for family {family!r}")
+    return m ^ here ^ (blocked & here)
 
 
 def toggle(F: Fence, family: str, x: int, S: ElementSet) -> ElementSet:
@@ -87,39 +116,19 @@ def toggle(F: Fence, family: str, x: int, S: ElementSet) -> ElementSet:
     return ElementSet(toggle_mask(F, family, x, S.mask), family)
 
 
-def compile_word(F: Fence, word: ToggleWord) -> Callable[[int], int]:
-    """A fast mask-to-mask function applying the word right to left."""
+def compile_word(F: Fence, word: ToggleWord) -> Callable[..., int]:
+    """The word as a step(m, lanes=None) on every lane of a layout (one
+    mask when lanes is None), applying the toggles right to left."""
     _check_word(F, word)
-    if word.family == IDEAL:
-        ops = tuple(
-            (1 << (x - 1), F.lower_covers[x - 1], F.upper_covers[x - 1])
-            for x in reversed(word.order)
-        )
+    family, order = word.family, tuple(reversed(word.order))
 
-        def step(m: int) -> int:
-            for bit, lo, up in ops:
-                if m & bit:
-                    if not m & up:
-                        m ^= bit
-                elif (m & lo) == lo:
-                    m ^= bit
-            return m
-
-        return step
-
-    ops2 = tuple(
-        (1 << (x - 1), F.comparable[x - 1]) for x in reversed(word.order)
-    )
-
-    def step2(m: int) -> int:
-        for bit, cmp_ in ops2:
-            if m & bit:
-                m ^= bit
-            elif not m & cmp_:
-                m ^= bit
+    def step(m: int, lanes: Lanes | None = None) -> int:
+        L = lanes or F.lane
+        for x in order:
+            m = toggle_mask(F, family, x, m, L)
         return m
 
-    return step2
+    return step
 
 
 def apply_word(F: Fence, word: ToggleWord, S: ElementSet) -> ElementSet:
@@ -166,31 +175,19 @@ def base_graph(F: Fence, family: str) -> BaseGraph:
     Commutation is decided exhaustively over the enumerated family rather
     than by structural rules, so the antichain graph (which has no known
     structural description) is obtained the same way as the ideal one.
-    Toggling x reads x and its neighbours (the covers of x for ideals,
-    the elements comparable to x for antichains) and writes only x.  So
-    when neither of x, y is a neighbour of the other the two toggles
-    commute everywhere, and otherwise (neighbourhood is symmetric) both
-    lie in the union of their neighbourhoods; either way they commute on
-    a member exactly when they commute on its restriction to that union,
-    and each pair is tested once on every distinct restriction.
+    The family is packed once and each pair is tested on every member at
+    once: toggling x then y against y then x, as two packed ints.
     """
     masks = F.family_masks(family)
-    if family == IDEAL:
-        neighbours = [lo | up for lo, up in zip(F.lower_covers, F.upper_covers)]
-    elif family == ANTICHAIN:
-        neighbours = F.comparable
-    else:
-        raise FenceError(f"no toggles for family {family!r}")
+    lanes = F.lanes(len(masks))
+    packed = lanes.pack(masks)
+    flip = partial(toggle_mask, F, family, lanes=lanes)
     edges = set()
     for x in range(1, F.n + 1):
+        x_first = flip(x, packed)
         for y in range(x + 1, F.n + 1):
-            window = neighbours[x - 1] | neighbours[y - 1]
-            for m in {m & window for m in masks}:
-                a = toggle_mask(F, family, x, toggle_mask(F, family, y, m))
-                b = toggle_mask(F, family, y, toggle_mask(F, family, x, m))
-                if a != b:
-                    edges.add((x, y))
-                    break
+            if flip(y, x_first) != flip(x, flip(y, packed)):
+                edges.add((x, y))
     G = BaseGraph(family, F.n, frozenset(edges))
     if family == IDEAL:
         covers = {tuple(sorted(p)) for p in F.cover_pairs()}
@@ -354,14 +351,16 @@ def word_orbits(F: Fence, word: ToggleWord):
 
     step = compile_word(F, word)
     masks = F.family_masks(word.family)
-    return tuple(Orbit(word.family, tuple(ms)) for ms in decompose(masks, step))
+    return tuple(Orbit(word.family, tuple(ms)) for ms in decompose(F, masks, step))
 
 
 def _word_profiles(F: Fence, word: ToggleWord) -> list[tuple[int, tuple[int, ...]]]:
     """Per-orbit (size, element counts) under a word."""
     step = compile_word(F, word)
     masks = F.family_masks(word.family)
-    return [(len(ms), orbit_element_counts(ms, F.n)) for ms in decompose(masks, step)]
+    return [
+        (len(ms), orbit_element_counts(ms, F.n)) for ms in decompose(F, masks, step)
+    ]
 
 
 @dataclass(frozen=True)
@@ -416,10 +415,12 @@ def transfer_check(
             raise RoleError(f"statistic {e} targets {fam}s, not {family}s")
     pa = _word_profiles(F, word_a)
     pb = _word_profiles(F, word_b)
-    results = tuple(
-        TransferResult(
-            str(e), classify_counts(e, F.n, pa), classify_counts(e, F.n, pb)
+    results = []
+    for e in exprs:
+        scaled = scaled_weights(e, F.n)
+        results.append(
+            TransferResult(
+                str(e), classify_counts(scaled, pa), classify_counts(scaled, pb)
+            )
         )
-        for e in exprs
-    )
-    return TransferReport(family, word_a, word_b, results)
+    return TransferReport(family, word_a, word_b, tuple(results))

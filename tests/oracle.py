@@ -122,6 +122,35 @@ def brute_rho_hat(F, ideal):
     return brute_down_closure(F, mins) if mins else frozenset()
 
 
+def brute_rho_inverse(F, antichain):
+    """Inverse rowmotion on an antichain: the maximal elements of the
+    complement of the upper ideal it generates."""
+    everything = set(range(1, F.n + 1))
+    return brute_maximal(F, everything - brute_up_closure(F, antichain))
+
+
+def brute_rho_hat_inverse(F, ideal):
+    everything = set(range(1, F.n + 1))
+    return frozenset(everything - brute_up_closure(F, brute_maximal(F, ideal)))
+
+
+def brute_toggle(F, family, x, members):
+    """Toggle x in a set when the result stays in the family ("ideal" or
+    "antichain"), else leave the set as it is.  Only x's relations can
+    change, so only they are checked, against the leq table."""
+    leq = leq_table(F)
+    if x in members:
+        if family == "ideal" and any(leq[x][b] for b in members if b != x):
+            return members
+        return members - {x}
+    if family == "ideal":
+        below = (a for a in range(1, F.n + 1) if a != x and leq[a][x])
+        ok = all(a in members for a in below)
+    else:
+        ok = not any(leq[a][x] or leq[x][a] for a in members)
+    return members | {x} if ok else members
+
+
 def brute_orbits(F, family, step):
     """Cycle decomposition of a family of frozensets under a step map."""
     seen = set()
@@ -143,9 +172,8 @@ def brute_orbits(F, family, step):
 def brute_base_graph(F, family):
     """Base-graph edges (x, y), x < y, found by applying both orders of
     every pair of toggles to every member of the family.  The single
-    toggle is the library's toggle_mask; what this checks is the
-    library's reduction of each pair to the patterns of the members on
-    the two toggles' neighbourhoods."""
+    toggle is the library's toggle_mask on one mask at a time; what this
+    checks is the library's test of each pair on the packed family."""
     from fences.toggles import toggle_mask
 
     masks = F.family_masks(family)

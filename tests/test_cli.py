@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fences.cli import main
+from fences.cli import MAX_ALPHA_SIZE, main
 
 
 def run(capsys, *argv):
@@ -170,6 +170,17 @@ class TestNumericOptions:
         code, out, err = run(capsys, command, "--alpha", "2^1200")
         assert code == 0 and err == ""
         assert json.loads(out)["ideal_count"] > 2**1000
+
+    @pytest.mark.parametrize(
+        "alpha", ["2^99999999999", "0^99999999999", "2^5001", "3,99999999999,2"]
+    )
+    def test_oversized_composition_is_a_usage_error(self, capsys, alpha):
+        # the size is checked before a^k builds its parts, so no power here
+        # is ever allocated
+        code, out, err = run(capsys, "info", "--alpha", alpha)
+        assert code == 1 and out == ""
+        assert err.startswith("fences: error:") and err.count("\n") == 1
+        assert f"at most {MAX_ALPHA_SIZE} of each" in err
 
     @pytest.mark.parametrize(
         "argv",

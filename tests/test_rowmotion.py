@@ -22,6 +22,11 @@ from fences.harness import all_fence_compositions
 from fences.rowmotion import decompose
 
 
+def lanewise(f):
+    """A packed step that applies the per-mask map f to every lane."""
+    return lambda packed, lanes: lanes.pack([f(m) for m in lanes.unpack(packed)])
+
+
 def orbit_sizes(orbits):
     return sorted(o.size for o in orbits)
 
@@ -179,7 +184,23 @@ class TestOrbits:
     def test_decompose_rejects_a_step_that_is_not_a_bijection(self):
         # 1 and 2 both step to the fixed point 0 and never come back
         with pytest.raises(FenceError, match="not a bijection"):
-            decompose([0, 1, 2], lambda m: 0)
+            decompose(build_fence((2, 2)), [0, 1, 2], lanewise(lambda m: 0))
+
+    def test_decompose_rejects_an_image_outside_the_masks(self):
+        with pytest.raises(FenceError, match="not a bijection.*outside"):
+            decompose(build_fence((2, 2)), [0, 1, 2], lanewise(lambda m: m ^ 4))
+
+    def test_decompose_rejects_two_members_with_one_image(self):
+        # 0 -> 1 -> 2 -> 1: the walk from 0 meets 1 again before 0
+        table = {0: 1, 1: 2, 2: 1}
+        with pytest.raises(FenceError, match="not a bijection.*two masks"):
+            decompose(build_fence((2, 2)), [0, 1, 2], lanewise(table.__getitem__))
+
+    def test_decompose_lists_orbits_from_their_seeds(self):
+        table = {0: 3, 3: 0, 1: 2, 2: 5, 5: 1, 4: 4}
+        step = lanewise(table.__getitem__)
+        got = decompose(build_fence((2, 2)), [5, 4, 3, 2, 1, 0], step)
+        assert got == [[0, 3], [1, 2, 5], [4]]
 
     def test_matches_oracle_orbits(self):
         for alpha in [(2, 2), (2, 2, 2), (3, 3, 2)]:
