@@ -22,7 +22,7 @@ and the minimal elements of an upper ideal with no loop over m's bits.
 A closure repeats such a step until it adds nothing, at most once per
 element of the longest chain.  Masks are Python ints, so n is unbounded.
 
-The same kernel steps a whole family at once.  A lane layout (Lanes,
+The same kernel steps many members at once.  A lane layout (Lanes,
 from Fence.lanes(count)) gives each member a lane of L = ceil(n/8) bytes
 of one int, member i in bytes i*L .. i*L + L - 1, little-endian, and
 replicates every cover-direction mask into each lane as mask * rep, where
@@ -32,7 +32,10 @@ clear, so a bit that a shift carries across a lane boundary is ANDed
 away.  The closures and extremal-element methods take a layout and act
 on every lane; without one they use the one-lane layout Fence.lane
 (rep = 1), which is the per-mask kernel.  L grows with n, so n stays
-unbounded.
+unbounded.  A family is packed by Fence.lane_chunks, at most
+LANE_CHUNK_BYTES of masks to one int: a step makes a few temporaries the
+size of its int and a layout holds six, so a long fence's family is
+stepped a chunk at a time, whose ints also stay in cache.
 
 One cap bounds every family.  Antichains are in bijection with ideals
 (through the ideal an antichain generates) and upper ideals are the
@@ -64,6 +67,9 @@ ROLES = (ANTICHAIN, IDEAL, UPPER)
 #: Hard ceiling on enumerated family sizes unless a caller lowers it.
 DEFAULT_MAX_FAMILY = 2_000_000
 
+#: Most bytes of masks packed into one int by Fence.lane_chunks.
+LANE_CHUNK_BYTES = 1 << 18
+
 
 class FenceError(ValueError):
     """Invalid fence construction or operation."""
@@ -77,62 +83,17 @@ class FamilyCapError(RuntimeError):
     """A family enumeration exceeded the configured cap."""
 
 
-def lane_width(n: int) -> int:
-    """Bytes per lane for masks of n bits."""
-    return (n + 7) // 8
-
-
-def lane_rep(width: int, count: int) -> int:
-    """The int with bit 0 of each of `count` lanes of `width` bytes set."""
-    return int.from_bytes((b"\1" + bytes(width - 1)) * count, "little")
-
-
-# Lanes of up to 8 bytes go through one array of 8-byte words, moved byte
-# by byte with strided slice copies; wider lanes (n > 64) go mask by mask.
 _WORD = 8
 _SWAP = sys.byteorder == "big"
 
 
-def pack(masks: Sequence[int], width: int) -> int:
-    """The masks as one int, mask i in lane i (bytes i*width onwards).
-    Each mask must fit in `width` bytes."""
-    if width > _WORD:
-        buf = bytearray()
-        for m in masks:
-            buf.extend(m.to_bytes(width, "little"))
-        return int.from_bytes(buf, "little")
-    words = array("Q", masks)
-    if _SWAP:
-        words.byteswap()
-    raw = words.tobytes()
-    buf = bytearray(width * len(masks))
-    for j in range(width):
-        buf[j::width] = raw[j::_WORD]
-    return int.from_bytes(buf, "little")
-
-
-def unpack(packed: int, width: int, count: int) -> list[int]:
-    """The `count` lanes of `packed`, lane 0 first; inverts pack."""
-    data = packed.to_bytes(width * count, "little")
-    if width > _WORD:
-        return [
-            int.from_bytes(data[i : i + width], "little")
-            for i in range(0, len(data), width)
-        ]
-    raw = bytearray(_WORD * count)
-    for j in range(width):
-        raw[j::_WORD] = data[j::width]
-    words = array("Q", raw)
-    if _SWAP:
-        words.byteswap()
-    return words.tolist()
-
-
 class Lanes(NamedTuple):
-    """A lane layout of `count` members of a fence, `width` bytes each:
-    `rep` has bit 0 of every lane set and the masks are the fence's full
-    mask and cover-direction masks replicated into every lane."""
+    """A lane layout of `count` members of an n-element fence, `width`
+    bytes each: `rep` has bit 0 of every lane set and the masks are the
+    fence's full mask and cover-direction masks replicated into every
+    lane."""
 
+    n: int
     count: int
     width: int
     rep: int
@@ -143,10 +104,46 @@ class Lanes(NamedTuple):
     down_left: int
 
     def pack(self, masks: Sequence[int]) -> int:
-        return pack(masks, self.width)
+        """The `count` masks as one int, mask i in lane i.  Lanes of up to
+        8 bytes go through one array of 8-byte words, moved byte by byte
+        with strided slice copies; wider lanes (n > 64) go mask by mask."""
+        w = self.width
+        if w > _WORD:
+            buf = bytearray()
+            for m in masks:
+                buf.extend(m.to_bytes(w, "little"))
+            return int.from_bytes(buf, "little")
+        words = array("Q", masks)
+        if _SWAP:
+            words.byteswap()
+        raw = words.tobytes()
+        buf = bytearray(w * self.count)
+        for j in range(w):
+            buf[j::w] = raw[j::_WORD]
+        return int.from_bytes(buf, "little")
 
     def unpack(self, packed: int) -> list[int]:
-        return unpack(packed, self.width, self.count)
+        """The lanes of `packed`, lane 0 first; inverts pack."""
+        w = self.width
+        data = packed.to_bytes(w * self.count, "little")
+        if w > _WORD:
+            return [
+                int.from_bytes(data[i : i + w], "little")
+                for i in range(0, len(data), w)
+            ]
+        raw = bytearray(_WORD * self.count)
+        for j in range(w):
+            raw[j::_WORD] = data[j::w]
+        words = array("Q", raw)
+        if _SWAP:
+            words.byteswap()
+        return words.tolist()
+
+    def bit_counts(self, packed: int) -> tuple[int, ...]:
+        """For each of bits 0..n-1, how many lanes of `packed` have it set:
+        one shift, AND and popcount per bit."""
+        rep = self.rep
+        return tuple(((packed >> k) & rep).bit_count() for k in range(self.n))
 
 
 @dataclass(frozen=True)
@@ -365,11 +362,22 @@ class Fence:
 
     def lanes(self, count: int) -> Lanes:
         """The lane layout of `count` members of this fence."""
-        width = lane_width(self.n)
-        rep = lane_rep(width, count)
-        masks = (self.full_mask, self.up_right, self.up_left,
-                 self.down_right, self.down_left)
-        return Lanes(count, width, rep, *(m * rep for m in masks))
+        width = (self.n + 7) // 8
+        rep = int.from_bytes((b"\1" + bytes(width - 1)) * count, "little")
+        return Lanes(
+            self.n, count, width, rep, self.full_mask * rep, self.up_right * rep,
+            self.up_left * rep, self.down_right * rep, self.down_left * rep,
+        )
+
+    def lane_chunks(self, masks: Sequence[int]) -> Iterator[tuple[Lanes, int]]:
+        """The masks packed in order, as (layout, packed int) pairs of at
+        most LANE_CHUNK_BYTES of masks each.  A step on a packed int keeps
+        a few temporaries of its size, and a layout holds six more, so the
+        chunks bound that memory however large the family."""
+        per = max(1, LANE_CHUNK_BYTES // self.lane.width)
+        for lo in range(0, len(masks), per):
+            lanes = self.lanes(min(per, len(masks) - lo))
+            yield lanes, lanes.pack(masks[lo : lo + per])
 
     def cover_pairs(self) -> tuple[tuple[int, int], ...]:
         """All covers as (lower, upper) element pairs along the path."""
@@ -603,10 +611,10 @@ class Fence:
         return self.memo("antichain_masks", self._build_antichain_masks)
 
     def _build_antichain_masks(self) -> tuple[int, ...]:
-        ideals = self.ideal_masks()
-        lanes = self.lanes(len(ideals))
-        maximal = self._maximal_mask(lanes.pack(ideals), lanes)
-        return tuple(sorted(lanes.unpack(maximal)))
+        maximal: list[int] = []
+        for lanes, ideals in self.lane_chunks(self.ideal_masks()):
+            maximal += lanes.unpack(self._maximal_mask(ideals, lanes))
+        return tuple(sorted(maximal))
 
     def family_masks(self, family: str) -> tuple[int, ...]:
         if family == IDEAL:

@@ -180,7 +180,7 @@ def orbit_profiles(F: Fence) -> tuple[OrbitProfile, ...]:
 def _profiles(F: Fence) -> tuple[OrbitProfile, ...]:
     lemma, out = tiling_lemma(F), []
     for o in antichain_orbits(F):
-        a = orbit_element_counts(o.masks, F.n)
+        a = orbit_element_counts(F, o.masks)
         tiles, i = lemma.counts(a, o.size)
         out.append(OrbitProfile(o, o.size, a, i, sum(a), sum(i), tiles))
     return tuple(out)
@@ -743,28 +743,32 @@ def verify_linear_extension_toggles(
     t0 = time.perf_counter()
     F = _fence(alpha)
     key = tuple(F.alpha.parts)
-    masks = F.ideal_masks()
-    lanes = F.lanes(len(masks))
-    packed = lanes.pack(masks)
-    target = _rho_hat_mask(F, packed, lanes)
-    bad = None
+    chunks = [
+        (lanes, packed, _rho_hat_mask(F, packed, lanes))
+        for lanes, packed in F.lane_chunks(F.ideal_masks())
+    ]
+
+    def failure(ext):
+        step = compile_word(F, ToggleWord(IDEAL, ext))
+        for lanes, packed, target in chunks:
+            got = step(packed, lanes)
+            if got != target:
+                # the witness is the first ideal whose lanes differ
+                m, g, t = next(
+                    row
+                    for row in zip(*map(lanes.unpack, (packed, got, target)))
+                    if row[1] != row[2]
+                )
+                return {
+                    "extension": list(ext),
+                    "ideal": ElementSet(m, IDEAL).label(),
+                    "got": ElementSet(g, IDEAL).label(),
+                    "rowmotion": ElementSet(t, IDEAL).label(),
+                }
+        return None
+
     exts = sample_linear_extensions(F, max_extensions, seed)
-    for ext in exts:
-        got = compile_word(F, ToggleWord(IDEAL, ext))(packed, lanes)
-        if got != target:
-            # the witness is the first ideal whose lanes differ
-            m, g, t = next(
-                row
-                for row in zip(masks, lanes.unpack(got), lanes.unpack(target))
-                if row[1] != row[2]
-            )
-            bad = {
-                "extension": list(ext),
-                "ideal": ElementSet(m, IDEAL).label(),
-                "got": ElementSet(g, IDEAL).label(),
-                "rowmotion": ElementSet(t, IDEAL).label(),
-            }
-            break
+    bad = next(filter(None, map(failure, exts)), None)
     return _timed(
         VerificationReport(
             "linear-extension-toggles",

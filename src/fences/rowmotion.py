@@ -11,9 +11,10 @@ from its member with the smallest bitmask (bit k-1 for x_k), and orbits
 are sorted by that representative.  An orbit stores only the bitmasks of
 its members; ElementSets are built on demand at the API edge.
 
-decompose steps a whole family with one call of its step: it packs the
-sorted family into the lanes of one int (fences.fence.Lanes), applies the
-step to that int, unpacks the images and bisects each into the family.
+decompose steps a whole family with one call of its step per chunk of
+lanes: it packs the sorted family into the lanes of a few ints
+(Fence.lane_chunks; one int unless the family is large), applies the step
+to each, unpacks the images and bisects each into the family.
 The orbits are then a walk over that successor table by index, so they
 hold the family's own mask objects; a step that sends two members to one
 image, or a member outside the family, raises FenceError in that walk.
@@ -151,7 +152,8 @@ def _cycle(m: int, step, bound: int) -> list[int]:
 
 def decompose(F: Fence, masks, step) -> list[list[int]]:
     """Partition masks, members of a family of F, into orbits of a
-    bijective step called as step(packed, lanes) on all of them at once.
+    bijective step called as step(packed, lanes) on a chunk of them at a
+    time (Fence.lane_chunks).
 
     Seeds are taken in increasing mask order, so each orbit starts at its
     smallest member and the orbit list is sorted by that representative.
@@ -161,8 +163,9 @@ def decompose(F: Fence, masks, step) -> list[list[int]]:
     """
     order = sorted(masks)
     count = len(order)
-    lanes = F.lanes(count)
-    images = lanes.unpack(step(lanes.pack(order), lanes))
+    images: list[int] = []
+    for lanes, packed in F.lane_chunks(order):
+        images += lanes.unpack(step(packed, lanes))
     succ = array("l", map(partial(bisect_left, order), images))
     seen = bytearray(count)
     orbits: list[list[int]] = []

@@ -15,11 +15,14 @@ classify_orbit_sums compares orbits by cross-multiplying these integers.
 Fractions are built only at the report: MesyReport.constant, and
 MesyReport.per_orbit when it is read.
 
-The element counts of an orbit come from one kernel, orbit_element_counts,
-which packs the orbit's masks into the lanes of one int (one lane per
-member, as fences.fence lays out a family) and reads each element's count
-as the popcount of its bit across the lanes: one shift, AND and
-bit_count per element, whatever the orbit's size.
+The element counts of an orbit come from one kernel, orbit_element_counts.
+Up to PACKED_COUNT_MAX_N elements it packs the orbit's masks into the
+lanes of one int (one lane per member, as fences.fence lays out a family)
+and reads each element's count as the popcount of its bit across the
+lanes: one shift, AND and bit_count per element, whatever the orbit's
+size.  Each of those reads the whole packed int, n*ceil(n/8) bytes per
+member in all, so longer fences add the masks into bit planes instead,
+at a few n-bit operations per member.
 
 The paper's tiling lemma reads an antichain orbit's statistics off the
 tile counts of its tiling.  With b_i black tiles and r_i red heads in
@@ -51,17 +54,7 @@ from math import lcm
 from operator import add, mul
 from typing import Iterable, Sequence
 
-from .fence import (
-    ANTICHAIN,
-    IDEAL,
-    ElementSet,
-    Fence,
-    FenceError,
-    RoleError,
-    lane_rep,
-    lane_width,
-    pack,
-)
+from .fence import ANTICHAIN, IDEAL, ElementSet, Fence, FenceError, RoleError
 from .rowmotion import Orbit, antichain_orbits, ideal_orbits
 from .tiling import AlphaTiling, TileCounts, TilingError, tile_counts
 
@@ -274,20 +267,52 @@ def orbit_sum(F: Fence, expr: StatExpr, orbit: Orbit) -> Fraction:
     if fam is not None and orbit.family != fam:
         raise RoleError(f"statistic over {fam}s summed over a {orbit.family} orbit")
     denom, constant, weights = scaled_weights(expr, F.n)
-    counts = orbit_element_counts(orbit.masks, F.n)
+    counts = orbit_element_counts(F, orbit.masks)
     return Fraction(weighted_sum(constant, weights, orbit.size, counts), denom)
 
 
-def orbit_element_counts(masks: Sequence[int], n: int) -> tuple[int, ...]:
-    """How often each of x_1..x_n occurs across the masks of an orbit; the
-    one member-counting kernel for every orbit.
+#: Largest n counted through lanes; longer fences use the bit planes.
+PACKED_COUNT_MAX_N = 48
 
-    The masks are packed one per lane (fences.fence.pack), so the count of
-    x_{k+1} is the popcount of bit k of every lane: ((S >> k) & rep).
+
+def orbit_element_counts(F: Fence, masks: Sequence[int]) -> tuple[int, ...]:
+    """How often each of x_1..x_n occurs across the masks of an orbit of
+    F; the one member-counting kernel for every orbit.
+
+    Up to PACKED_COUNT_MAX_N elements the masks are packed one per lane
+    and each count is a popcount across the lanes (Lanes.bit_counts).
+    That reads the whole packed int once per element, so its cost grows
+    as n^2 per member; for longer fences the masks are added into bit
+    planes instead: bit k of planes[i] is bit i of the count of x_{k+1}.
+    Adding a mask is a ripple-carry add of a one-bit value into every
+    element's counter at once, so its cost follows the number of carries
+    rather than the mask's popcount, and each plane's set bits are read
+    out once at the end.
     """
-    width = lane_width(n)
-    packed, rep = pack(masks, width), lane_rep(width, len(masks))
-    return tuple(((packed >> k) & rep).bit_count() for k in range(n))
+    if F.n <= PACKED_COUNT_MAX_N:
+        lanes = F.lanes(len(masks))
+        return lanes.bit_counts(lanes.pack(masks))
+    planes: list[int] = []
+    for m in masks:
+        i = 0
+        for p in planes:
+            planes[i] = p ^ m
+            m &= p
+            if not m:
+                break
+            i += 1
+        else:
+            if m:
+                planes.append(m)
+    counts = [0] * F.n
+    weight = 1
+    for p in planes:
+        while p:
+            low = p & -p
+            p ^= low
+            counts[low.bit_length() - 1] += weight
+        weight <<= 1
+    return tuple(counts)
 
 
 # -- homomesy / orbomesy -------------------------------------------------
@@ -379,7 +404,7 @@ def check_homomesy(F: Fence, family: str, expr: StatExpr, orbits=None) -> MesyRe
         raise RoleError(f"statistic over {fam}s summed over another family's orbit")
     return classify_counts(
         scaled_weights(expr, F.n),
-        [(o.size, orbit_element_counts(o.masks, F.n)) for o in orbs],
+        [(o.size, orbit_element_counts(F, o.masks)) for o in orbs],
     )
 
 

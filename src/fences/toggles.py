@@ -175,19 +175,20 @@ def base_graph(F: Fence, family: str) -> BaseGraph:
     Commutation is decided exhaustively over the enumerated family rather
     than by structural rules, so the antichain graph (which has no known
     structural description) is obtained the same way as the ideal one.
-    The family is packed once and each pair is tested on every member at
-    once: toggling x then y against y then x, as two packed ints.
+    The family is packed (Fence.lane_chunks) and each pair not yet joined
+    is tested on every member of a chunk at once: toggling x then y
+    against y then x, as two packed ints.
     """
-    masks = F.family_masks(family)
-    lanes = F.lanes(len(masks))
-    packed = lanes.pack(masks)
-    flip = partial(toggle_mask, F, family, lanes=lanes)
     edges = set()
-    for x in range(1, F.n + 1):
-        x_first = flip(x, packed)
-        for y in range(x + 1, F.n + 1):
-            if flip(y, x_first) != flip(x, flip(y, packed)):
-                edges.add((x, y))
+    for lanes, packed in F.lane_chunks(F.family_masks(family)):
+        flip = partial(toggle_mask, F, family, lanes=lanes)
+        for x in range(1, F.n + 1):
+            x_first = flip(x, packed)
+            for y in range(x + 1, F.n + 1):
+                if (x, y) in edges:
+                    continue
+                if flip(y, x_first) != flip(x, flip(y, packed)):
+                    edges.add((x, y))
     G = BaseGraph(family, F.n, frozenset(edges))
     if family == IDEAL:
         covers = {tuple(sorted(p)) for p in F.cover_pairs()}
@@ -359,7 +360,7 @@ def _word_profiles(F: Fence, word: ToggleWord) -> list[tuple[int, tuple[int, ...
     step = compile_word(F, word)
     masks = F.family_masks(word.family)
     return [
-        (len(ms), orbit_element_counts(ms, F.n)) for ms in decompose(F, masks, step)
+        (len(ms), orbit_element_counts(F, ms)) for ms in decompose(F, masks, step)
     ]
 
 

@@ -14,10 +14,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fences import ANTICHAIN, IDEAL, build_fence, count_ideals
-from fences.fence import lane_width, pack, unpack
-from fences.rowmotion import _rho_hat_inv_mask, _rho_hat_mask, _rho_inv_mask, _rho_mask
-from fences.toggles import ToggleWord, compile_word
+from fences import ANTICHAIN, IDEAL, build_fence, count_ideals, fence, harness
+from fences.rowmotion import (
+    _rho_hat_inv_mask,
+    _rho_hat_mask,
+    _rho_inv_mask,
+    _rho_mask,
+    antichain_orbits,
+    ideal_orbits,
+)
+from fences.toggles import ToggleWord, base_graph, compile_word, word_orbits
 
 MAX_FAMILY = 1500
 
@@ -101,7 +107,7 @@ def test_packed_toggle_words_match_oracle(data):
 @pytest.mark.parametrize("alpha,width", [((40, 25), 8), ((41, 25), 9)])
 def test_lanes_across_the_word_boundary(alpha, width):
     F = build_fence(alpha)
-    assert lane_width(F.n) == width
+    assert F.lanes(1).width == width
     _check_steps(F)
     for family in (IDEAL, ANTICHAIN):
         # elements from the middle out, so every toggle meets both neighbours
@@ -119,10 +125,43 @@ def test_lanes_across_the_word_boundary(alpha, width):
 )
 def test_unpack_inverts_pack(case):
     n, masks = case
-    width = lane_width(n)
-    assert unpack(pack(masks, width), width, len(masks)) == masks
+    lanes = build_fence((n + 1,)).lanes(len(masks))
+    assert lanes.unpack(lanes.pack(masks)) == masks
 
 
 def test_one_lane_is_the_per_mask_layout(f434):
     assert f434.lane == f434.lanes(1)
     assert f434.lane.rep == 1 and f434.lane.full == f434.full_mask
+
+
+def _chunked_results(alpha):
+    F = build_fence(alpha)
+    word = ToggleWord(ANTICHAIN, tuple(range(F.n, 0, -1)))
+    return (
+        F.antichain_masks(),
+        antichain_orbits(F),
+        ideal_orbits(F),
+        word_orbits(F, word),
+        base_graph(F, IDEAL),
+        base_graph(F, ANTICHAIN),
+    )
+
+
+@pytest.mark.parametrize("alpha", [(4, 3, 4), (2, 1, 1, 2), (3, 1, 2, 3)])
+def test_small_chunks_change_no_result(alpha, monkeypatch):
+    whole = _chunked_results(alpha)
+    monkeypatch.setattr(fence, "LANE_CHUNK_BYTES", 5)
+    F = build_fence(alpha)
+    assert len(list(F.lane_chunks(F.ideal_masks()))) > 2
+    assert _chunked_results(alpha) == whole
+
+
+def test_small_chunks_keep_the_linear_extension_witness(monkeypatch):
+    # x_1..x_n in index order is no linear extension of (4,3,4): x7 < x6
+    monkeypatch.setattr(
+        harness, "sample_linear_extensions", lambda F, k, seed: [tuple(range(1, F.n + 1))]
+    )
+    whole = harness.verify_linear_extension_toggles((4, 3, 4)).witnesses
+    monkeypatch.setattr(fence, "LANE_CHUNK_BYTES", 5)
+    assert harness.verify_linear_extension_toggles((4, 3, 4)).witnesses == whole
+    assert whole and whole[0]["extension"] == list(range(1, 11))

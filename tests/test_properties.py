@@ -47,7 +47,13 @@ from fences import (
     tiling_of_orbit,
 )
 from fences.harness import orbit_profiles
-from fences.stats import Atom, StatExpr, orbit_element_counts, tiling_lemma
+from fences.stats import (
+    PACKED_COUNT_MAX_N,
+    Atom,
+    StatExpr,
+    orbit_element_counts,
+    tiling_lemma,
+)
 from fences.toggles import ToggleWord, compile_word, sample_linear_extensions
 
 MAX_N = 14
@@ -70,7 +76,7 @@ PROPERTY = settings(max_examples=100, deadline=None)
 
 def _lemma_counts(F, o):
     """The tile counts and ideal counts the tiling lemma gives an orbit."""
-    return tiling_lemma(F).counts(orbit_element_counts(o.masks, F.n), o.size)
+    return tiling_lemma(F).counts(orbit_element_counts(F, o.masks), o.size)
 
 
 @PROPERTY
@@ -227,22 +233,25 @@ def test_closures_and_extremal_elements_match_oracle(data):
 
 @PROPERTY
 @given(
-    st.one_of(st.sampled_from([8, 16, 24, 64, 65]), st.integers(1, 70)).flatmap(
+    st.one_of(st.sampled_from([8, 16, 24, 48, 49, 64, 65]), st.integers(1, 70)).flatmap(
         lambda n: st.tuples(
             st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=200)
         )
     )
 )
 def test_orbit_element_counts_match_plain_count(case):
-    # n = 8, 16, 24 and 64 fill their lanes to the top bit; 65 needs 9 bytes
+    # n = 8, 16, 24 and 64 fill their lanes to the top bit; 65 needs 9
+    # bytes; 48 is the last n counted through lanes, 49 the first in planes
     n, masks = case
     want = tuple(sum(m >> k & 1 for m in masks) for k in range(n))
-    assert orbit_element_counts(masks, n) == want
+    assert orbit_element_counts(build_fence((n + 1,)), masks) == want
 
 
 def test_orbit_element_counts_of_no_masks():
-    assert orbit_element_counts([], 4) == (0, 0, 0, 0)
-    assert orbit_element_counts([0, 0], 3) == (0, 0, 0)
+    assert orbit_element_counts(build_fence((5,)), []) == (0, 0, 0, 0)
+    assert orbit_element_counts(build_fence((4,)), [0, 0]) == (0, 0, 0)
+    F = build_fence((PACKED_COUNT_MAX_N + 2,))  # the first n counted in planes
+    assert orbit_element_counts(F, [0, 0]) == (0,) * F.n
 
 
 @PROPERTY

@@ -179,7 +179,7 @@ class TestTilingFormulas:
 
     def test_direct_counts_helper(self, f22):
         o = antichain_orbits(f22)[0]
-        counts = orbit_element_counts(o.masks, f22.n)
+        counts = orbit_element_counts(f22, o.masks)
         assert sum(counts) == sum(len(S) for S in o.reps)
 
     def test_indicator_builder(self, f434):
