@@ -28,6 +28,7 @@ from .fence import (
     FamilyCapError,
     Fence,
     FenceError,
+    MAX_ALPHA_SIZE,
 )
 from .rowmotion import ideal_orbits
 from .stats import check_homomesy, parse_stat
@@ -47,14 +48,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-#: The largest --alpha accepted, in parts and in elements n = sum(alpha) - 1.
-#: It is checked before a^k builds its parts, so a huge power is a usage
-#: error rather than a MemoryError; the fence's per-element masks take
-#: O(n^2) bits, a few tens of MB at this n.
-MAX_ALPHA_SIZE = 10_000
-
-
 def _parse_alpha(text: str) -> Composition:
+    """The --alpha composition.  Its size is checked against the fence's
+    MAX_ALPHA_SIZE before a^k builds its parts, so a huge power is a usage
+    error rather than a MemoryError."""
     text = text.strip()
     if "^" in text:
         base, _, power = text.partition("^")

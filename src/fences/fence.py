@@ -20,7 +20,8 @@ at bit k+1 (k-1), and down_right, down_left likewise for lower covers.
 way ANDed with these masks, which gives the maximal elements of an ideal
 and the minimal elements of an upper ideal with no loop over m's bits.
 A closure repeats such a step until it adds nothing, at most once per
-element of the longest chain.  Masks are Python ints, so n is unbounded.
+element of the longest chain.  Masks are Python ints, so no word size
+bounds n; MAX_ALPHA_SIZE does, before a fence is built.
 
 The same kernel steps many members at once.  A lane layout (Lanes,
 from Fence.lanes(count)) gives each member a lane of L = ceil(n/8) bytes
@@ -31,8 +32,8 @@ up_left and down_left and bit n-1 of up_right and down_right are always
 clear, so a bit that a shift carries across a lane boundary is ANDed
 away.  The closures and extremal-element methods take a layout and act
 on every lane; without one they use the one-lane layout Fence.lane
-(rep = 1), which is the per-mask kernel.  L grows with n, so n stays
-unbounded.  A family is packed by Fence.lane_chunks, at most
+(rep = 1), which is the per-mask kernel.  L grows with n, so any n
+fits.  A family is packed by Fence.lane_chunks, at most
 LANE_CHUNK_BYTES of masks to one int: a step makes a few temporaries the
 size of its int and a layout holds six, so a long fence's family is
 stepped a chunk at a time, whose ints also stay in cache.
@@ -70,6 +71,12 @@ DEFAULT_MAX_FAMILY = 2_000_000
 #: Most bytes of masks packed into one int by Fence.lane_chunks.
 LANE_CHUNK_BYTES = 1 << 18
 
+#: The largest number of elements n = sum(alpha) - 1 of a composition,
+#: and so of a fence.  Composition checks it before any per-element data
+#: is built: a fence keeps per-element masks of O(n^2) bits in all, a few
+#: tens of MB at this n.
+MAX_ALPHA_SIZE = 10_000
+
 
 class FenceError(ValueError):
     """Invalid fence construction or operation."""
@@ -85,6 +92,7 @@ class FamilyCapError(RuntimeError):
 
 _WORD = 8
 _SWAP = sys.byteorder == "big"
+_MISSING = object()
 
 
 class Lanes(NamedTuple):
@@ -139,12 +147,6 @@ class Lanes(NamedTuple):
             words.byteswap()
         return words.tolist()
 
-    def bit_counts(self, packed: int) -> tuple[int, ...]:
-        """For each of bits 0..n-1, how many lanes of `packed` have it set:
-        one shift, AND and popcount per bit."""
-        rep = self.rep
-        return tuple(((packed >> k) & rep).bit_count() for k in range(self.n))
-
 
 @dataclass(frozen=True)
 class Composition:
@@ -162,6 +164,11 @@ class Composition:
         if parts[0] < 2 or parts[-1] < 2:
             raise FenceError(
                 f"first and last parts must be >= 2, got {parts}"
+            )
+        n = sum(parts) - 1  # at least the number of parts, as a_1, a_s >= 2
+        if n > MAX_ALPHA_SIZE:
+            raise FenceError(
+                f"composition has {n} elements; at most {MAX_ALPHA_SIZE} are accepted"
             )
 
     @classmethod
@@ -296,13 +303,11 @@ class Fence:
         self.down_left = down_left
         self.lane = self.lanes(1)
 
-        # Full strict down/up sets, from the closure of each single element.
-        self.strict_down = tuple(
-            self._down_closure_mask(1 << e) ^ (1 << e) for e in range(n)
-        )
-        self.strict_up = tuple(
-            self._up_closure_mask(1 << e) ^ (1 << e) for e in range(n)
-        )
+        # Full strict down/up sets.  Below (above) x lie exactly the
+        # elements reached from it along the path by edges that all go down
+        # (up), so each set is an interval of the path less x itself.
+        self.strict_down = _path_intervals(self.edge_up, False)
+        self.strict_up = _path_intervals(self.edge_up, True)
         self.comparable = tuple(
             self.strict_down[e] | self.strict_up[e] for e in range(n)
         )
@@ -350,15 +355,17 @@ class Fence:
         - ("orbits", family): the orbit mask lists of rowmotion on the
           family, ANTICHAIN or IDEAL (fences.rowmotion);
         - "tiling_lemma": the tiling lemma's index tables (fences.stats);
+        - ("scaled", expr): a statistic's family and scaled_weights, made
+          once per fence for the transfer check (fences.toggles);
         - "profiles": the antichain orbit profiles (fences.harness).
 
         A Fence shared across threads is mutated by first uses: concurrent
         callers may each build the same (equal) result before one is kept.
         """
-        cache = self._cache
-        if key not in cache:
-            cache[key] = build()
-        return cache[key]
+        value = self._cache.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._cache[key] = build()
+        return value
 
     def lanes(self, count: int) -> Lanes:
         """The lane layout of `count` members of this fence."""
@@ -631,6 +638,25 @@ class Fence:
 
     def enumerate_antichains(self) -> tuple[ElementSet, ...]:
         return tuple(ElementSet(m, ANTICHAIN) for m in self.antichain_masks())
+
+
+def _path_intervals(edge_up: Sequence[bool], up: bool) -> tuple[int, ...]:
+    """For each bit k of the path, the mask of the run of edges leading
+    away from k that all go up (up=True) or all go down, on both sides,
+    less bit k: the strict up or down set of k.  Each run end comes from
+    its neighbour's, so the whole table takes one pass each way."""
+    n = len(edge_up) + 1
+    lo = list(range(n))  # lo[k]: the lowest bit of k's interval
+    for k in range(1, n):
+        if edge_up[k - 1] != up:  # the edge from k to k-1 goes the right way
+            lo[k] = lo[k - 1]
+    hi = list(range(n))
+    for k in range(n - 2, -1, -1):
+        if edge_up[k] == up:  # the edge from k to k+1 goes the right way
+            hi[k] = hi[k + 1]
+    return tuple(
+        ((1 << (h + 1)) - (1 << l)) ^ (1 << k) for k, (l, h) in enumerate(zip(lo, hi))
+    )
 
 
 def build_fence(

@@ -169,9 +169,9 @@ class OrbitProfile:
 def orbit_profiles(F: Fence) -> tuple[OrbitProfile, ...]:
     """Profiles of every antichain orbit, canonically ordered; memoised on F.
 
-    Each is one orbit_element_counts pass over the orbit's masks, which
-    the tiling lemma (stats.TilingLemma) turns into the tile counts and
-    ideal counts: no tiling or generated ideal is built here.  Callers
+    One orbit_element_counts table counts every orbit; the tiling lemma
+    (stats.TilingLemma) turns each orbit's row of it into the tile counts
+    and ideal counts: no tiling or generated ideal is built here.  Callers
     that render or round-trip a tiling build it with tiling_of_orbit.
     """
     return F.memo("profiles", partial(_profiles, F))
@@ -179,8 +179,9 @@ def orbit_profiles(F: Fence) -> tuple[OrbitProfile, ...]:
 
 def _profiles(F: Fence) -> tuple[OrbitProfile, ...]:
     lemma, out = tiling_lemma(F), []
-    for o in antichain_orbits(F):
-        a = orbit_element_counts(F, o.masks)
+    orbits = antichain_orbits(F)
+    columns = orbit_element_counts(F, [o.masks for o in orbits])
+    for o, a in zip(orbits, zip(*columns)):
         tiles, i = lemma.counts(a, o.size)
         out.append(OrbitProfile(o, o.size, a, i, sum(a), sum(i), tiles))
     return tuple(out)
@@ -249,7 +250,8 @@ def _chi_orbomesic(params: dict, profiles) -> InstanceResult:
     witness is the first orbit whose chi differs from the first orbit of
     its size."""
     bad = None
-    if not classify_orbit_sums([(p.size, p.chi) for p in profiles]).is_orbomesic:
+    sizes, chi = [p.size for p in profiles], [p.chi for p in profiles]
+    if not classify_orbit_sums(sizes, chi).is_orbomesic:
         first: dict[int, int] = {}
         p = next(p for p in profiles if first.setdefault(p.size, p.chi) != p.chi)
         bad = _witness({}, p, p.chi, first[p.size])

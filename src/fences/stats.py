@@ -10,19 +10,23 @@ none is used.
 
 Orbit sums are integers.  A statistic is scaled once by the lcm d of its
 denominators (scaled_weights); d times an orbit sum is then constant*size
-plus integer weights times the orbit's element counts (weighted_sum), and
-classify_orbit_sums compares orbits by cross-multiplying these integers.
-Fractions are built only at the report: MesyReport.constant, and
-MesyReport.per_orbit when it is read.
+plus integer weights times the orbit's element counts.  scaled_sums gives
+that for every orbit of a count table at once, as one column of integers,
+and classify_orbit_sums, the one classifier, decides a column: it
+cross-multiplies every orbit against the first for homomesy, and
+compares the number of distinct (size, sum) pairs with the number of
+distinct sizes for orbomesy.  Fractions are built only at the report:
+MesyReport.constant, and MesyReport.per_orbit when it is read.
+weighted_sum evaluates one orbit, for the harness's witnesses.
 
-The element counts of an orbit come from one kernel, orbit_element_counts.
-Up to PACKED_COUNT_MAX_N elements it packs the orbit's masks into the
-lanes of one int (one lane per member, as fences.fence lays out a family)
-and reads each element's count as the popcount of its bit across the
-lanes: one shift, AND and bit_count per element, whatever the orbit's
-size.  Each of those reads the whole packed int, n*ceil(n/8) bytes per
-member in all, so longer fences add the masks into bit planes instead,
-at a few n-bit operations per member.
+The element counts come from one kernel, orbit_element_counts, called
+once per decomposition: it returns the count table of a list of orbits,
+one column per element and one entry per orbit.  Up to
+PACKED_COUNT_MAX_N elements a mask fits one 8-byte word, and the table
+is read off one array of all the masks with C-level byte operations: a
+strided slice per byte, a translate per bit and a bytes.count per orbit.
+Longer fences add each orbit's masks into bit planes, at a few n-bit
+operations per member.
 
 The paper's tiling lemma reads an antichain orbit's statistics off the
 tile counts of its tiling.  With b_i black tiles and r_i red heads in
@@ -47,14 +51,16 @@ Text syntax (whitespace-insensitive, 1-based element indices):
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
+from itertools import repeat
 from math import lcm
-from operator import add, mul
+from operator import add, eq, mul
 from typing import Iterable, Sequence
 
-from .fence import ANTICHAIN, IDEAL, ElementSet, Fence, FenceError, RoleError
+from .fence import _SWAP, ANTICHAIN, IDEAL, ElementSet, Fence, FenceError, RoleError
 from .rowmotion import Orbit, antichain_orbits, ideal_orbits
 from .tiling import AlphaTiling, TileCounts, TilingError, tile_counts
 
@@ -82,6 +88,19 @@ class Atom:
 class StatExpr:
     terms: tuple[tuple[Fraction, Atom], ...]
     constant: Fraction = Fraction(0)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.terms, self.constant))
+
+    def __hash__(self) -> int:
+        """Computed once: a statistic keys Fence.memo, and a Fraction's
+        hash is Python code."""
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        """The fields only: a cached hash of str atoms is per process."""
+        return {"terms": self.terms, "constant": self.constant}
 
     def families(self) -> set[str]:
         return {atom.family for _, atom in self.terms}
@@ -252,13 +271,32 @@ def scaled_weights(
 def weighted_sum(
     constant: int, weights: Iterable[tuple[int, int]], size: int, counts: Sequence[int]
 ) -> int:
-    """constant*size + the weighted element counts: the one evaluator of an
-    integer linear statistic on an orbit of `size` members whose element
-    occurrences are `counts`."""
+    """constant*size + the weighted element counts: an integer linear
+    statistic on one orbit of `size` members whose element occurrences are
+    `counts` (scaled_sums does every orbit of a count table at once)."""
     total = constant * size
     for k, w in weights:
         total += w * counts[k]
     return total
+
+
+def scaled_sums(
+    scaled: tuple[int, int, tuple[tuple[int, int], ...]],
+    sizes: Sequence[int],
+    columns: Sequence[Sequence[int]],
+) -> list[int]:
+    """The statistic scaled_weights gives, times its denominator, summed
+    over every orbit of a count table: constant * sizes + the sum of
+    weight * column over the weighted elements."""
+    _, constant, weights = scaled
+    terms = [columns[k] if w == 1 else map(mul, columns[k], repeat(w)) for k, w in weights]
+    if constant:
+        terms.append(map(mul, sizes, repeat(constant)))
+    if not terms:
+        return [0] * len(sizes)
+    if len(terms) == 1:
+        return list(terms[0])
+    return list(map(sum, zip(*terms)))
 
 
 def orbit_sum(F: Fence, expr: StatExpr, orbit: Orbit) -> Fraction:
@@ -266,32 +304,66 @@ def orbit_sum(F: Fence, expr: StatExpr, orbit: Orbit) -> Fraction:
     fam = expr.family()
     if fam is not None and orbit.family != fam:
         raise RoleError(f"statistic over {fam}s summed over a {orbit.family} orbit")
-    denom, constant, weights = scaled_weights(expr, F.n)
-    counts = orbit_element_counts(F, orbit.masks)
-    return Fraction(weighted_sum(constant, weights, orbit.size, counts), denom)
+    scaled = scaled_weights(expr, F.n)
+    columns = orbit_element_counts(F, [orbit.masks])
+    return Fraction(scaled_sums(scaled, [orbit.size], columns)[0], scaled[0])
 
 
-#: Largest n counted through lanes; longer fences use the bit planes.
-PACKED_COUNT_MAX_N = 48
+#: Largest n counted through the byte table; longer fences use bit planes.
+#: 64 is the most an 8-byte word holds.  Over both families of eight
+#: random compositions each (0.9-1.5 million members), the table took 0.39
+#: to 0.44 of the bit planes' time at n = 48, 56 and 64, so no smaller
+#: switch pays.
+PACKED_COUNT_MAX_N = 64
+
+# _BIT[j][b] is bit j of the byte b, as a bytes.translate table
+_BIT = tuple(bytes(b >> j & 1 for b in range(256)) for j in range(8))
 
 
-def orbit_element_counts(F: Fence, masks: Sequence[int]) -> tuple[int, ...]:
-    """How often each of x_1..x_n occurs across the masks of an orbit of
-    F; the one member-counting kernel for every orbit.
+def orbit_element_counts(
+    F: Fence, orbits: Sequence[Sequence[int]]
+) -> tuple[tuple[int, ...], ...]:
+    """The count table of a list of orbits of F, each a sequence of masks:
+    columns[k][o] is how many members of orbit o contain x_{k+1}.  The one
+    member-counting kernel, called once per decomposition.
 
-    Up to PACKED_COUNT_MAX_N elements the masks are packed one per lane
-    and each count is a popcount across the lanes (Lanes.bit_counts).
-    That reads the whole packed int once per element, so its cost grows
-    as n^2 per member; for longer fences the masks are added into bit
-    planes instead: bit k of planes[i] is bit i of the count of x_{k+1}.
-    Adding a mask is a ripple-carry add of a one-bit value into every
-    element's counter at once, so its cost follows the number of carries
-    rather than the mask's popcount, and each plane's set bits are read
-    out once at the end.
+    Up to PACKED_COUNT_MAX_N elements every mask goes, in orbit order,
+    into one array of 8-byte words.  Byte b of every word is one strided
+    slice of its bytes; translating that slice through _BIT[j] leaves one
+    0/1 byte per member for bit 8b + j, and each orbit's count is a
+    bytes.count over its members' range, so the work per member is a few
+    byte operations per element, all in C.  Longer masks do not fit a
+    word; each orbit is then added into bit planes: bit k of planes[i] is
+    bit i of the count of x_{k+1}.  Adding a mask is a ripple-carry add of
+    a one-bit value into every element's counter at once, so its cost
+    follows the number of carries rather than the mask's popcount, and
+    each plane's set bits are read out once at the end.
     """
-    if F.n <= PACKED_COUNT_MAX_N:
-        lanes = F.lanes(len(masks))
-        return lanes.bit_counts(lanes.pack(masks))
+    n = F.n
+    if n > PACKED_COUNT_MAX_N:
+        rows = [_plane_counts(n, masks) for masks in orbits]
+        return tuple(zip(*rows)) if rows else ((),) * n
+    words = array("Q")
+    ends = []
+    for masks in orbits:
+        words.extend(masks)
+        ends.append(len(words))
+    starts = [0, *ends[:-1]]
+    if _SWAP:
+        words.byteswap()
+    raw = memoryview(words).cast("B")
+    columns = []
+    for b in range(0, n, 8):
+        plane = bytes(raw[b // 8 :: 8])
+        for j in range(min(8, n - b)):
+            count = plane.translate(_BIT[j]).count
+            columns.append(tuple(map(count, repeat(1), starts, ends)))
+    return tuple(columns)
+
+
+def _plane_counts(n: int, masks: Sequence[int]) -> tuple[int, ...]:
+    """How often each of bits 0..n-1 occurs across the masks, through bit
+    planes (orbit_element_counts above the byte table's limit)."""
     planes: list[int] = []
     for m in masks:
         i = 0
@@ -304,7 +376,7 @@ def orbit_element_counts(F: Fence, masks: Sequence[int]) -> tuple[int, ...]:
         else:
             if m:
                 planes.append(m)
-    counts = [0] * F.n
+    counts = [0] * n
     weight = 1
     for p in planes:
         while p:
@@ -356,32 +428,25 @@ class MesyReport:
         }
 
 
-def classify_orbit_sums(data: Sequence[tuple[int, int]], denom: int = 1) -> MesyReport:
-    """Classify integer (orbit size, denom * statistic sum) pairs.
-
-    Homomesic when every average sum/size is equal, compared by cross-
-    multiplying; orbomesic when orbits of equal size have equal sums.
-    """
-    sums = tuple(data)
-    if sums:
-        size0, sum0 = sums[0]
-        if all(sm * size0 == sum0 * size for size, sm in sums):
-            return MesyReport("homomesic", Fraction(sum0, size0 * denom), sums, denom)
-    first: dict[int, int] = {}
-    if all(first.setdefault(size, sm) == sm for size, sm in sums):
-        return MesyReport("orbomesic", None, sums, denom)
-    return MesyReport("neither", None, sums, denom)
-
-
-def classify_counts(
-    scaled: tuple[int, int, tuple[tuple[int, int], ...]],
-    profiles: Iterable[tuple[int, Sequence[int]]],
+def classify_orbit_sums(
+    sizes: Sequence[int], sums: Sequence[int], denom: int = 1
 ) -> MesyReport:
-    """Classify a statistic, given as scaled_weights returns it, from
-    per-orbit (size, element counts)."""
-    denom, constant, weights = scaled
-    sums = [(size, weighted_sum(constant, weights, size, c)) for size, c in profiles]
-    return classify_orbit_sums(sums, denom)
+    """Classify one statistic from its column: the orbit sizes and the
+    orbit sums times denom, both integers, in orbit order.
+
+    Homomesic when every average sum/size equals the first orbit's,
+    compared by cross-multiplying; orbomesic when orbits of equal size
+    have equal sums, i.e. there are no more distinct (size, sum) pairs
+    than distinct sizes.
+    """
+    pairs = tuple(zip(sizes, sums))
+    if pairs:
+        size0, sum0 = pairs[0]
+        if all(map(eq, map(mul, sizes, repeat(sum0)), map(mul, sums, repeat(size0)))):
+            return MesyReport("homomesic", Fraction(sum0, size0 * denom), pairs, denom)
+    if len(set(pairs)) == len(set(sizes)):
+        return MesyReport("orbomesic", None, pairs, denom)
+    return MesyReport("neither", None, pairs, denom)
 
 
 def _orbits_for(F: Fence, family: str, orbits) -> tuple[Orbit, ...]:
@@ -402,10 +467,10 @@ def check_homomesy(F: Fence, family: str, expr: StatExpr, orbits=None) -> MesyRe
     orbs = _orbits_for(F, family, orbits)
     if fam is not None and any(o.family != fam for o in orbs):
         raise RoleError(f"statistic over {fam}s summed over another family's orbit")
-    return classify_counts(
-        scaled_weights(expr, F.n),
-        [(o.size, orbit_element_counts(F, o.masks)) for o in orbs],
-    )
+    scaled = scaled_weights(expr, F.n)
+    sizes = [o.size for o in orbs]
+    columns = orbit_element_counts(F, [o.masks for o in orbs])
+    return classify_orbit_sums(sizes, scaled_sums(scaled, sizes, columns), scaled[0])
 
 
 # -- the tiling lemma --------------------------------------------------------

@@ -34,7 +34,12 @@ from typing import Callable, Iterable, Sequence
 from .fence import ANTICHAIN, IDEAL, ElementSet, Fence, FenceError, Lanes, RoleError
 from .rowmotion import decompose
 from .stats import (
-    MesyReport, StatExpr, classify_counts, orbit_element_counts, scaled_weights
+    MesyReport,
+    StatExpr,
+    classify_orbit_sums,
+    orbit_element_counts,
+    scaled_sums,
+    scaled_weights,
 )
 
 
@@ -355,20 +360,16 @@ def word_orbits(F: Fence, word: ToggleWord):
     return tuple(Orbit(word.family, tuple(ms)) for ms in decompose(F, masks, step))
 
 
-def _word_profiles(F: Fence, word: ToggleWord) -> list[tuple[int, tuple[int, ...]]]:
-    """Per-orbit (size, element counts) under a word."""
-    step = compile_word(F, word)
-    masks = F.family_masks(word.family)
-    return [
-        (len(ms), orbit_element_counts(F, ms)) for ms in decompose(F, masks, step)
-    ]
-
-
 @dataclass(frozen=True)
 class TransferResult:
-    stat: str
+    expr: StatExpr
     report_a: MesyReport
     report_b: MesyReport
+
+    @property
+    def stat(self) -> str:
+        """The statistic as text, built when read (for a disagreement)."""
+        return str(self.expr)
 
     @property
     def agree(self) -> bool:
@@ -398,9 +399,15 @@ def transfer_check(
     family: str,
     word_a: ToggleWord,
     word_b: ToggleWord,
-    exprs: StatExpr | Sequence[StatExpr],
+    exprs: StatExpr | Iterable[StatExpr],
 ) -> TransferReport:
     """Compare homomesy/orbomesy verdicts of statistics under two words.
+
+    Each word's orbits come from one decompose and are counted as one
+    table (stats.orbit_element_counts); each statistic is then one column
+    of orbit sums per word, classified by stats.classify_orbit_sums.  The
+    statistics are read once, so any iterable will do, and scaled to
+    integers once per fence (Fence.memo key ("scaled", expr)).
 
     Disagreement is reported, not raised: for ideal words agreement is a
     theorem, for antichain words it is only conjectured, so a mismatch
@@ -408,20 +415,27 @@ def transfer_check(
     """
     if word_a.family != family or word_b.family != family:
         raise RoleError("words do not act on the requested family")
-    if isinstance(exprs, StatExpr):
-        exprs = [exprs]
-    for e in exprs:
-        fam = e.family()
+    exprs = [exprs] if isinstance(exprs, StatExpr) else list(exprs)
+    battery = [F.memo(("scaled", e), partial(_scaled, e, F.n)) for e in exprs]
+    for e, (fam, _) in zip(exprs, battery):
         if fam is not None and fam != family:
             raise RoleError(f"statistic {e} targets {fam}s, not {family}s")
-    pa = _word_profiles(F, word_a)
-    pb = _word_profiles(F, word_b)
+    masks = F.family_masks(family)
+    tables = []
+    for word in (word_a, word_b):
+        orbits = decompose(F, masks, compile_word(F, word))
+        tables.append((list(map(len, orbits)), orbit_element_counts(F, orbits)))
     results = []
-    for e in exprs:
-        scaled = scaled_weights(e, F.n)
-        results.append(
-            TransferResult(
-                str(e), classify_counts(scaled, pa), classify_counts(scaled, pb)
-            )
-        )
+    for e, (_, scaled) in zip(exprs, battery):
+        a, b = [
+            classify_orbit_sums(sizes, scaled_sums(scaled, sizes, columns), scaled[0])
+            for sizes, columns in tables
+        ]
+        results.append(TransferResult(e, a, b))
     return TransferReport(family, word_a, word_b, tuple(results))
+
+
+def _scaled(expr: StatExpr, n: int):
+    """A statistic's family and scaled_weights, as transfer_check keeps
+    them in Fence.memo."""
+    return expr.family(), scaled_weights(expr, n)

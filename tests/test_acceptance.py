@@ -76,7 +76,7 @@ def sweep12():
             if p.counts != tile_counts(T):
                 failures["formulas"].append((alpha, label, "tile counts"))
             ideals = [F._down_closure_mask(m) for m in p.orbit.masks]
-            direct = orbit_element_counts(F, ideals)
+            (direct,) = zip(*orbit_element_counts(F, [ideals]))
             if direct != p.ideal_counts or sum(direct) != p.chihat:
                 failures["formulas"].append((alpha, label, "ideal counts"))
             st = orbit_stats_from_tiling(F, T)

@@ -14,6 +14,7 @@ from fences import (
     build_fence,
     count_ideals,
 )
+from fences.fence import MAX_ALPHA_SIZE
 from fences.harness import all_fence_compositions
 
 
@@ -52,6 +53,12 @@ class TestConstruction:
     def test_rejects_bad_compositions(self, alpha):
         with pytest.raises(FenceError):
             build_fence(alpha)
+
+    def test_rejects_compositions_past_the_size_bound(self):
+        # checked from the parts alone, before any per-element data is built
+        with pytest.raises(FenceError, match=f"at most {MAX_ALPHA_SIZE}"):
+            build_fence((MAX_ALPHA_SIZE + 1, 2))
+        assert Composition((MAX_ALPHA_SIZE - 1, 2)).n == MAX_ALPHA_SIZE
 
     def test_shared_extremality(self):
         # odd-indexed shared elements are maximal, even-indexed minimal

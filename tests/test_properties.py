@@ -9,7 +9,8 @@ tiling lemma reads off an orbit's antichain counts.  Every orbit
 round-trips through its tiling, and ideal toggles along sampled linear
 extensions equal the oracle's rowmotion.  The integer statistic classifier is
 checked against the oracle's Fraction classifier on random rational
-statistics with n <= 12, and the lane-packed counter against a plain count.
+statistics with n <= 12, the column classifier over a denominator > 1
+likewise, and the count table of a list of orbits against a plain count.
 The ideal-count recurrence, which the family cap is checked against, is
 compared with enumeration, and the cap boundary with every family
 accessor.  On self-dual fences the ideal complement is an involution
@@ -51,6 +52,7 @@ from fences.stats import (
     PACKED_COUNT_MAX_N,
     Atom,
     StatExpr,
+    classify_orbit_sums,
     orbit_element_counts,
     tiling_lemma,
 )
@@ -74,9 +76,15 @@ def compositions(draw, max_n=MAX_N):
 PROPERTY = settings(max_examples=100, deadline=None)
 
 
+def _counts(F, masks):
+    """The element counts of one orbit: the one row of its count table."""
+    (row,) = zip(*orbit_element_counts(F, [masks]))
+    return row
+
+
 def _lemma_counts(F, o):
     """The tile counts and ideal counts the tiling lemma gives an orbit."""
-    return tiling_lemma(F).counts(orbit_element_counts(F, o.masks), o.size)
+    return tiling_lemma(F).counts(_counts(F, o.masks), o.size)
 
 
 @PROPERTY
@@ -190,6 +198,12 @@ def test_integer_classifier_matches_fraction_reference(data):
     assert report.kind == kind
     assert report.constant == constant
     assert report.per_orbit == per_orbit
+    # the column classifier alone, on the same sums over a denominator > 1
+    d = data.draw(st.integers(min_value=2, max_value=7))
+    sizes = [size for size, _ in report.sums]
+    column = [d * sm for _, sm in report.sums]
+    again = classify_orbit_sums(sizes, column, d * report.denom)
+    assert (again.kind, again.constant, again.per_orbit) == (kind, constant, per_orbit)
 
 
 def _mask(members):
@@ -198,6 +212,25 @@ def _mask(members):
 
 def _members(m):
     return frozenset(k for k in range(1, m.bit_length() + 1) if m >> (k - 1) & 1)
+
+
+@st.composite
+def long_part_compositions(draw):
+    """Up to four parts of up to 30: fences made of long single chains."""
+    parts = draw(st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=4))
+    parts[0], parts[-1] = max(parts[0], 2), max(parts[-1], 2)
+    return tuple(parts)
+
+
+@PROPERTY
+@given(st.one_of(compositions(), long_part_compositions()))
+def test_strict_down_and_up_sets_match_oracle(alpha):
+    F = build_fence(alpha)
+    leq = oracle.leq_table(F)
+    elements = range(1, F.n + 1)
+    for k in elements:
+        assert F.strict_down[k - 1] == _mask(a for a in elements if a != k and leq[a][k])
+        assert F.strict_up[k - 1] == _mask(b for b in elements if b != k and leq[k][b])
 
 
 @PROPERTY
@@ -233,25 +266,35 @@ def test_closures_and_extremal_elements_match_oracle(data):
 
 @PROPERTY
 @given(
-    st.one_of(st.sampled_from([8, 16, 24, 48, 49, 64, 65]), st.integers(1, 70)).flatmap(
+    st.one_of(
+        st.sampled_from([8, 16, 24, 56, PACKED_COUNT_MAX_N, PACKED_COUNT_MAX_N + 1]),
+        st.integers(1, 70),
+    ).flatmap(
         lambda n: st.tuples(
-            st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=200)
+            st.just(n),
+            st.lists(
+                st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=40),
+                max_size=12,
+            ),
         )
     )
 )
 def test_orbit_element_counts_match_plain_count(case):
-    # n = 8, 16, 24 and 64 fill their lanes to the top bit; 65 needs 9
-    # bytes; 48 is the last n counted through lanes, 49 the first in planes
-    n, masks = case
-    want = tuple(sum(m >> k & 1 for m in masks) for k in range(n))
-    assert orbit_element_counts(build_fence((n + 1,)), masks) == want
+    # n = 8, 16, 24 and 64 fill their bytes to the top bit; PACKED_COUNT_MAX_N
+    # is the last n counted through the byte table, the next in bit planes;
+    # the orbit lists include the empty list and one-member orbits
+    n, orbits = case
+    want = tuple(tuple(sum(m >> k & 1 for m in ms) for ms in orbits) for k in range(n))
+    assert orbit_element_counts(build_fence((n + 1,)), orbits) == want
 
 
 def test_orbit_element_counts_of_no_masks():
-    assert orbit_element_counts(build_fence((5,)), []) == (0, 0, 0, 0)
-    assert orbit_element_counts(build_fence((4,)), [0, 0]) == (0, 0, 0)
+    assert _counts(build_fence((5,)), []) == (0, 0, 0, 0)
+    assert _counts(build_fence((4,)), [0, 0]) == (0, 0, 0)
+    assert orbit_element_counts(build_fence((5,)), []) == ((),) * 4
     F = build_fence((PACKED_COUNT_MAX_N + 2,))  # the first n counted in planes
-    assert orbit_element_counts(F, [0, 0]) == (0,) * F.n
+    assert _counts(F, [0, 0]) == (0,) * F.n
+    assert orbit_element_counts(F, []) == ((),) * F.n
 
 
 @PROPERTY

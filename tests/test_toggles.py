@@ -222,6 +222,17 @@ class TestTransfer:
         for w in words[1:20]:
             assert transfer_check(f222, IDEAL, base, w, battery).agree
 
+    def test_generator_battery_is_read_once(self, f222):
+        # the battery is checked for its family and then classified, so a
+        # one-shot iterable must give the same report as the list
+        battery = [indicator("chihat", k) for k in range(1, 6)]
+        battery.append(indicator("chihat"))
+        wa = ToggleWord(IDEAL, (1, 2, 3, 4, 5))
+        wb = ToggleWord(IDEAL, (5, 3, 1, 2, 4))
+        want = transfer_check(f222, IDEAL, wa, wb, battery)
+        assert len(want.results) == 6
+        assert transfer_check(f222, IDEAL, wa, wb, iter(battery)) == want
+
     def test_antichain_transfer_exhaustive_222(self, f222):
         from itertools import permutations
 
