@@ -186,38 +186,25 @@ def _cmd_count(args) -> int:
 
 def _orbit_rows(F: Fence, family: str) -> list[dict]:
     profiles = harness.orbit_profiles(F)
-    rows = []
     if family == ANTICHAIN:
-        for idx, p in enumerate(profiles):
-            rows.append(
-                {
-                    "index": idx,
-                    "size": p.size,
-                    "representative": p.orbit.representative.label(),
-                    "black": list(p.counts.black_sequence),
-                    "red": list(p.counts.red_sequence),
-                    "chi": p.chi,
-                    "chihat": p.chihat,
-                }
-            )
-        return rows
-    by_antichain_rep = {}
-    for p in profiles:
-        by_antichain_rep[min(F._down_closure_mask(m) for m in p.orbit.masks)] = p
-    for idx, orbit in enumerate(ideal_orbits(F)):
-        p = by_antichain_rep[min(orbit.masks)]
-        rows.append(
-            {
-                "index": idx,
-                "size": orbit.size,
-                "representative": orbit.representative.label(),
-                "black": list(p.counts.black_sequence),
-                "red": list(p.counts.red_sequence),
-                "chi": p.chi,
-                "chihat": p.chihat,
-            }
-        )
-    return rows
+        pairs = [(p.orbit, p) for p in profiles]
+    else:
+        by_antichain_rep = {}
+        for p in profiles:
+            by_antichain_rep[min(F._down_closure_mask(m) for m in p.orbit.masks)] = p
+        pairs = [(o, by_antichain_rep[min(o.masks)]) for o in ideal_orbits(F)]
+    return [
+        {
+            "index": idx,
+            "size": orbit.size,
+            "representative": orbit.representative.label(),
+            "black": list(p.counts.black_sequence),
+            "red": list(p.counts.red_sequence),
+            "chi": p.chi,
+            "chihat": p.chihat,
+        }
+        for idx, (orbit, p) in enumerate(pairs)
+    ]
 
 
 def _cmd_orbits(args) -> int:

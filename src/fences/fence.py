@@ -328,11 +328,6 @@ class Fence:
                 elems = elems[::-1]
             unshared.append(tuple(elems))
         self.unshared = tuple(unshared)
-        # unshared_masks[i]: the unshared elements of segment i as a mask;
-        # an antichain meets it exactly where its tiling column is black
-        self.unshared_masks = tuple(
-            sum(1 << (x - 1) for x in elems) for elems in unshared
-        )
         self._unshared_pos = {
             x: (i, j)
             for i in range(1, self.s + 1)
@@ -352,7 +347,7 @@ class Fence:
 
         - "ideal_masks", "antichain_masks": the two families (this module);
         - "self_dual": why the fence is not self-dual, or None (this module);
-        - ("orbits", family): the orbit mask lists of rowmotion on the
+        - ("orbits", family): the tuple of Orbits of rowmotion on the
           family, ANTICHAIN or IDEAL (fences.rowmotion);
         - "tiling_lemma": the tiling lemma's index tables (fences.stats);
         - ("scaled", expr): a statistic's family and scaled_weights, made

@@ -569,6 +569,28 @@ def _is_palindromic(seq) -> bool:
     return tuple(seq) == tuple(reversed(tuple(seq)))
 
 
+def _tile_sequences(params: dict, profiles) -> tuple[InstanceResult, list]:
+    """The tile-sequences data part, listing the orbits whose black or red
+    sequence is not a palindrome, and each orbit's (black, red)
+    palindromicity."""
+    flags = [
+        (_is_palindromic(p.counts.black_sequence), _is_palindromic(p.counts.red_sequence))
+        for p in profiles
+    ]
+    exceptions = [
+        {
+            "orbit": p.orbit.representative.label(),
+            "size": p.size,
+            "black": list(p.counts.black_sequence),
+            "red": list(p.counts.red_sequence),
+        }
+        for p, (black_ok, red_ok) in zip(profiles, flags)
+        if not (black_ok and red_ok)
+    ]
+    part = InstanceResult(params, "pass", None, {"nonpalindromic_orbits": exceptions})
+    return part, flags
+
+
 def verify_palindromic_props(alpha) -> VerificationReport:
     """Tile-sequence palindromicity data and the two consequences for
     palindromic compositions: black palindromic iff red palindromic when
@@ -580,37 +602,16 @@ def verify_palindromic_props(alpha) -> VerificationReport:
     if not F.alpha.is_palindromic:
         raise FenceError(f"alpha {F.alpha} is not palindromic")
     profiles = orbit_profiles(F)
-    instances = []
     n, s = F.n, F.s
-
-    exceptions = []
-    for p in profiles:
-        black_ok = _is_palindromic(p.counts.black_sequence)
-        red_ok = _is_palindromic(p.counts.red_sequence)
-        if not (black_ok and red_ok):
-            exceptions.append(
-                {
-                    "orbit": p.orbit.representative.label(),
-                    "size": p.size,
-                    "black": list(p.counts.black_sequence),
-                    "red": list(p.counts.red_sequence),
-                }
-            )
-    instances.append(
-        InstanceResult(
-            {"alpha": key, "part": "tile-sequences"},
-            "pass",
-            None,
-            {"nonpalindromic_orbits": exceptions},
-        )
+    sequences, flags = _tile_sequences(
+        {"alpha": key, "part": "tile-sequences"}, profiles
     )
+    instances = [sequences]
 
     if all(part >= 2 for part in F.alpha):
         bad = None
-        for p in profiles:
-            if _is_palindromic(p.counts.black_sequence) != _is_palindromic(
-                p.counts.red_sequence
-            ):
+        for p, (black_ok, red_ok) in zip(profiles, flags):
+            if black_ok != red_ok:
                 bad = {
                     "orbit": p.orbit.representative.label(),
                     "black": list(p.counts.black_sequence),
@@ -624,7 +625,7 @@ def verify_palindromic_props(alpha) -> VerificationReport:
         )
 
     # k and n+1-k give the same row, so k runs up to the middle element
-    all_palindromic = not exceptions and all(part >= 2 for part in F.alpha)
+    all_palindromic = all(map(all, flags)) and all(part >= 2 for part in F.alpha)
     half = range(1, (n + 1) // 2 + 1) if all_palindromic else ()
     rows = [
         _Row({"k": k}, "antichain_counts", ((k - 1, 1), (n - k, -1)), _times(0))
@@ -650,14 +651,9 @@ def scan_palindromic_tiles(max_total: int) -> VerificationReport:
     instances = []
     for a in range(2, max_total - 1 + 1):
         for s in range(1, max_total - a + 1):
-            rep = verify_palindromic_props((a,) * s)
-            for r in rep.instances:
-                if r.params.get("part") == "tile-sequences":
-                    params = dict(r.params)
-                    params.update({"a": a, "s": s})
-                    instances.append(
-                        InstanceResult(params, r.verdict, r.witness, r.detail)
-                    )
+            params = {"alpha": (a,) * s, "part": "tile-sequences", "a": a, "s": s}
+            F = _fence((a,) * s)
+            instances.append(_tile_sequences(params, orbit_profiles(F))[0])
     return _timed(
         VerificationReport(
             "tile-palindromes", {"max_total": max_total}, instances

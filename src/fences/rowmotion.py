@@ -9,7 +9,9 @@ two actions, so the orbit structures coincide.
 Orbits are canonicalised deterministically: each orbit is listed starting
 from its member with the smallest bitmask (bit k-1 for x_k), and orbits
 are sorted by that representative.  An orbit stores only the bitmasks of
-its members; ElementSets are built on demand at the API edge.
+its members; ElementSets are built on demand at the API edge.  A family's
+orbits are decomposed once and kept in Fence.memo as one tuple of Orbits,
+which antichain_orbits and ideal_orbits return on every call.
 
 decompose steps a whole family with one call of its step per chunk of
 lanes: it packs the sorted family into the lanes of a few ints
@@ -18,6 +20,11 @@ to each, unpacks the images and bisects each into the family.
 The orbits are then a walk over that successor table by index, so they
 hold the family's own mask objects; a step that sends two members to one
 image, or a member outside the family, raises FenceError in that walk.
+
+On a self-dual fence the ideal complement reverses ideal rowmotion, so it
+maps each ideal orbit onto a whole orbit.  superorbits therefore finds an
+orbit's partner as the orbit represented by the least complement of its
+masks, without stepping any mask.
 """
 
 from __future__ import annotations
@@ -136,20 +143,6 @@ def rowmotion_inverse(F: Fence, S: ElementSet) -> ElementSet:
 # -- orbit decomposition ------------------------------------------------
 
 
-def _cycle(m: int, step, bound: int) -> list[int]:
-    """The cycle of m under step, listed from m.  A bijection on a family
-    of `bound` members brings m back within `bound` steps; a walk that
-    does not raises FenceError instead of growing without end."""
-    cycle = [m]
-    x = step(m)
-    for _ in range(bound):
-        if x == m:
-            return cycle
-        cycle.append(x)
-        x = step(x)
-    raise FenceError(f"step is not a bijection: mask {m} not back in {bound} steps")
-
-
 def decompose(F: Fence, masks, step) -> list[list[int]]:
     """Partition masks, members of a family of F, into orbits of a
     bijective step called as step(packed, lanes) on a chunk of them at a
@@ -194,26 +187,39 @@ def decompose(F: Fence, masks, step) -> list[list[int]]:
     return orbits
 
 
-def _orbit_mask_lists(F: Fence, family: str) -> list[list[int]]:
+def _rowmotion_orbits(F: Fence, family: str) -> tuple[Orbit, ...]:
     return F.memo(
         ("orbits", family),
-        lambda: decompose(F, F.family_masks(family), partial(_STEPS[family], F)),
+        lambda: tuple(
+            Orbit(family, tuple(ms))
+            for ms in decompose(F, F.family_masks(family), partial(_STEPS[family], F))
+        ),
     )
 
 
 def antichain_orbits(F: Fence) -> tuple[Orbit, ...]:
     """All rowmotion orbits on antichains, canonically ordered."""
-    return tuple(Orbit(ANTICHAIN, tuple(ms)) for ms in _orbit_mask_lists(F, ANTICHAIN))
+    return _rowmotion_orbits(F, ANTICHAIN)
 
 
 def ideal_orbits(F: Fence) -> tuple[Orbit, ...]:
     """All rowmotion orbits on ideals, canonically ordered."""
-    return tuple(Orbit(IDEAL, tuple(ms)) for ms in _orbit_mask_lists(F, IDEAL))
+    return _rowmotion_orbits(F, IDEAL)
 
 
 def orbit_of(F: Fence, S: ElementSet) -> Orbit:
-    """The canonical orbit containing S."""
-    cycle = _cycle(S.mask, _step_of(F, S), F.alpha.ideal_count)
+    """The canonical orbit containing S.  A bijection on a family of at
+    most ideal_count members brings S back within that many steps; a walk
+    that does not raises FenceError instead of growing without end."""
+    step, m, bound = _step_of(F, S), S.mask, F.alpha.ideal_count
+    cycle, x = [m], step(m)
+    for _ in range(bound):
+        if x == m:
+            break
+        cycle.append(x)
+        x = step(x)
+    else:
+        raise FenceError(f"step is not a bijection: mask {m} not back in {bound} steps")
     start = cycle.index(min(cycle))
     return Orbit(S.role, tuple(cycle[start:] + cycle[:start]))
 
@@ -240,27 +246,24 @@ def superorbits(F: Fence) -> tuple[Superorbit, ...]:
     """Orbits of the group generated by ideal rowmotion and complement.
 
     Each superorbit is a single rowmotion orbit closed under the ideal
-    complement, or a pair of equal-sized orbits swapped by it.
+    complement, or a pair of equal-sized orbits swapped by it.  The
+    complement maps an orbit onto its partner, whose representative is
+    therefore the least complement of the orbit's masks.
     """
     F.index_reversal()
     orbits = ideal_orbits(F)
     rep_to_index = {o.masks[0]: i for i, o in enumerate(orbits)}
-    step, bound = partial(_rho_hat_mask, F), F.alpha.ideal_count
-
-    def orbit_index_of(mask: int) -> int:
-        return rep_to_index[min(_cycle(mask, step, bound))]
-
     paired: list[Superorbit] = []
     used: set[int] = set()
     for i, o in enumerate(orbits):
         if i in used:
             continue
         used.add(i)
-        j = orbit_index_of(_ideal_complement_mask(F, o.masks[0]))
+        j = rep_to_index.get(min(_ideal_complement_mask(F, m) for m in o.masks))
         if j == i:
             paired.append(Superorbit((o,)))
         else:
-            if j in used:
+            if j is None or j in used:
                 raise FenceError("ideal complement did not pair orbits")
             if orbits[j].size != o.size:
                 raise FenceError("paired orbits differ in size")

@@ -15,9 +15,11 @@ rotation of the column colour sequence.
 
 The statistics of an orbit depend on its tiling only through the tile
 counts, and the paper's tiling lemma (`stats.TilingLemma`) reads those
-off the orbit's antichain element counts.  An AlphaTiling is built, and
-validated, only to render an orbit or to round-trip it through
-`orbit_of_tiling`.
+off the orbit's antichain element counts.  An AlphaTiling is built only
+to render an orbit or to round-trip it through `orbit_of_tiling`, and
+every built tiling is validated.  One painter (`_paint`) lays the tiles'
+cells onto the cylinder in one pass; the colour grid, the tile-index grid,
+the validator's cover counts and the ascii renderer all read its grids.
 """
 
 from __future__ import annotations
@@ -73,19 +75,11 @@ class AlphaTiling:
 
     def cell_grid(self) -> list[list[str]]:
         """Colour codes Y/B/R per cell, rows 1..s outer, columns inner."""
-        grid = [["?"] * self.width for _ in range(self.rows)]
-        for t in self.tiles:
-            code = _CELL_CODE[t.kind]
-            for r, c in t.cells(self.width):
-                grid[r - 1][c] = code
-        return grid
+        return _paint(self)[0]
 
     def tile_index_grid(self) -> list[list[int]]:
-        grid = [[-1] * self.width for _ in range(self.rows)]
-        for idx, t in enumerate(self.tiles):
-            for r, c in t.cells(self.width):
-                grid[r - 1][c] = idx
-        return grid
+        """The index in `tiles` of the tile on each cell (-1 for none)."""
+        return _paint(self)[1]
 
     def rotated(self, offset: int) -> "AlphaTiling":
         """Shift columns so that old column `offset` becomes column 0."""
@@ -114,6 +108,23 @@ class AlphaTiling:
 
 def _tile_key(t: Tile) -> tuple:
     return (t.row, t.col, t.kind, t.span)
+
+
+def _paint(T: AlphaTiling) -> tuple[list[list[str]], list[list[int]], list[list[int]]]:
+    """One pass over the tiles' cells: the colour-code grid ("?" where no
+    tile lies), the tile-index grid (-1 where none; the last tile wins) and
+    how many tiles cover each cell, each with rows 1..s outer."""
+    w, s = T.width, T.rows
+    codes = [["?"] * w for _ in range(s)]
+    index = [[-1] * w for _ in range(s)]
+    cover = [[0] * w for _ in range(s)]
+    for idx, t in enumerate(T.tiles):
+        code = _CELL_CODE[t.kind]
+        for r, c in t.cells(w):
+            codes[r - 1][c] = code
+            index[r - 1][c] = idx
+            cover[r - 1][c] += 1
+    return codes, index, cover
 
 
 @dataclass(frozen=True)
@@ -292,25 +303,16 @@ def validate_tiling(alpha: Composition, T: AlphaTiling) -> TilingReport:
     if bad:
         return TilingReport(False, tuple(bad))
 
-    cover: dict[tuple[int, int], int] = {}
-    for t in T.tiles:
-        for cell in t.cells(w):
-            cover[cell] = cover.get(cell, 0) + 1
+    # the shape checks put every cell of every tile in the cylinder
+    grid, idx, cover = _paint(T)
     for i in range(1, s + 1):
-        for c in range(w):
-            k = cover.get((i, c), 0)
+        for c, k in enumerate(cover[i - 1]):
             if k == 0:
                 bad.append(f"cell ({i},{c}) is uncovered")
             elif k > 1:
                 bad.append(f"cell ({i},{c}) is covered {k} times")
-    extra = [cell for cell in cover if not 1 <= cell[0] <= s]
-    for cell in sorted(extra):
-        bad.append(f"cell {cell} lies outside the {s}-row cylinder")
     if bad:
         return TilingReport(False, tuple(bad))
-
-    grid = T.cell_grid()
-    idx = T.tile_index_grid()
 
     # alternation: per row, drop red cells, merge cells of one tile, then
     # black and yellow tokens must alternate around the cylinder
@@ -342,12 +344,8 @@ def validate_tiling(alpha: Composition, T: AlphaTiling) -> TilingReport:
     heads = {(t.row, t.col) for t in T.tiles if t.kind == RED}
     for i in range(1, s):
         for c in range(w):
-            if i % 2 == 0:
-                nb = (c - 1) % w
-                spot = grid[i - 1][nb] == "Y" and grid[i][nb] == "Y"
-            else:
-                nb = (c + 1) % w
-                spot = grid[i - 1][nb] == "Y" and grid[i][nb] == "Y"
+            nb = (c - 1) % w if i % 2 == 0 else (c + 1) % w
+            spot = grid[i - 1][nb] == "Y" and grid[i][nb] == "Y"
             have = (i, c) in heads
             if have and not spot:
                 bad.append(
@@ -390,8 +388,7 @@ def render_tiling(T: AlphaTiling, format: str = "ascii") -> str:
 def _render_ascii(T: AlphaTiling) -> str:
     """One line per row; '|' separates tiles, ' ' continues a black tile,
     and the wrap seam shows '~' where a black tile crosses it."""
-    grid = T.cell_grid()
-    idx = T.tile_index_grid()
+    grid, idx, _ = _paint(T)
     w = T.width
     lines = []
     for r in range(T.rows):

@@ -32,7 +32,7 @@ from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from .fence import ANTICHAIN, IDEAL, ElementSet, Fence, FenceError, Lanes, RoleError
-from .rowmotion import decompose
+from .rowmotion import Orbit, decompose
 from .stats import (
     MesyReport,
     StatExpr,
@@ -353,8 +353,6 @@ def is_linear_extension(F: Fence, order: Sequence[int]) -> bool:
 
 def word_orbits(F: Fence, word: ToggleWord):
     """Orbit partition of the family under the cyclic group of the word."""
-    from .rowmotion import Orbit
-
     step = compile_word(F, word)
     masks = F.family_masks(word.family)
     return tuple(Orbit(word.family, tuple(ms)) for ms in decompose(F, masks, step))

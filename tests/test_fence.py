@@ -1,7 +1,10 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import fences
 import oracle
 from fences import (
     ANTICHAIN,
@@ -14,7 +17,7 @@ from fences import (
     build_fence,
     count_ideals,
 )
-from fences.fence import MAX_ALPHA_SIZE
+from fences.fence import MAX_ALPHA_SIZE, Fence
 from fences.harness import all_fence_compositions
 
 
@@ -295,3 +298,29 @@ class TestFamilyBijections:
         c = Composition((4, 3, 4))
         assert c.is_palindromic and c.n == 10 and c.s == 3
         assert not Composition((3, 2)).is_palindromic
+
+
+class TestMemoKeys:
+    def test_every_memo_key_is_documented(self):
+        # every key passed to .memo( in the package is listed in Fence.memo's
+        # docstring: a string key as itself, a tuple key by its first string
+        src = Path(fences.__file__).parent
+        doc = Fence.memo.__doc__
+        keys = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "memo"
+                ):
+                    continue
+                key = node.args[0]
+                if isinstance(key, ast.Tuple):
+                    key = key.elts[0]
+                assert isinstance(key, ast.Constant) and isinstance(key.value, str), (
+                    f"{path.name}:{node.lineno}: memo key is not a literal"
+                )
+                keys.append(key.value)
+                assert f'"{key.value}"' in doc, f"{path.name}:{node.lineno}"
+        assert {"ideal_masks", "orbits", "profiles"} <= set(keys)

@@ -181,6 +181,11 @@ class TestOrbits:
         with pytest.raises(FamilyCapError):
             orbits(build_fence((3, 3, 3), max_family=32))
 
+    @pytest.mark.parametrize("orbits", [antichain_orbits, ideal_orbits])
+    def test_orbits_are_built_once(self, orbits):
+        F = build_fence((4, 3, 4))
+        assert orbits(F) is orbits(F)
+
     def test_decompose_rejects_a_step_that_is_not_a_bijection(self):
         # 1 and 2 both step to the fixed point 0 and never come back
         with pytest.raises(FenceError, match="not a bijection"):
@@ -282,6 +287,36 @@ class TestSuperorbits:
             for m in masks:
                 J = ideal_complement(F, F.set_from_mask(m, IDEAL))
                 assert J.mask in masks
+
+    def test_matches_oracle(self):
+        # rho-hat orbits from the oracle, joined by the ideal complement
+        # x_k -> x_{n+1-k} of the set complement, on every palindrome with
+        # an odd number of parts and n <= 10
+        for alpha in all_fence_compositions(10):
+            if alpha != alpha[::-1] or len(alpha) % 2 == 0:
+                continue
+            F = build_fence(alpha)
+            n = F.n
+            brute = oracle.brute_orbits(F, oracle.brute_ideals(F), oracle.brute_rho_hat)
+            index = {I: i for i, orbit in enumerate(brute) for I in orbit}
+            root = list(range(len(brute)))
+
+            def find(i):
+                while root[i] != i:
+                    i = root[i]
+                return i
+
+            for I, i in index.items():
+                J = frozenset(n + 1 - k for k in range(1, n + 1) if k not in I)
+                root[find(i)] = find(index[J])
+            parts = {}
+            for i, orbit in enumerate(brute):
+                parts.setdefault(find(i), set()).update(orbit)
+            got = {
+                frozenset(frozenset(S.elements) for o in so.orbits for S in o.reps)
+                for so in superorbits(F)
+            }
+            assert got == set(map(frozenset, parts.values())), alpha
 
     def test_unavailable_without_duality(self):
         with pytest.raises(FenceError):

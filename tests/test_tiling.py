@@ -8,6 +8,7 @@ from fences import (
     Composition,
     Tile,
     TilingError,
+    TilingReport,
     antichain_orbits,
     build_fence,
     orbit_of,
@@ -101,18 +102,104 @@ class TestValidator:
             rep = validate_tiling(f434.alpha, tiling_of_orbit(f434, o))
             assert rep.valid and not rep.violations
 
-    def test_red_deletion_breaks_condition_b(self, f434):
-        T = tiling_of_orbit(f434, five_orbit(f434))
-        tiles = [t for t in T.tiles if t.kind != "red"]
-        # fill the holes with yellows
-        for t in T.tiles:
-            if t.kind == "red":
-                tiles.append(Tile("yellow", t.row, t.col))
-                tiles.append(Tile("yellow", t.row + 1, t.col))
-        mutated = AlphaTiling(T.alpha, T.width, tuple(tiles))
-        rep = validate_tiling(f434.alpha, mutated)
-        assert not rep.valid
-        assert any("red domino" in v or "yellow" in v for v in rep.violations)
+    @pytest.mark.parametrize(
+        "alpha,size,mutation,violations",
+        [
+            pytest.param(
+                (4, 3, 4), 5, ("remove", 1, 0), ("cell (1,0) is uncovered",),
+                id="removed",
+            ),
+            pytest.param(
+                (4, 3, 4),
+                5,
+                ("duplicate", 1, 1),
+                (
+                    "cell (1,1) is covered 2 times",
+                    "cell (1,2) is covered 2 times",
+                    "cell (1,3) is covered 2 times",
+                ),
+                id="duplicated",
+            ),
+            pytest.param(
+                (4, 3, 4),
+                5,
+                ("shift", 1, 1),
+                ("cell (1,1) is uncovered", "cell (1,4) is covered 2 times"),
+                id="shifted",
+            ),
+            pytest.param(
+                (4, 3, 4),
+                5,
+                ("blacken", 1, 0),
+                ("black tile at (1,0) has span 1, row 1 requires 3",),
+                id="kind-span",
+            ),
+            pytest.param(
+                (2, 2, 2),
+                10,
+                ("blacken", 2, 0),
+                (
+                    "row 2: tiles do not alternate black/yellow "
+                    "(positions 0 and 1 ignoring red)",
+                    "red domino on rows 1,2 column 9 without the yellow pair in "
+                    "column 0",
+                    "red domino on rows 2,3 column 1 without the yellow pair in "
+                    "column 0",
+                ),
+                id="kind-alternation",
+            ),
+            pytest.param(
+                (4, 3, 4),
+                5,
+                ("unred", None, None),
+                (
+                    "row 1: tiles do not alternate black/yellow "
+                    "(positions 2 and 0 ignoring red)",
+                    "row 2: tiles do not alternate black/yellow "
+                    "(positions 0 and 1 ignoring red)",
+                    "row 3: tiles do not alternate black/yellow "
+                    "(positions 0 and 1 ignoring red)",
+                    "rows 1,2 column 4 are both yellow but no red domino sits "
+                    "in column 3",
+                    "rows 1,2 column 0 are both yellow but no red domino sits "
+                    "in column 4",
+                    "rows 2,3 column 0 are both yellow but no red domino sits "
+                    "in column 1",
+                    "rows 2,3 column 1 are both yellow but no red domino sits "
+                    "in column 2",
+                ),
+                id="red-deletion",
+            ),
+        ],
+    )
+    def test_mutated_tiling_reports(self, alpha, size, mutation, violations):
+        # the tiling of the orbit of that size, mutated at the tile whose
+        # head cell is (row, col); "unred" swaps each red domino for two
+        # yellows
+        F = build_fence(alpha)
+        T = tiling_of_orbit(F, next(o for o in antichain_orbits(F) if o.size == size))
+        op, row, col = mutation
+        tiles = list(T.tiles)
+        if op == "unred":
+            tiles = [t for t in tiles if t.kind != "red"] + [
+                Tile("yellow", t.row + d, t.col)
+                for t in T.tiles
+                if t.kind == "red"
+                for d in (0, 1)
+            ]
+        else:
+            k = next(k for k, t in enumerate(tiles) if (t.row, t.col) == (row, col))
+            t = tiles[k]
+            if op == "remove":
+                del tiles[k]
+            elif op == "duplicate":
+                tiles.append(t)
+            elif op == "shift":
+                tiles[k] = Tile(t.kind, t.row, (t.col + 1) % T.width, t.span)
+            else:
+                tiles[k] = Tile("black", t.row, t.col, t.span)
+        rep = validate_tiling(F.alpha, AlphaTiling(T.alpha, T.width, tuple(tiles)))
+        assert rep == TilingReport(False, violations)
 
     def test_wrong_black_span(self):
         alpha = Composition((2, 2))
