@@ -8,6 +8,10 @@ runtime_ms field which is wall-clock and therefore volatile.
 
 Exit codes: 0 success, 1 usage or precondition error, 2 verification
 failure (a counterexample was found), 3 resource cap exceeded.
+
+The claims of verify and scan come from the table harness.CLAIMS: the
+parser's choices and options and the one dispatch (_cmd_claim) are
+built from it.  This last paragraph is left out of the help text.
 """
 
 from __future__ import annotations
@@ -27,16 +31,21 @@ from .fence import (
     Composition,
     FamilyCapError,
     Fence,
-    FenceError,
     MAX_ALPHA_SIZE,
 )
-from .rowmotion import ideal_orbits
+from .rowmotion import antichain_orbits, ideal_orbits, orbit_of
 from .stats import check_homomesy, parse_stat
 from .tiling import render_tiling, tiling_of_orbit
 
 SCHEMA_VERSION = 1
 
 _FAMILIES = {"antichains": ANTICHAIN, "ideals": IDEAL}
+
+# the commands of harness.CLAIMS: command -> (positional's name, help)
+_CLAIM_COMMANDS = {
+    "verify": ("claim", "verify a theorem mechanically"),
+    "scan": ("conjecture", "scan a conjecture for counterexamples"),
+}
 
 
 class _UsageError(Exception):
@@ -123,9 +132,12 @@ def _json(payload: dict) -> str:
 def _fence_from(args) -> Fence:
     alpha = _parse_alpha(args.alpha)
     cap = args.max_family
-    if cap is None:
-        env = os.environ.get("FENCE_MAX_FAMILY")
-        cap = int(env) if env else None
+    env = os.environ.get("FENCE_MAX_FAMILY")
+    if cap is None and env:
+        try:
+            cap = _positive_int(env)
+        except argparse.ArgumentTypeError as exc:
+            raise _UsageError(f"FENCE_MAX_FAMILY: {exc}")
     return Fence(alpha, max_family=cap)
 
 
@@ -254,8 +266,6 @@ def _cmd_orbits(args) -> int:
 
 def _cmd_tiling(args) -> int:
     F = _fence_from(args)
-    from .rowmotion import antichain_orbits, orbit_of
-
     if args.rep:
         rep = F.element_set(_parse_rep(args.rep), ANTICHAIN)
         orbits = [orbit_of(F, rep)]
@@ -312,76 +322,28 @@ def _report_exit(args, report) -> int:
     return 0 if report.ok else 2
 
 
-def _cmd_verify(args) -> int:
-    claim = args.claim
-    if claim == "two-segment":
-        if args.a is not None and args.b is not None:
-            rep = harness.verify_two_segment(args.a, args.b)
-        else:
-            rep = harness.sweep_two_segment(_or(args.max_sum, 14))
-    elif claim == "aba":
-        if args.a is not None and args.b is not None:
-            rep = harness.verify_aba(args.a, args.b)
-        else:
-            rep = harness.sweep_aba(_or(args.max_sum, 12))
-    elif claim == "a4":
-        if args.a is not None:
-            rep = harness.verify_a4(args.a)
-        else:
-            rep = harness.sweep_a4(_or(args.max_a, 6))
-    elif claim == "a1a1a":
-        if args.a is not None:
-            rep = harness.verify_a1a1a(args.a)
-        else:
-            rep = harness.sweep_a1a1a(_or(args.max_a, 6))
-    elif claim == "homomesies":
-        if args.alpha:
-            rep = harness.verify_general_homomesies(_parse_alpha(args.alpha))
-        else:
-            rep = harness.sweep_general_homomesies(_or(args.max_n, 12))
-    elif claim == "palindromic":
-        if not args.alpha:
-            raise _UsageError("verify palindromic needs --alpha")
-        rep = harness.verify_palindromic_props(_parse_alpha(args.alpha))
-    elif claim == "base-graph":
-        if not args.alpha:
-            raise _UsageError("verify base-graph needs --alpha")
-        rep = harness.verify_base_graph(_parse_alpha(args.alpha))
-    elif claim == "linear-extensions":
-        if not args.alpha:
-            raise _UsageError("verify linear-extensions needs --alpha")
-        rep = harness.verify_linear_extension_toggles(
-            _parse_alpha(args.alpha), _or(args.samples, 50), args.seed
-        )
-    elif claim == "transfer-ideal":
-        if not args.alpha:
-            raise _UsageError("verify transfer-ideal needs --alpha")
-        rep = harness.verify_transfer_ideal(
-            _parse_alpha(args.alpha), _or(args.samples, 200), args.seed
-        )
+def _cmd_claim(args) -> int:
+    """Run a verify or scan claim from its harness.CLAIMS row: the
+    instance checker when every selecting option is given, the sweep over
+    the bound when none is.  Half an instance, or no instance of a claim
+    without a sweep, is a usage error."""
+    name = getattr(args, _CLAIM_COMMANDS[args.command][0])
+    claim = harness.CLAIMS[name]
+    given = [getattr(args, option) for option in claim.selects]
+    if claim.check and all(given):
+        values = [
+            _parse_alpha(v) if option == "alpha" else v
+            for option, v in zip(claim.selects, given)
+        ]
+        if claim.samples is not None:
+            values += [_or(args.samples, claim.samples), args.seed]
+        rep = getattr(harness, claim.check)(*values)
+    elif claim.sweep and not any(given):
+        bound = _or(getattr(args, claim.bound), claim.default)
+        rep = getattr(harness, claim.sweep)(bound)
     else:
-        raise _UsageError(f"unknown claim {claim!r}")
-    return _report_exit(args, rep)
-
-
-def _cmd_scan(args) -> int:
-    target = args.conjecture
-    if target == "constant-alpha":
-        rep = harness.scan_conjecture_constant_alpha(_or(args.max, 12))
-    elif target == "tile-palindromes":
-        rep = harness.scan_palindromic_tiles(_or(args.max, 12))
-    elif target == "antichain-transfer":
-        if not args.alpha:
-            raise _UsageError("scan antichain-transfer needs --alpha")
-        rep = harness.scan_conjecture_antichain_transfer(
-            _parse_alpha(args.alpha), _or(args.samples, 200), args.seed
-        )
-    elif target == "cross-orbit-complement":
-        if not args.alpha:
-            raise _UsageError("scan cross-orbit-complement needs --alpha")
-        rep = harness.find_cross_orbit_complement(_parse_alpha(args.alpha))
-    else:
-        raise _UsageError(f"unknown conjecture {target!r}")
+        needs = " and ".join(f"--{option}" for option in claim.selects)
+        raise _UsageError(f"{args.command} {name} needs {needs}")
     return _report_exit(args, rep)
 
 
@@ -391,12 +353,12 @@ def _cmd_scan(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", default="json", choices=["json", "csv", "ascii", "svg"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-family", type=int, default=None)
+    p.add_argument("--max-family", type=_positive_int, default=None)
     p.add_argument("--out", default=None)
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="fences", description=__doc__)
+    parser = _Parser(prog="fences", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", help="fence structure and index maps")
@@ -430,46 +392,23 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("verify", help="verify a theorem mechanically")
-    p.add_argument(
-        "claim",
-        choices=[
-            "two-segment",
-            "aba",
-            "a4",
-            "a1a1a",
-            "homomesies",
-            "palindromic",
-            "base-graph",
-            "linear-extensions",
-            "transfer-ideal",
-        ],
-    )
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--a", type=_positive_int, default=None)
-    p.add_argument("--b", type=_positive_int, default=None)
-    p.add_argument("--max-sum", type=_positive_int, default=None)
-    p.add_argument("--max-a", type=_positive_int, default=None)
-    p.add_argument("--max-n", type=_positive_int, default=None)
-    p.add_argument("--samples", type=_positive_int, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("scan", help="scan a conjecture for counterexamples")
-    p.add_argument(
-        "conjecture",
-        choices=[
-            "constant-alpha",
-            "tile-palindromes",
-            "antichain-transfer",
-            "cross-orbit-complement",
-        ],
-    )
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--max", type=_positive_int, default=None)
-    p.add_argument("--samples", type=_positive_int, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_scan)
+    for command, (positional, summary) in _CLAIM_COMMANDS.items():
+        claims = {n: c for n, c in harness.CLAIMS.items() if c.command == command}
+        # --alpha, then every other option in order of first use
+        options = dict.fromkeys(
+            option
+            for c in claims.values()
+            for option in (*c.selects, c.bound, "samples" if c.samples else None)
+            if option and option != "alpha"
+        )
+        p = sub.add_parser(command, help=summary)
+        p.add_argument(positional, choices=list(claims))
+        p.add_argument("--alpha", default=None)
+        for option in options:
+            flag = "--" + option.replace("_", "-")
+            p.add_argument(flag, type=_positive_int, default=None)
+        _add_common(p)
+        p.set_defaults(func=_cmd_claim)
 
     return parser
 
@@ -479,10 +418,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"fences: error: {exc}", file=sys.stderr)
-        return 1
-    except (FenceError, ValueError) as exc:
+    except (_UsageError, ValueError) as exc:  # FenceError is a ValueError
         print(f"fences: error: {exc}", file=sys.stderr)
         return 1
     except FamilyCapError as exc:

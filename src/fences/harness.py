@@ -21,6 +21,16 @@ chi orbomesy parts ask the statistic classifier and report the same
 witness, expected being the sum of the first orbit of that size.  Checks
 that are not linear (size multisets, even sizes, superorbits, tile
 sequences) keep their own witnesses.
+
+The claims are data too.  CLAIMS maps each claim of `fences verify` and
+`fences scan` to its command, its one-instance checker with the options
+that select an instance, the default sample count of a sampling checker,
+and its sweep with the bound option and the bound's default; the CLI
+builds its choices, options and dispatch from it.  Checkers are held by
+name and looked up on this module when a claim runs, so a wrapper that
+replaces the module attribute (a tracer, a test double) is the function
+called.  Every sweep and grid scan collects its instances through one
+loop, _sweep.
 """
 
 from __future__ import annotations
@@ -114,12 +124,20 @@ def _timed(rep: VerificationReport, t0: float) -> VerificationReport:
     return rep
 
 
-def _sweep(claim: str, params: dict, reports) -> VerificationReport:
-    """One report holding the instances of every report in `reports`, an
-    iterable that runs the checks as it is consumed."""
+def _sweep(claim: str, params: dict, parts) -> VerificationReport:
+    """One report holding the instances of every part, in order.  `parts`
+    is an iterable of instance lists that runs the checks as it is
+    consumed, so this is the one loop over the instances of every sweep
+    and grid scan."""
     t0 = time.perf_counter()
-    instances = [r for rep in reports for r in rep.instances]
+    instances = [r for part in parts for r in part]
     return _timed(VerificationReport(claim, params, instances), t0)
+
+
+def _constant_grid(max_total: int):
+    """(a, s) of every constant composition (a^s) with a >= 2, s >= 1 and
+    a + s <= max_total, a outer."""
+    return ((a, s) for a in range(2, max_total) for s in range(1, max_total - a + 1))
 
 
 def _fence(alpha) -> Fence:
@@ -302,7 +320,7 @@ def sweep_two_segment(max_sum: int) -> VerificationReport:
         "two-segment",
         {"max_sum": max_sum},
         (
-            verify_two_segment(a, b)
+            verify_two_segment(a, b).instances
             for a in range(2, max_sum - 1)
             for b in range(2, max_sum - a + 1)
         ),
@@ -364,7 +382,7 @@ def sweep_aba(max_sum: int) -> VerificationReport:
         "aba",
         {"max_sum": max_sum},
         (
-            verify_aba(a, b)
+            verify_aba(a, b).instances
             for a in range(2, max_sum)
             for b in range(1, max_sum - a + 1)
         ),
@@ -402,7 +420,7 @@ def verify_a4(a: int) -> VerificationReport:
 
 def sweep_a4(max_a: int) -> VerificationReport:
     return _sweep(
-        "a4", {"max_a": max_a}, (verify_a4(a) for a in range(2, max_a + 1))
+        "a4", {"max_a": max_a}, (verify_a4(a).instances for a in range(2, max_a + 1))
     )
 
 
@@ -455,7 +473,9 @@ def verify_a1a1a(a: int) -> VerificationReport:
 
 def sweep_a1a1a(max_a: int) -> VerificationReport:
     return _sweep(
-        "a1a1a", {"max_a": max_a}, (verify_a1a1a(a) for a in range(2, max_a + 1))
+        "a1a1a",
+        {"max_a": max_a},
+        (verify_a1a1a(a).instances for a in range(2, max_a + 1)),
     )
 
 
@@ -558,7 +578,10 @@ def sweep_general_homomesies(max_n: int) -> VerificationReport:
     return _sweep(
         "homomesies",
         {"max_n": max_n},
-        (verify_general_homomesies(alpha) for alpha in all_fence_compositions(max_n)),
+        (
+            verify_general_homomesies(alpha).instances
+            for alpha in all_fence_compositions(max_n)
+        ),
     )
 
 
@@ -644,48 +667,43 @@ def verify_palindromic_props(alpha) -> VerificationReport:
     )
 
 
+def _palindromic_tiles(a: int, s: int) -> list[InstanceResult]:
+    params = {"alpha": (a,) * s, "part": "tile-sequences", "a": a, "s": s}
+    return [_tile_sequences(params, orbit_profiles(_fence((a,) * s)))[0]]
+
+
 def scan_palindromic_tiles(max_total: int) -> VerificationReport:
     """Tile-sequence palindromicity data for every constant composition
     (a^s) with a + s <= max_total."""
-    t0 = time.perf_counter()
-    instances = []
-    for a in range(2, max_total - 1 + 1):
-        for s in range(1, max_total - a + 1):
-            params = {"alpha": (a,) * s, "part": "tile-sequences", "a": a, "s": s}
-            F = _fence((a,) * s)
-            instances.append(_tile_sequences(params, orbit_profiles(F))[0])
-    return _timed(
-        VerificationReport(
-            "tile-palindromes", {"max_total": max_total}, instances
-        ),
-        t0,
+    return _sweep(
+        "tile-palindromes",
+        {"max_total": max_total},
+        (_palindromic_tiles(a, s) for a, s in _constant_grid(max_total)),
     )
 
 
 # -- conjecture scans -------------------------------------------------------------
 
 
+def _constant_alpha(a: int, s: int) -> list[InstanceResult]:
+    F = _fence((a,) * s)
+    profiles = orbit_profiles(F)
+    rows = [_half_n_chihat(F.n)] if s % 2 == 1 else []
+    params = {"a": a, "s": s}
+    return [
+        _chi_orbomesic({**params, "part": "chi-orbomesic"}, profiles),
+        _rows_part({**params, "part": "chihat-half-n"}, profiles, rows),
+    ]
+
+
 def scan_conjecture_constant_alpha(max_total: int) -> VerificationReport:
     """For constant compositions (a^s): chi is orbomesic, and for odd s
     the statistic chihat averages n/2 on every orbit.  Any counterexample
     is reported with a full witness."""
-    t0 = time.perf_counter()
-    instances = []
-    for a in range(2, max_total - 1 + 1):
-        for s in range(1, max_total - a + 1):
-            F = _fence((a,) * s)
-            profiles = orbit_profiles(F)
-            rows = [_half_n_chihat(F.n)] if s % 2 == 1 else []
-            params = {"a": a, "s": s}
-            instances += [
-                _chi_orbomesic({**params, "part": "chi-orbomesic"}, profiles),
-                _rows_part({**params, "part": "chihat-half-n"}, profiles, rows),
-            ]
-    return _timed(
-        VerificationReport(
-            "constant-alpha", {"max_total": max_total}, instances
-        ),
-        t0,
+    return _sweep(
+        "constant-alpha",
+        {"max_total": max_total},
+        (_constant_alpha(a, s) for a, s in _constant_grid(max_total)),
     )
 
 
@@ -878,3 +896,49 @@ def scan_conjecture_antichain_transfer(
         rng_tag="antichain-transfer",
         count_key="samples",
     )
+
+
+# -- the claim table ---------------------------------------------------------------
+
+
+class Claim(NamedTuple):
+    """One claim of `fences verify` or `fences scan`.  The checkers are
+    names of functions of this module, looked up when the claim runs."""
+
+    command: str  # "verify" or "scan"
+    check: str | None  # the one-instance checker
+    selects: tuple[str, ...] = ()  # its instance options, in argument order
+    samples: int | None = None  # default --samples; check takes (samples, seed)
+    sweep: str | None = None  # the sweep checker, called with the bound
+    bound: str | None = None  # the sweep's bound option
+    default: int | None = None  # the bound's default
+
+
+_AB, _A, _ALPHA = ("a", "b"), ("a",), ("alpha",)
+
+CLAIMS = {
+    "two-segment": Claim(
+        "verify", "verify_two_segment", _AB, None, "sweep_two_segment", "max_sum", 14
+    ),
+    "aba": Claim("verify", "verify_aba", _AB, None, "sweep_aba", "max_sum", 12),
+    "a4": Claim("verify", "verify_a4", _A, None, "sweep_a4", "max_a", 6),
+    "a1a1a": Claim("verify", "verify_a1a1a", _A, None, "sweep_a1a1a", "max_a", 6),
+    "homomesies": Claim(
+        "verify", "verify_general_homomesies", _ALPHA,
+        None, "sweep_general_homomesies", "max_n", 12,
+    ),
+    "palindromic": Claim("verify", "verify_palindromic_props", _ALPHA),
+    "base-graph": Claim("verify", "verify_base_graph", _ALPHA),
+    "linear-extensions": Claim("verify", "verify_linear_extension_toggles", _ALPHA, 50),
+    "transfer-ideal": Claim("verify", "verify_transfer_ideal", _ALPHA, 200),
+    "constant-alpha": Claim(
+        "scan", None, sweep="scan_conjecture_constant_alpha", bound="max", default=12
+    ),
+    "tile-palindromes": Claim(
+        "scan", None, sweep="scan_palindromic_tiles", bound="max", default=12
+    ),
+    "antichain-transfer": Claim(
+        "scan", "scan_conjecture_antichain_transfer", _ALPHA, 200
+    ),
+    "cross-orbit-complement": Claim("scan", "find_cross_orbit_complement", _ALPHA),
+}

@@ -18,8 +18,8 @@ counts, and the paper's tiling lemma (`stats.TilingLemma`) reads those
 off the orbit's antichain element counts.  An AlphaTiling is built only
 to render an orbit or to round-trip it through `orbit_of_tiling`, and
 every built tiling is validated.  One painter (`_paint`) lays the tiles'
-cells onto the cylinder in one pass; the colour grid, the tile-index grid,
-the validator's cover counts and the ascii renderer all read its grids.
+cells onto the cylinder in one pass; the colour grid, the validator's
+tile-index and cover grids and the ascii renderer all read it.
 """
 
 from __future__ import annotations
@@ -76,10 +76,6 @@ class AlphaTiling:
     def cell_grid(self) -> list[list[str]]:
         """Colour codes Y/B/R per cell, rows 1..s outer, columns inner."""
         return _paint(self)[0]
-
-    def tile_index_grid(self) -> list[list[int]]:
-        """The index in `tiles` of the tile on each cell (-1 for none)."""
-        return _paint(self)[1]
 
     def rotated(self, offset: int) -> "AlphaTiling":
         """Shift columns so that old column `offset` becomes column 0."""

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fences import harness
 from fences.cli import MAX_ALPHA_SIZE, main
 
 
@@ -163,6 +164,126 @@ class TestVerifyScan:
         code, _, err = run(capsys, "verify", "nonsense")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "claim, option", [("two-segment", "--a"), ("aba", "--b")]
+    )
+    def test_half_an_instance_is_a_usage_error(self, capsys, claim, option):
+        code, out, err = run(capsys, "verify", claim, option, "3")
+        assert code == 1 and out == ""
+        assert err == f"fences: error: verify {claim} needs --a and --b\n"
+
+
+# -- the claim table --------------------------------------------------------------
+#
+# Each claim's small instance and small sweep, written out independently of
+# harness.CLAIMS: (CLI options, harness checker, its arguments).
+
+_SMALL = {
+    "two-segment": [
+        (["--a", "3", "--b", "2"], "verify_two_segment", (3, 2)),
+        (["--max-sum", "7"], "sweep_two_segment", (7,)),
+    ],
+    "aba": [
+        (["--a", "3", "--b", "2"], "verify_aba", (3, 2)),
+        (["--max-sum", "6"], "sweep_aba", (6,)),
+    ],
+    "a4": [
+        (["--a", "3"], "verify_a4", (3,)),
+        (["--max-a", "3"], "sweep_a4", (3,)),
+    ],
+    "a1a1a": [
+        (["--a", "3"], "verify_a1a1a", (3,)),
+        (["--max-a", "3"], "sweep_a1a1a", (3,)),
+    ],
+    "homomesies": [
+        (["--alpha", "4,3,4"], "verify_general_homomesies", ((4, 3, 4),)),
+        (["--max-n", "7"], "sweep_general_homomesies", (7,)),
+    ],
+    "palindromic": [(["--alpha", "3,2,3"], "verify_palindromic_props", ((3, 2, 3),))],
+    "base-graph": [(["--alpha", "3,3"], "verify_base_graph", ((3, 3),))],
+    "linear-extensions": [
+        (
+            ["--alpha", "3,3", "--samples", "5", "--seed", "2"],
+            "verify_linear_extension_toggles",
+            ((3, 3), 5, 2),
+        )
+    ],
+    "transfer-ideal": [
+        (
+            ["--alpha", "3,2,3", "--samples", "5", "--seed", "1"],
+            "verify_transfer_ideal",
+            ((3, 2, 3), 5, 1),
+        )
+    ],
+    "constant-alpha": [(["--max", "6"], "scan_conjecture_constant_alpha", (6,))],
+    "tile-palindromes": [(["--max", "6"], "scan_palindromic_tiles", (6,))],
+    "antichain-transfer": [
+        (
+            ["--alpha", "3,3", "--samples", "4", "--seed", "3"],
+            "scan_conjecture_antichain_transfer",
+            ((3, 3), 4, 3),
+        )
+    ],
+    "cross-orbit-complement": [
+        (["--alpha", "2^5"], "find_cross_orbit_complement", ((2,) * 5,))
+    ],
+}
+
+# the default bound of each sweep and the default --samples of each sampler
+_DEFAULTS = {
+    "two-segment": 14, "aba": 12, "a4": 6, "a1a1a": 6, "homomesies": 12,
+    "constant-alpha": 12, "tile-palindromes": 12,
+    "linear-extensions": 50, "transfer-ideal": 200, "antichain-transfer": 200,
+}
+
+
+def _without_runtime(payload: dict) -> dict:
+    return {k: v for k, v in payload.items() if k != "runtime_ms"}
+
+
+class TestClaimTable:
+    @pytest.mark.parametrize("name", list(harness.CLAIMS))
+    def test_cli_runs_the_harness_checker(self, capsys, name):
+        claim = harness.CLAIMS[name]
+        for options, checker, call in _SMALL[name]:
+            code, out, err = run(capsys, claim.command, name, *options)
+            report = getattr(harness, checker)(*call)
+            expected = {"schema_version": 1, **report.to_json_dict()}
+            assert err == "" and code == (0 if report.ok else 2)
+            assert _without_runtime(json.loads(out)) == json.loads(
+                json.dumps(_without_runtime(expected))
+            )
+
+    @pytest.mark.parametrize("name", list(_DEFAULTS))
+    def test_defaults(self, capsys, monkeypatch, name):
+        # the checker is replaced on the module, where the CLI looks it up
+        claim, calls = harness.CLAIMS[name], []
+
+        def record(*args):
+            calls.append(args)
+            return harness.VerificationReport(name, {})
+
+        if claim.sweep:
+            monkeypatch.setattr(harness, claim.sweep, record)
+            argv = [claim.command, name]
+        else:
+            monkeypatch.setattr(harness, claim.check, record)
+            argv = [claim.command, name, "--alpha", "3,3", "--seed", "4"]
+        assert run(capsys, *argv)[0] == 0
+        assert calls[0][0 if claim.sweep else 1] == _DEFAULTS[name]
+
+    def test_every_checker_is_a_claim(self):
+        named = {n for c in harness.CLAIMS.values() for n in (c.check, c.sweep) if n}
+        public = {
+            name
+            for name, obj in vars(harness).items()
+            if name.startswith(("verify_", "scan_", "sweep_", "find_"))
+            and getattr(obj, "__module__", None) == "fences.harness"
+        }
+        assert public <= named, public - named
+        assert all(callable(getattr(harness, n, None)) for n in named)
+        assert {c.command for c in harness.CLAIMS.values()} == {"verify", "scan"}
+
 
 class TestNumericOptions:
     @pytest.mark.parametrize("command", ["count", "info"])
@@ -188,6 +309,8 @@ class TestNumericOptions:
             ("verify", "transfer-ideal", "--alpha", "3,3", "--samples", "0"),
             ("verify", "linear-extensions", "--alpha", "3,3", "--samples", "-1"),
             ("verify", "aba", "--a", "0", "--b", "2"),
+            ("orbits", "--alpha", "4,3,4", "--max-family", "0"),
+            ("orbits", "--alpha", "4,3,4", "--max-family", "-5"),
         ],
     )
     def test_non_positive_is_a_usage_error(self, capsys, argv):
@@ -206,6 +329,21 @@ class TestCaps:
         monkeypatch.setenv("FENCE_MAX_FAMILY", "10")
         code, _, err = run(capsys, "orbits", "--alpha", "4,3,4")
         assert code == 3
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "0"])
+    def test_env_var_must_be_positive(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("FENCE_MAX_FAMILY", value)
+        code, out, err = run(capsys, "orbits", "--alpha", "4,3,4")
+        assert code == 1 and out == ""
+        assert err == (
+            "fences: error: FENCE_MAX_FAMILY: "
+            f"expected a positive integer, got {value!r}\n"
+        )
+
+    def test_empty_env_var_is_the_default(self, capsys, monkeypatch):
+        monkeypatch.setenv("FENCE_MAX_FAMILY", "")
+        code, _, _ = run(capsys, "orbits", "--alpha", "4,3,4")
+        assert code == 0
 
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("FENCE_MAX_FAMILY", "10")
@@ -226,10 +364,8 @@ class TestCaps:
 _JUNK = ["", "x", "abc", "-1", "0", "1.5", "1,3", "2^", "^2", "2,,2", "2^0",
          "3^-1", "2^2^2", "chi[[", "1/0", "chi[99]", "xml", "-2..1", "3..1"]
 _STATS = ["chi", "chihat", "chi[1]-chi[2]", "2*chihat[3] + 1/2", "chi + chihat"]
-_CLAIMS = ["two-segment", "aba", "a4", "a1a1a", "homomesies", "palindromic",
-           "base-graph", "linear-extensions", "transfer-ideal"]
-_CONJECTURES = ["constant-alpha", "tile-palindromes", "antichain-transfer",
-                "cross-orbit-complement"]
+_CLAIMS = [n for n, c in harness.CLAIMS.items() if c.command == "verify"]
+_CONJECTURES = [n for n, c in harness.CLAIMS.items() if c.command == "scan"]
 
 
 @st.composite
