@@ -9,9 +9,14 @@ runtime_ms field which is wall-clock and therefore volatile.
 Exit codes: 0 success, 1 usage or precondition error, 2 verification
 failure (a counterexample was found), 3 resource cap exceeded.
 
-The claims of verify and scan come from the table harness.CLAIMS: the
-parser's choices and options and the one dispatch (_cmd_claim) are
-built from it.  This last paragraph is left out of the help text.
+Each command and claim declares only the options its handler reads:
+info renders json or ascii, count json, orbits json or csv, tiling ascii
+or svg (--render), check json or ascii and every claim json.
+--max-family, else FENCE_MAX_FAMILY, caps every fence built from --alpha
+(exit 3 above it); sweeps and --a/--b instances keep DEFAULT_MAX_FAMILY,
+and info enumerates no family.  Each claim of verify and scan is one
+subparser built from its harness.CLAIMS row, and _cmd_claim is their one
+dispatch.  This last paragraph is left out of the help text.
 """
 
 from __future__ import annotations
@@ -119,7 +124,11 @@ def _parse_index_range(text: str) -> range:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w") as fh:
+        try:
+            fh = open(args.out, "w")
+        except OSError as exc:
+            raise _UsageError(f"cannot write --out {args.out!r}: {exc.strerror}")
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -145,7 +154,7 @@ def _fence_from(args) -> Fence:
 
 
 def _cmd_info(args) -> int:
-    F = _fence_from(args)
+    F = Fence(_parse_alpha(args.alpha))
     shared = {str(i): F.shared_element(i) for i in range(1, F.s)}
     unshared = {
         f"{i},{j}": F.unshared_element(i, j)
@@ -279,11 +288,8 @@ def _cmd_tiling(args) -> int:
             )
     else:
         raise _UsageError("tiling needs --rep or --orbit-index")
-    fmt = args.render or args.format
-    if fmt not in ("ascii", "svg"):
-        raise _UsageError("tiling renders as ascii or svg")
-    blocks = [render_tiling(tiling_of_orbit(F, o), fmt) for o in orbits]
-    if fmt == "svg" and len(blocks) > 1:
+    blocks = [render_tiling(tiling_of_orbit(F, o), args.render) for o in orbits]
+    if args.render == "svg" and len(blocks) > 1:
         # stack independent documents into one file, separated by blank lines
         _emit(args, "\n".join(blocks))
     else:
@@ -325,24 +331,29 @@ def _report_exit(args, report) -> int:
 def _cmd_claim(args) -> int:
     """Run a verify or scan claim from its harness.CLAIMS row: the
     instance checker when every selecting option is given, the sweep over
-    the bound when none is.  Half an instance, or no instance of a claim
-    without a sweep, is a usage error."""
+    the bound when none is.  Half an instance, an instance given the
+    bound too, or no instance of a claim without a sweep, is a usage
+    error.  An --alpha instance gets its fence, capped, from _fence_from."""
     name = getattr(args, _CLAIM_COMMANDS[args.command][0])
     claim = harness.CLAIMS[name]
     given = [getattr(args, option) for option in claim.selects]
-    if claim.check and all(given):
+    bound = getattr(args, claim.bound) if claim.bound else None
+    needs = " and ".join(f"--{option}" for option in claim.selects)
+    if claim.check and all(given) and bound is None:
         values = [
-            _parse_alpha(v) if option == "alpha" else v
+            _fence_from(args) if option == "alpha" else v
             for option, v in zip(claim.selects, given)
         ]
         if claim.samples is not None:
             values += [_or(args.samples, claim.samples), args.seed]
         rep = getattr(harness, claim.check)(*values)
     elif claim.sweep and not any(given):
-        bound = _or(getattr(args, claim.bound), claim.default)
-        rep = getattr(harness, claim.sweep)(bound)
+        rep = getattr(harness, claim.sweep)(_or(bound, claim.default))
+    elif all(given):
+        raise _UsageError(
+            f"{args.command} {name} takes {needs} or {_flag(claim.bound)}, not both"
+        )
     else:
-        needs = " and ".join(f"--{option}" for option in claim.selects)
         raise _UsageError(f"{args.command} {name} needs {needs}")
     return _report_exit(args, rep)
 
@@ -350,65 +361,62 @@ def _cmd_claim(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", default="json", choices=["json", "csv", "ascii", "svg"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-family", type=_positive_int, default=None)
-    p.add_argument("--out", default=None)
+def _flag(option: str) -> str:
+    return "--" + option.replace("_", "-")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="fences", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("info", help="fence structure and index maps")
-    p.add_argument("--alpha", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_info)
+    # each subcommand reads --alpha and --out; no parser takes abbreviations,
+    # by which --a would stand for --alpha and --max for --max-family
+    def subcommand(name: str, summary: str, func) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.add_argument("--alpha", required=True)
+        p.add_argument("--out")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("count", help="exact ideal counts")
-    p.add_argument("--alpha", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("orbits", help="rowmotion orbit decomposition")
-    p.add_argument("--alpha", required=True)
+    p = subcommand("info", "fence structure and index maps", _cmd_info)
+    p.add_argument("--format", default="json", choices=["json", "ascii"])
+    subcommand("count", "exact ideal counts", _cmd_count)
+    p = subcommand("orbits", "rowmotion orbit decomposition", _cmd_orbits)
     p.add_argument("--family", default="antichains", choices=sorted(_FAMILIES))
-    _add_common(p)
-    p.set_defaults(func=_cmd_orbits)
-
-    p = sub.add_parser("tiling", help="render the tiling of an orbit")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--rep", default=None, help="representative antichain, e.g. x4,x10")
-    p.add_argument("--orbit-index", default=None, help="index or range, e.g. 0..3")
-    p.add_argument("--render", default=None, choices=["ascii", "svg"])
-    _add_common(p)
-    p.set_defaults(func=_cmd_tiling, format="ascii")
-
-    p = sub.add_parser("check", help="homomesy/orbomesy of a statistic")
-    p.add_argument("--alpha", required=True)
+    p.add_argument("--format", default="json", choices=["json", "csv"])
+    p.add_argument("--max-family", type=_positive_int)
+    p = subcommand("tiling", "render the tiling of an orbit", _cmd_tiling)
+    selector = p.add_mutually_exclusive_group()
+    selector.add_argument("--rep", help="representative antichain, e.g. x4,x10")
+    selector.add_argument("--orbit-index", help="index or range, e.g. 0..3")
+    p.add_argument("--render", default="ascii", choices=["ascii", "svg"])
+    p.add_argument("--max-family", type=_positive_int)
+    p = subcommand("check", "homomesy/orbomesy of a statistic", _cmd_check)
     p.add_argument("--family", default="antichains", choices=sorted(_FAMILIES))
     p.add_argument("--stat", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_check)
+    p.add_argument("--format", default="json", choices=["json", "ascii"])
+    p.add_argument("--max-family", type=_positive_int)
 
     for command, (positional, summary) in _CLAIM_COMMANDS.items():
-        claims = {n: c for n, c in harness.CLAIMS.items() if c.command == command}
-        # --alpha, then every other option in order of first use
-        options = dict.fromkeys(
-            option
-            for c in claims.values()
-            for option in (*c.selects, c.bound, "samples" if c.samples else None)
-            if option and option != "alpha"
+        claims = sub.add_parser(command, help=summary).add_subparsers(
+            dest=positional, required=True
         )
-        p = sub.add_parser(command, help=summary)
-        p.add_argument(positional, choices=list(claims))
-        p.add_argument("--alpha", default=None)
-        for option in options:
-            flag = "--" + option.replace("_", "-")
-            p.add_argument(flag, type=_positive_int, default=None)
-        _add_common(p)
-        p.set_defaults(func=_cmd_claim)
+        for name, claim in harness.CLAIMS.items():
+            if claim.command != command:
+                continue
+            p = claims.add_parser(name, allow_abbrev=False)
+            for option in claim.selects:
+                kind = str if option == "alpha" else _positive_int
+                p.add_argument(_flag(option), type=kind)
+            if claim.bound:
+                p.add_argument(_flag(claim.bound), type=_positive_int)
+            if claim.samples:
+                p.add_argument("--samples", type=_positive_int)
+                p.add_argument("--seed", type=int, default=0)
+            if "alpha" in claim.selects:
+                p.add_argument("--max-family", type=_positive_int)
+            p.add_argument("--out")
+            p.set_defaults(func=_cmd_claim)
 
     return parser
 

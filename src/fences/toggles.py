@@ -61,9 +61,6 @@ class ToggleWord:
                 f"word must list distinct positive elements, got {self.order}"
             )
 
-    def position(self, x: int) -> int:
-        return self.order.index(x)
-
     def __str__(self) -> str:
         return ",".join(map(str, self.order))
 
@@ -150,11 +147,6 @@ class BaseGraph:
     family: str
     n: int
     edges: frozenset[tuple[int, int]]  # pairs (u, v) with u < v
-
-    def neighbors(self, x: int) -> tuple[int, ...]:
-        out = [v for u, v in self.edges if u == x]
-        out += [u for u, v in self.edges if v == x]
-        return tuple(sorted(out))
 
     @property
     def is_forest(self) -> bool:

@@ -1,4 +1,7 @@
+import argparse
+import ast
 import contextlib
+import inspect
 import io
 import json
 import re
@@ -7,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fences import harness
-from fences.cli import MAX_ALPHA_SIZE, main
+from fences import cli, harness
+from fences.cli import MAX_ALPHA_SIZE, build_parser, main
 
 
 def run(capsys, *argv):
@@ -104,6 +107,15 @@ class TestTiling:
     def test_needs_selector(self, capsys):
         code, _, err = run(capsys, "tiling", "--alpha", "2,2")
         assert code == 1
+
+    def test_both_selectors_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            "tiling", "--alpha", "4,3,4", "--rep", "x4,x10", "--orbit-index", "0",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("fences: error:") and err.count("\n") == 1
+        assert "--rep" in err and "--orbit-index" in err
 
     @pytest.mark.parametrize("index", ["3..1", "-1", "-2..1", "0..1000000000000"])
     def test_bad_orbit_index_is_usage_error(self, capsys, index):
@@ -285,6 +297,185 @@ class TestClaimTable:
         assert {c.command for c in harness.CLAIMS.values()} == {"verify", "scan"}
 
 
+# -- the options of each command and claim ----------------------------------------
+#
+# Each command and claim declares only the options its handler reads.  The
+# options every command once accepted, whether read or not, and the ones each
+# reads, written out independently of the parser and of harness.CLAIMS.
+
+_COMMON = ["--format", "--seed", "--max-family", "--out"]
+_ONCE_ACCEPTED = {
+    "info": ["--alpha", *_COMMON],
+    "count": ["--alpha", *_COMMON],
+    "orbits": ["--alpha", "--family", *_COMMON],
+    "tiling": ["--alpha", "--rep", "--orbit-index", "--render", *_COMMON],
+    "check": ["--alpha", "--family", "--stat", *_COMMON],
+    "verify": ["--alpha", "--a", "--b", "--max-sum", "--max-a", "--max-n",
+               "--samples", *_COMMON],
+    "scan": ["--alpha", "--max", "--samples", *_COMMON],
+}
+_FORMATS = ["json", "csv", "ascii", "svg"]
+
+# command -> (a command line it runs, the options it reads besides --out, the
+# formats it renders); a claim's command line is its first one in _SMALL
+_READS = {
+    "info": (["--alpha", "2,2"], "--alpha --format", ["json", "ascii"]),
+    "count": (["--alpha", "2,2"], "--alpha", []),
+    "orbits": (
+        ["--alpha", "2,2"], "--alpha --family --format --max-family", ["json", "csv"]
+    ),
+    "tiling": (
+        ["--alpha", "2,2", "--orbit-index", "0"],
+        "--alpha --rep --orbit-index --render --max-family",
+        [],
+    ),
+    "check": (
+        ["--alpha", "2,2", "--stat", "chi"],
+        "--alpha --family --stat --format --max-family",
+        ["json", "ascii"],
+    ),
+}
+_CLAIM_READS = {
+    "two-segment": "--a --b --max-sum",
+    "aba": "--a --b --max-sum",
+    "a4": "--a --max-a",
+    "a1a1a": "--a --max-a",
+    "homomesies": "--alpha --max-n --max-family",
+    "palindromic": "--alpha --max-family",
+    "base-graph": "--alpha --max-family",
+    "linear-extensions": "--alpha --samples --seed --max-family",
+    "transfer-ideal": "--alpha --samples --seed --max-family",
+    "constant-alpha": "--max",
+    "tile-palindromes": "--max",
+    "antichain-transfer": "--alpha --samples --seed --max-family",
+    "cross-orbit-complement": "--alpha --max-family",
+}
+_VALUE = {
+    "--alpha": "3,3", "--a": "3", "--b": "2", "--max-sum": "3", "--max-a": "2",
+    "--max-n": "3", "--max": "3", "--samples": "2", "--seed": "1",
+    "--max-family": "100", "--format": "ascii",
+}
+
+
+def _unread_options():
+    """(a command line that runs, the same line with one option its command
+    or claim once accepted and does not read) for each such option, every
+    --format value a command does not render included."""
+    lines = {(command,): line for command, line in _READS.items()}
+    for name, reads in _CLAIM_READS.items():
+        lines[harness.CLAIMS[name].command, name] = (_SMALL[name][0][0], reads, [])
+    for head, (argv, reads, formats) in lines.items():
+        for option in _ONCE_ACCEPTED[head[0]]:
+            if option == "--format" and formats:
+                extras = [[option, f] for f in _FORMATS if f not in formats]
+            elif option in reads.split() or option == "--out":
+                extras = []
+            else:
+                extras = [[option, _VALUE[option]]]
+            for extra in extras:
+                base = [*head, *argv]
+                yield pytest.param(base, base + extra, id=" ".join([*head, *extra]))
+
+
+class TestOnlyReadOptions:
+    @pytest.mark.parametrize("base, argv", _unread_options())
+    def test_an_unread_option_is_a_usage_error(self, capsys, base, argv):
+        assert run(capsys, *base)[0] == 0
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("fences: error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "name", [n for n, c in harness.CLAIMS.items() if c.check and c.sweep]
+    )
+    def test_an_instance_given_its_bound_is_a_usage_error(self, capsys, name):
+        (instance, _, _), (sweep, _, _) = _SMALL[name]
+        command = harness.CLAIMS[name].command
+        code, out, err = run(capsys, command, name, *instance, *sweep)
+        assert code == 1 and out == ""
+        assert err.startswith(f"fences: error: {command} {name} takes {instance[0]}")
+        assert err.endswith(f" or {sweep[0]}, not both\n")
+
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_an_unwritable_out_is_a_usage_error(self, capsys, tmp_path, where):
+        dest = tmp_path if where == "directory" else tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "count", "--alpha", "2,2", "--out", str(dest))
+        assert code == 1 and out == ""
+        assert err.startswith("fences: error: cannot write --out") and str(dest) in err
+        assert err.count("\n") == 1
+
+    def test_a_claim_lists_only_its_options(self):
+        code, out, _ = _run_quietly(["verify", "a4", "-h"])
+        assert code == 0
+        listed = set(re.findall(r"--[\w-]+", out))
+        assert listed == {"--help", "--a", "--max-a", "--out"}
+
+
+# The parser against the handlers: every option a subcommand declares is one
+# its handler reads, itself or through a cli function it passes args to, and
+# the reverse; every claim declares exactly the options of its CLAIMS row.
+
+
+def _subparsers(parser) -> dict:
+    """name -> parser, for each choice of a parser's subcommand positional."""
+    [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _declared(parser) -> set[str]:
+    """The dest of every option a parser declares, -h aside."""
+    return {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
+
+
+_FUNCS = {
+    node.name: node
+    for node in ast.parse(inspect.getsource(cli)).body
+    if isinstance(node, ast.FunctionDef)
+}
+
+
+def _args_read(name: str) -> set[str]:
+    """Every args.<name> that a cli function reads, itself or through the cli
+    functions it passes args to."""
+    read = set()
+    for node in ast.walk(_FUNCS[name]):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", "") == "args":
+            read.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) in _FUNCS
+            and any(getattr(a, "id", None) == "args" for a in node.args)
+        ):
+            read |= _args_read(node.func.id)
+    return read
+
+
+_COMMANDS = _subparsers(build_parser())
+
+
+class TestDeclaredOptions:
+    @pytest.mark.parametrize(
+        "command", [c for c in _COMMANDS if c not in ("verify", "scan")]
+    )
+    def test_a_command_declares_what_its_handler_reads(self, command):
+        parser = _COMMANDS[command]
+        handler = parser.get_default("func").__name__
+        assert handler != "_cmd_claim"
+        assert _args_read(handler) == _declared(parser)
+
+    @pytest.mark.parametrize("name", list(harness.CLAIMS))
+    def test_a_claim_declares_its_row(self, name):
+        claim = harness.CLAIMS[name]
+        parser = _subparsers(_COMMANDS[claim.command])[name]
+        row = {*claim.selects, claim.bound, "out"}
+        if claim.samples:
+            row |= {"samples", "seed"}
+        if "alpha" in claim.selects:
+            row.add("max_family")
+        assert _declared(parser) == row - {None}
+        assert parser.get_default("func") is cli._cmd_claim
+
+
 class TestNumericOptions:
     @pytest.mark.parametrize("command", ["count", "info"])
     def test_long_composition_needs_no_recursion(self, capsys, command):
@@ -345,6 +536,21 @@ class TestCaps:
         code, _, _ = run(capsys, "orbits", "--alpha", "4,3,4")
         assert code == 0
 
+    def test_max_family_caps_an_alpha_claim(self, capsys):
+        argv = ("verify", "transfer-ideal", "--alpha", "4,3,4", "--max-family", "10")
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "cap 10" in err
+
+    def test_env_var_caps_an_alpha_claim(self, capsys, monkeypatch):
+        monkeypatch.setenv("FENCE_MAX_FAMILY", "10")
+        code, out, err = run(capsys, "verify", "homomesies", "--alpha", "4,3,4")
+        assert code == 3 and out == "" and "cap 10" in err
+
+    def test_env_var_of_a_claim_must_be_positive(self, capsys, monkeypatch):
+        monkeypatch.setenv("FENCE_MAX_FAMILY", "0")
+        code, out, err = run(capsys, "verify", "base-graph", "--alpha", "3,3")
+        assert code == 1 and out == "" and err.startswith("fences: error: FENCE_")
+
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("FENCE_MAX_FAMILY", "10")
         code, out, _ = run(
@@ -355,17 +561,22 @@ class TestCaps:
 
 # -- argv fuzz ------------------------------------------------------------------
 #
-# Random argv for every subcommand: a well-formed command line, three times
-# in four corrupted once (a junk value, a dropped option or a stray token).
-# Every size that reaches a sweep is given and small (n <= 11, --max <= 6,
-# --samples <= 3), and nothing starts a thread or a process, so each run
-# takes milliseconds.
+# Random argv for every subcommand and claim, drawn from the options its
+# parser declares: a well-formed command line, four times in five corrupted
+# once (a junk value, a dropped option, a stray token or an option it does
+# not read).  Every sweep bound and --samples is in the head, where no
+# corruption reaches it, and small (n <= 11, bounds <= 7, --samples <= 3); an
+# instance whose selecting option is corrupted gets its claim's small bound
+# too, so no default-size sweep runs.  --out is never drawn, and nothing
+# starts a thread or a process, so each run takes milliseconds.
 
 _JUNK = ["", "x", "abc", "-1", "0", "1.5", "1,3", "2^", "^2", "2,,2", "2^0",
          "3^-1", "2^2^2", "chi[[", "1/0", "chi[99]", "xml", "-2..1", "3..1"]
 _STATS = ["chi", "chihat", "chi[1]-chi[2]", "2*chihat[3] + 1/2", "chi + chihat"]
-_CLAIMS = [n for n, c in harness.CLAIMS.items() if c.command == "verify"]
-_CONJECTURES = [n for n, c in harness.CLAIMS.items() if c.command == "scan"]
+
+
+def _ints(low, high):
+    return st.integers(low, high).map(str)
 
 
 @st.composite
@@ -377,59 +588,88 @@ def _alphas(draw):
     return ",".join(map(str, [draw(ends), *middle, draw(ends)]))  # n <= 11
 
 
-def _ints(low, high):
-    return st.integers(low, high).map(str)
+@st.composite
+def _orbit_indices(draw):
+    lo = draw(st.integers(0, 4))
+    hi = draw(st.integers(lo, lo + 3))
+    return draw(st.sampled_from([f"{lo}", f"{lo}..{hi}"]))
+
+
+_REPS = st.lists(st.integers(1, 11), min_size=1, max_size=3).map(
+    lambda xs: ",".join(f"x{x}" for x in xs)
+)
+# the values of each option without choices, by dest; the small sweep bounds
+# and --samples go in the head
+_VALUES = {
+    "alpha": _alphas(), "a": _ints(2, 4), "b": _ints(1, 4), "seed": _ints(0, 9),
+    "max_family": st.sampled_from(["1", "9", "60", "10000"]),
+    "stat": st.sampled_from(_STATS), "rep": _REPS, "orbit_index": _orbit_indices(),
+}
+_BOUNDS = {
+    "max_sum": _ints(1, 7), "max_a": _ints(1, 3), "max_n": _ints(1, 6),
+    "max": _ints(1, 6),
+}
+# the parser of each command line: (command,) or (command, claim)
+_PARSERS = {(c,): p for c, p in _COMMANDS.items() if c not in ("verify", "scan")}
+_PARSERS.update(
+    ((c, name), p)
+    for c in ("verify", "scan")
+    for name, p in _subparsers(_COMMANDS[c]).items()
+)
+_FLAGS = sorted({
+    a.option_strings[0]
+    for parser in _PARSERS.values()
+    for a in parser._actions
+    if a.option_strings and a.dest != "help"
+})
 
 
 @st.composite
 def _argvs(draw):
-    command = draw(st.sampled_from(
-        ["info", "count", "orbits", "tiling", "check", "verify", "scan"]
-    ))
-    head, options = [command], [("--alpha", draw(_alphas()))]
-    if command == "verify":
-        head.append(draw(st.sampled_from(_CLAIMS)))
-        # every sweep bound is in head, where no corruption drops it, so no
-        # default-size sweep runs
-        for flag, high in (("--max-sum", 7), ("--max-a", 3), ("--max-n", 6),
-                           ("--samples", 3)):
-            head += [flag, draw(_ints(1, high))]
-        if draw(st.booleans()):
-            options += [("--a", draw(_ints(2, 4))), ("--b", draw(_ints(1, 4)))]
-        if draw(st.booleans()):
-            options.pop(0)  # sweep claims run without --alpha
-    elif command == "scan":
-        head.append(draw(st.sampled_from(_CONJECTURES)))
-        head += ["--max", draw(_ints(1, 6)), "--samples", draw(_ints(1, 3))]
-    elif command in ("orbits", "check"):
-        options.append(("--family", draw(st.sampled_from(["antichains", "ideals"]))))
-        if command == "check":
-            options.append(("--stat", draw(st.sampled_from(_STATS))))
-    elif command == "tiling":
-        if draw(st.booleans()):
-            reps = st.lists(st.integers(1, 11), min_size=1, max_size=3)
-            options.append(("--rep", ",".join(f"x{x}" for x in draw(reps))))
-        else:
-            lo = draw(st.integers(0, 4))
-            hi = draw(st.integers(lo, lo + 3))
-            index = draw(st.sampled_from([f"{lo}", f"{lo}..{hi}"]))
-            options.append(("--orbit-index", index))
-        options.append(("--render", draw(st.sampled_from(["ascii", "svg"]))))
-    if draw(st.booleans()):
-        options.append(("--format", draw(st.sampled_from(["json", "csv", "ascii"]))))
-    if draw(st.booleans()):
-        options.append(("--seed", draw(_ints(0, 9))))
-    if draw(st.booleans()):
-        cap = draw(st.sampled_from(["1", "9", "60", "10000"]))
-        options.append(("--max-family", cap))
-    corruption = draw(st.sampled_from([None, "value", "drop", "token"]))
-    if corruption == "value" and options:
+    head = [draw(st.sampled_from(list(_COMMANDS)))]
+    if head[0] in ("verify", "scan"):
+        head.append(draw(st.sampled_from(list(_subparsers(_COMMANDS[head[0]])))))
+    parser = _PARSERS[tuple(head)]
+    actions = [
+        a for a in parser._actions if a.option_strings and a.dest not in ("help", "out")
+    ]
+    claim = harness.CLAIMS.get(head[-1])
+    needed, skipped, instance = set(), set(), False
+    for group in parser._mutually_exclusive_groups:  # tiling's --rep, --orbit-index
+        kept = draw(st.sampled_from(group._group_actions)).dest
+        needed.add(kept)
+        skipped |= {a.dest for a in group._group_actions if a.dest != kept}
+    if claim:
+        instance = bool(claim.check) and not (claim.sweep and draw(st.booleans()))
+        if claim.samples:
+            head += ["--samples", draw(_ints(1, 3))]
+        if not instance:
+            head += [cli._flag(claim.bound), draw(_BOUNDS[claim.bound])]
+        (needed if instance else skipped).update(claim.selects)
+        skipped |= {claim.bound, "samples"}
+    options = []
+    for a in actions:
+        if a.dest not in skipped and (
+            a.required or a.dest in needed or draw(st.booleans())
+        ):
+            values = st.sampled_from(a.choices) if a.choices else _VALUES[a.dest]
+            options.append((a.option_strings[0], draw(values)))
+    corruption = draw(st.sampled_from([None, "value", "drop", "token", "unread"]))
+    if corruption in ("value", "drop") and options:
         i = draw(st.integers(0, len(options) - 1))
-        options[i] = (options[i][0], draw(st.sampled_from(_JUNK)))
-    elif corruption == "drop" and options:
-        options.pop(draw(st.integers(0, len(options) - 1)))
+        flag = options[i][0]
+        if corruption == "value":
+            options[i] = (flag, draw(st.sampled_from(_JUNK)))
+        else:
+            options.pop(i)
+        if instance and claim.sweep and flag[2:] in claim.selects:
+            head += [cli._flag(claim.bound), draw(_BOUNDS[claim.bound])]
     elif corruption == "token":
         head.append(draw(st.sampled_from(["--bogus", "extra", "-h", "--alpha"])))
+    elif corruption == "unread":
+        declared = {a.option_strings[0] for a in parser._actions}
+        flag = draw(st.sampled_from([f for f in _FLAGS if f not in declared]))
+        options.append((flag, draw(_ints(1, 3))))
     return head + [token for pair in options for token in pair]
 
 
