@@ -350,8 +350,6 @@ class Fence:
         - ("orbits", family): the tuple of Orbits of rowmotion on the
           family, ANTICHAIN or IDEAL (fences.rowmotion);
         - "tiling_lemma": the tiling lemma's index tables (fences.stats);
-        - ("scaled", expr): a statistic's family and scaled_weights, made
-          once per fence for the transfer check (fences.toggles);
         - "profiles": the antichain orbit profiles (fences.harness).
 
         A Fence shared across threads is mutated by first uses: concurrent

@@ -9,9 +9,11 @@ exact, so there are no tolerances anywhere.
 
 The linear identities are data.  A row names its keys (x, y, segment, j,
 k or stat), integer weights over an orbit profile's antichain_counts or
-ideal_counts, and the expected orbit sum as a function of the orbit
-size; one checker (_first_failure) runs every row over every orbit.  A
-part with rows fails on the first orbit that breaks one, with the witness
+ideal_counts, as the (element, weight) pairs of StatExpr.integer_form
+(None for the cardinality), and the expected orbit sum as a function of
+the orbit size; one checker (_first_failure) runs every row over every
+orbit through stats.weighted_sum.  A part with rows fails on the first
+orbit that breaks one, with the witness
 
     {instance params, row keys, orbit, size, value, expected}
 
@@ -221,13 +223,8 @@ class _Row(NamedTuple):
 
     keys: dict  # identifies the row in a witness: x, y, segment, j, k or stat
     counts: str  # "antichain_counts" or "ideal_counts"
-    weights: tuple[tuple[int, int], ...]  # (0-based element index, weight)
+    weights: tuple[tuple[int | None, int], ...]  # (0-based index or None, weight)
     expected: Callable[[int], int | None]
-
-
-def _total(n: int, w: int = 1) -> tuple[tuple[int, int], ...]:
-    """w times the cardinality statistic."""
-    return tuple((k, w) for k in range(n))
 
 
 def _times(c: int) -> Callable[[int], int]:
@@ -237,7 +234,7 @@ def _times(c: int) -> Callable[[int], int]:
 
 def _half_n_chihat(n: int) -> _Row:
     """chihat averages n/2: twice its orbit sum is n times the size."""
-    return _Row({}, "ideal_counts", _total(n, 2), _times(n))
+    return _Row({}, "ideal_counts", ((None, 2),), _times(n))
 
 
 def _witness(keys: dict, p: OrbitProfile, value: int, expected) -> dict:
@@ -249,7 +246,7 @@ def _first_failure(profiles, rows) -> dict | None:
     """The witness of the first orbit breaking a row, rows taken in order."""
     for keys, counts, weights, expected_sum in rows:
         for p in profiles:
-            value = weighted_sum(0, weights, p.size, getattr(p, counts))
+            value = weighted_sum(weights, getattr(p, counts))
             expected = expected_sum(p.size)
             if value != expected:
                 return _witness(keys, p, value, expected)
@@ -293,11 +290,11 @@ def verify_two_segment(a: int, b: int) -> VerificationReport:
     sizes = sorted(p.size for p in profiles)
     want = sorted([ell] * (g - 1) + [ell + 1])
     count = len(profiles)
-    chi = _Row({}, "antichain_counts", _total(F.n), lambda w: m if w == ell else m + 1)
+    chi = _Row({}, "antichain_counts", ((None, 1),), lambda w: m if w == ell else m + 1)
     chihat = _Row(  # twice chihat, so the expected sums are integers
         {},
         "ideal_counts",
-        _total(F.n, 2),
+        ((None, 2),),
         lambda w: ell * (a + b - 2) if w == ell else (ell + 2) * (a + b - 2) + 2,
     )
     instances = [
@@ -408,8 +405,8 @@ def verify_a4(a: int) -> VerificationReport:
     chi = {size: v for size, (_, v, _) in chart.items()}
     chihat = {size: v for size, (_, _, v) in chart.items()}
     rows = [
-        _Row({"stat": "chi"}, "antichain_counts", _total(F.n), chi.get),
-        _Row({"stat": "chihat"}, "ideal_counts", _total(F.n), chihat.get),
+        _Row({"stat": "chi"}, "antichain_counts", ((None, 1),), chi.get),
+        _Row({"stat": "chihat"}, "ideal_counts", ((None, 1),), chihat.get),
     ]
     instances = [
         _sizes_part({"a": a, "part": "orbit-sizes"}, profiles, expected),
@@ -554,7 +551,7 @@ def verify_general_homomesies(alpha) -> VerificationReport:
 
     # (f) all parts 2: chi averages s/2
     all_twos = all(part == 2 for part in F.alpha)
-    rows = [_Row({}, A, _total(n, 2), _times(s))] if all_twos else []
+    rows = [_Row({}, A, ((None, 2),), _times(s))] if all_twos else []
     instances.append(_rows_part(params("half-s-average"), profiles, rows))
 
     # chihat averages n/2 on superorbits of self-dual fences

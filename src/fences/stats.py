@@ -8,16 +8,20 @@ when every orbit average equals one constant, and orbomesic when orbits
 of equal size have equal sums.  Floating point would mask violations, so
 none is used.
 
-Orbit sums are integers.  A statistic is scaled once by the lcm d of its
-denominators (scaled_weights); d times an orbit sum is then constant*size
-plus integer weights times the orbit's element counts.  scaled_sums gives
-that for every orbit of a count table at once, as one column of integers,
-and classify_orbit_sums, the one classifier, decides a column: it
-cross-multiplies every orbit against the first for homomesy, and
+Orbit sums are integers.  A statistic carries its own integer form
+(StatExpr.integer_form), made once and independent of the fence: the lcm
+d of its denominators, the constant times d, and (element, weight) pairs,
+the element being a 0-based index or None for the cardinality.  d times
+an orbit sum is then constant*size plus each weight times its element's
+count, the cardinality's count being the sum of all counts.  scaled_sums
+gives that for every orbit of a count table at once, as one column of
+integers, and classify_orbit_sums, the one classifier, decides a column:
+it cross-multiplies every orbit against the first for homomesy, and
 compares the number of distinct (size, sum) pairs with the number of
 distinct sizes for orbomesy.  Fractions are built only at the report:
 MesyReport.constant, and MesyReport.per_orbit when it is read.
-weighted_sum evaluates one orbit, for the harness's witnesses.
+weighted_sum reads the same pairs on one orbit's counts, for the
+harness's rows and witnesses.
 
 The element counts come from one kernel, orbit_element_counts, called
 once per decomposition: it returns the count table of a list of orbits,
@@ -90,17 +94,20 @@ class StatExpr:
     constant: Fraction = Fraction(0)
 
     @cached_property
-    def _hash(self) -> int:
-        return hash((self.terms, self.constant))
-
-    def __hash__(self) -> int:
-        """Computed once: a statistic keys Fence.memo, and a Fraction's
-        hash is Python code."""
-        return self._hash
-
-    def __getstate__(self) -> dict:
-        """The fields only: a cached hash of str atoms is per process."""
-        return {"terms": self.terms, "constant": self.constant}
+    def integer_form(self) -> tuple[int, int, tuple[tuple[int | None, int], ...]]:
+        """The statistic times the lcm d of its denominators, as integers:
+        (d, constant, pairs).  A pair holds a 0-based element index, or None
+        for the cardinality, with its weight; equal atoms are merged and
+        zero weights dropped.  d times an orbit sum is constant * size plus
+        each weight times its element's count, the cardinality's count being
+        the sum of all counts."""
+        d = lcm(self.constant.denominator, *(c.denominator for c, _ in self.terms))
+        weights: dict[int | None, int] = {}
+        for coeff, atom in self.terms:
+            k = None if atom.element is None else atom.element - 1
+            weights[k] = weights.get(k, 0) + int(coeff * d)
+        pairs = tuple((k, w) for k, w in weights.items() if w)
+        return d, int(self.constant * d), pairs
 
     def families(self) -> set[str]:
         return {atom.family for _, atom in self.terms}
@@ -244,52 +251,35 @@ def evaluate(F: Fence, expr: StatExpr, S: ElementSet) -> Fraction:
     return total
 
 
-def scaled_weights(
-    expr: StatExpr, n: int
-) -> tuple[int, int, tuple[tuple[int, int], ...]]:
-    """The statistic times the lcm d of its denominators, as integers.
-
-    Returns (d, constant, weights): weights pairs a 0-based element index
-    with its integer weight, nonzero weights only, and a cardinality atom
-    adds its weight to every element.  d times an orbit sum is then
-    weighted_sum(constant, weights, size, counts).
-    """
-    denom = lcm(expr.constant.denominator, *(c.denominator for c, _ in expr.terms))
-    weights = [0] * n
-    for coeff, atom in expr.terms:
-        w = int(coeff * denom)
-        if atom.element is None:
-            weights = [x + w for x in weights]
-        elif 1 <= atom.element <= n:
-            weights[atom.element - 1] += w
-        else:
-            raise FenceError(f"element x{atom.element} out of range 1..{n}")
-    pairs = tuple((k, w) for k, w in enumerate(weights) if w)
-    return denom, int(expr.constant * denom), pairs
+def _check_elements(F: Fence, expr: StatExpr) -> None:
+    """Raise FenceError naming the statistic's first atom outside F."""
+    for _, atom in expr.terms:
+        if atom.element is not None and not 1 <= atom.element <= F.n:
+            raise FenceError(f"element x{atom.element} out of range 1..{F.n}")
 
 
-def weighted_sum(
-    constant: int, weights: Iterable[tuple[int, int]], size: int, counts: Sequence[int]
-) -> int:
-    """constant*size + the weighted element counts: an integer linear
-    statistic on one orbit of `size` members whose element occurrences are
-    `counts` (scaled_sums does every orbit of a count table at once)."""
-    total = constant * size
-    for k, w in weights:
-        total += w * counts[k]
+def weighted_sum(pairs: Iterable[tuple[int | None, int]], counts: Sequence[int]) -> int:
+    """The weighted element counts of one orbit: each weight times the
+    count of its 0-based element, or times the sum of all counts for None
+    (scaled_sums does every orbit of a count table at once)."""
+    total = 0
+    for k, w in pairs:
+        total += w * (sum(counts) if k is None else counts[k])
     return total
 
 
 def scaled_sums(
-    scaled: tuple[int, int, tuple[tuple[int, int], ...]],
-    sizes: Sequence[int],
-    columns: Sequence[Sequence[int]],
+    expr: StatExpr, sizes: Sequence[int], columns: Sequence[Sequence[int]]
 ) -> list[int]:
-    """The statistic scaled_weights gives, times its denominator, summed
-    over every orbit of a count table: constant * sizes + the sum of
-    weight * column over the weighted elements."""
-    _, constant, weights = scaled
-    terms = [columns[k] if w == 1 else map(mul, columns[k], repeat(w)) for k, w in weights]
+    """The statistic's orbit sums times its denominator d, over every orbit
+    of a count table, from its integer form: constant * sizes plus each
+    weight times its element's column, the cardinality's column being the
+    sum of all columns."""
+    _, constant, pairs = expr.integer_form
+    terms = []
+    for k, w in pairs:
+        column = list(map(sum, zip(*columns))) if k is None else columns[k]
+        terms.append(column if w == 1 else map(mul, column, repeat(w)))
     if constant:
         terms.append(map(mul, sizes, repeat(constant)))
     if not terms:
@@ -304,9 +294,9 @@ def orbit_sum(F: Fence, expr: StatExpr, orbit: Orbit) -> Fraction:
     fam = expr.family()
     if fam is not None and orbit.family != fam:
         raise RoleError(f"statistic over {fam}s summed over a {orbit.family} orbit")
-    scaled = scaled_weights(expr, F.n)
+    _check_elements(F, expr)
     columns = orbit_element_counts(F, [orbit.masks])
-    return Fraction(scaled_sums(scaled, [orbit.size], columns)[0], scaled[0])
+    return Fraction(scaled_sums(expr, [orbit.size], columns)[0], expr.integer_form[0])
 
 
 #: Largest n counted through the byte table; longer fences use bit planes.
@@ -449,28 +439,19 @@ def classify_orbit_sums(
     return MesyReport("neither", None, pairs, denom)
 
 
-def _orbits_for(F: Fence, family: str, orbits) -> tuple[Orbit, ...]:
-    if orbits is not None:
-        return tuple(orbits)
-    if family == ANTICHAIN:
-        return antichain_orbits(F)
-    if family == IDEAL:
-        return ideal_orbits(F)
-    raise FenceError(f"no orbit family {family!r}")
-
-
-def check_homomesy(F: Fence, family: str, expr: StatExpr, orbits=None) -> MesyReport:
+def check_homomesy(F: Fence, family: str, expr: StatExpr) -> MesyReport:
     """Classify a statistic over the rowmotion orbits of a family."""
     fam = expr.family()
     if fam is not None and fam != family:
         raise RoleError(f"statistic over {fam}s checked on {family} orbits")
-    orbs = _orbits_for(F, family, orbits)
-    if fam is not None and any(o.family != fam for o in orbs):
-        raise RoleError(f"statistic over {fam}s summed over another family's orbit")
-    scaled = scaled_weights(expr, F.n)
-    sizes = [o.size for o in orbs]
-    columns = orbit_element_counts(F, [o.masks for o in orbs])
-    return classify_orbit_sums(sizes, scaled_sums(scaled, sizes, columns), scaled[0])
+    if family not in (ANTICHAIN, IDEAL):
+        raise FenceError(f"no orbit family {family!r}")
+    _check_elements(F, expr)
+    orbits = antichain_orbits(F) if family == ANTICHAIN else ideal_orbits(F)
+    sizes = [o.size for o in orbits]
+    columns = orbit_element_counts(F, [o.masks for o in orbits])
+    sums = scaled_sums(expr, sizes, columns)
+    return classify_orbit_sums(sizes, sums, expr.integer_form[0])
 
 
 # -- the tiling lemma --------------------------------------------------------

@@ -389,8 +389,6 @@ def _render_ascii(T: AlphaTiling) -> str:
     lines = []
     for r in range(T.rows):
         seam = "~" if w > 1 and idx[r][0] == idx[r][w - 1] else "|"
-        if w == 1:
-            seam = "|"
         parts = [seam]
         for c in range(w):
             parts.append(grid[r][c])

@@ -36,10 +36,10 @@ from .rowmotion import Orbit, decompose
 from .stats import (
     MesyReport,
     StatExpr,
+    _check_elements,
     classify_orbit_sums,
     orbit_element_counts,
     scaled_sums,
-    scaled_weights,
 )
 
 
@@ -395,9 +395,11 @@ def transfer_check(
 
     Each word's orbits come from one decompose and are counted as one
     table (stats.orbit_element_counts); each statistic is then one column
-    of orbit sums per word, classified by stats.classify_orbit_sums.  The
-    statistics are read once, so any iterable will do, and scaled to
-    integers once per fence (Fence.memo key ("scaled", expr)).
+    of orbit sums per word, read off its integer form (StatExpr.integer_form,
+    made once per statistic) and classified by stats.classify_orbit_sums.
+    The statistics are read once, so any iterable will do.  Every
+    statistic's atoms are checked (one family, elements in range) before
+    any statistic's family is compared with the words'.
 
     Disagreement is reported, not raised: for ideal words agreement is a
     theorem, for antichain words it is only conjectured, so a mismatch
@@ -406,8 +408,11 @@ def transfer_check(
     if word_a.family != family or word_b.family != family:
         raise RoleError("words do not act on the requested family")
     exprs = [exprs] if isinstance(exprs, StatExpr) else list(exprs)
-    battery = [F.memo(("scaled", e), partial(_scaled, e, F.n)) for e in exprs]
-    for e, (fam, _) in zip(exprs, battery):
+    fams = []
+    for e in exprs:
+        fams.append(e.family())
+        _check_elements(F, e)
+    for e, fam in zip(exprs, fams):
         if fam is not None and fam != family:
             raise RoleError(f"statistic {e} targets {fam}s, not {family}s")
     masks = F.family_masks(family)
@@ -416,16 +421,10 @@ def transfer_check(
         orbits = decompose(F, masks, compile_word(F, word))
         tables.append((list(map(len, orbits)), orbit_element_counts(F, orbits)))
     results = []
-    for e, (_, scaled) in zip(exprs, battery):
+    for e in exprs:
         a, b = [
-            classify_orbit_sums(sizes, scaled_sums(scaled, sizes, columns), scaled[0])
+            classify_orbit_sums(sizes, scaled_sums(e, sizes, columns), e.integer_form[0])
             for sizes, columns in tables
         ]
         results.append(TransferResult(e, a, b))
     return TransferReport(family, word_a, word_b, tuple(results))
-
-
-def _scaled(expr: StatExpr, n: int):
-    """A statistic's family and scaled_weights, as transfer_check keeps
-    them in Fence.memo."""
-    return expr.family(), scaled_weights(expr, n)

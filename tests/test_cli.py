@@ -14,6 +14,9 @@ from fences import cli, harness
 from fences.cli import MAX_ALPHA_SIZE, build_parser, main
 
 
+MIXED = "statistic mixes antichain (chi) and ideal (chihat) atoms"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -149,6 +152,18 @@ class TestCheck:
     def test_bad_stat_exits_1(self, capsys):
         code, _, err = run(capsys, "check", "--stat", "chi[[", "--alpha", "2,2")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "stat, message",
+        [
+            ("chi[11]", "element x11 out of range 1..10"),
+            ("chi[2] + chi[12] + chi[13]", "element x12 out of range 1..10"),
+            ("chi[11] + chihat[2]", MIXED),
+        ],
+    )
+    def test_bad_atom_exits_1(self, capsys, stat, message):
+        code, out, err = run(capsys, "check", "--alpha", "4,3,4", "--stat", stat)
+        assert (code, out, err) == (1, "", f"fences: error: {message}\n")
 
 
 class TestVerifyScan:

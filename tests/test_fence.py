@@ -1,4 +1,5 @@
 import ast
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -303,7 +304,8 @@ class TestFamilyBijections:
 class TestMemoKeys:
     def test_every_memo_key_is_documented(self):
         # every key passed to .memo( in the package is listed in Fence.memo's
-        # docstring: a string key as itself, a tuple key by its first string
+        # docstring, a string key as itself and a tuple key by its first
+        # string, and every key the docstring lists is passed to some .memo(
         src = Path(fences.__file__).parent
         doc = Fence.memo.__doc__
         keys = []
@@ -324,3 +326,4 @@ class TestMemoKeys:
                 keys.append(key.value)
                 assert f'"{key.value}"' in doc, f"{path.name}:{node.lineno}"
         assert {"ideal_masks", "orbits", "profiles"} <= set(keys)
+        assert set(re.findall(r'"(\w+)"', doc)) == set(keys)

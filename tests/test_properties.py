@@ -10,7 +10,10 @@ round-trips through its tiling, and ideal toggles along sampled linear
 extensions equal the oracle's rowmotion.  The integer statistic classifier is
 checked against the oracle's Fraction classifier on random rational
 statistics with n <= 12, the column classifier over a denominator > 1
-likewise, and the count table of a list of orbits against a plain count.
+likewise, the transfer check of one such word against check_homomesy, and
+the count table of a list of orbits against a plain count.  Two Coxeter
+words with one orientation of the base graph (n <= 8) give one orbit
+partition, the oracle's.
 The ideal-count recurrence, which the family cap is checked against, is
 compared with enumeration, and the cap boundary with every family
 accessor.  On self-dual fences the ideal complement is an involution
@@ -56,7 +59,14 @@ from fences.stats import (
     orbit_element_counts,
     tiling_lemma,
 )
-from fences.toggles import ToggleWord, compile_word, sample_linear_extensions
+from fences.toggles import (
+    ToggleWord,
+    compile_word,
+    orientation,
+    sample_linear_extensions,
+    transfer_check,
+    word_orbits,
+)
 
 MAX_N = 14
 
@@ -172,10 +182,10 @@ COEFFS = [Fraction(c) for c in (1, -1, 2, -3, "1/2", "-3/4", "5/3", "7/6")]
 
 
 @st.composite
-def statistics(draw, n):
-    """A rational statistic on antichains or ideals of an n-element fence:
+def statistics(draw, n, families=(ANTICHAIN, IDEAL)):
+    """A rational statistic on one of the families of an n-element fence:
     one to four weighted indicators or cardinalities and a constant."""
-    family = draw(st.sampled_from([ANTICHAIN, IDEAL]))
+    family = draw(st.sampled_from(families))
     kind = "chi" if family == ANTICHAIN else "chihat"
     elements = st.one_of(st.none(), st.integers(min_value=1, max_value=n))
     terms = draw(
@@ -204,6 +214,59 @@ def test_integer_classifier_matches_fraction_reference(data):
     column = [d * sm for _, sm in report.sums]
     again = classify_orbit_sums(sizes, column, d * report.denom)
     assert (again.kind, again.constant, again.per_orbit) == (kind, constant, per_orbit)
+
+
+@PROPERTY
+@given(st.data())
+def test_transfer_on_a_rowmotion_word_is_check_homomesy(data):
+    # toggling along a linear extension is ideal rowmotion, so the transfer
+    # check of one such word against itself classifies as check_homomesy
+    F = build_fence(data.draw(compositions(max_n=12)))
+    _, expr = data.draw(statistics(F.n, families=(IDEAL,)))
+    (ext,) = sample_linear_extensions(F, 1, data.draw(st.integers(0, 2**32)))
+    w = ToggleWord(IDEAL, ext)
+    (result,) = transfer_check(F, IDEAL, w, w, expr).results
+    assert result.report_a == result.report_b == check_homomesy(F, IDEAL, expr)
+
+
+def _cycles(orbits):
+    """Orbits as a set of cycles of frozensets, each cycle rotated to start
+    at its least member."""
+    out = set()
+    for cycle in orbits:
+        i = min(range(len(cycle)), key=lambda j: sorted(cycle[j]))
+        out.add(tuple(cycle[i:] + cycle[:i]))
+    return out
+
+
+@PROPERTY
+@given(st.data())
+def test_words_with_one_orientation_have_one_orbit_partition(data):
+    # swapping adjacent toggles that share no base-graph edge keeps the
+    # orientation, so both words are one Coxeter element with one partition
+    F = build_fence(data.draw(compositions(max_n=8)))
+    family = data.draw(st.sampled_from([ANTICHAIN, IDEAL]))
+    G = base_graph(F, family)
+    order = data.draw(st.permutations(range(1, F.n + 1)))
+    swapped = list(order)
+    for i in data.draw(st.lists(st.integers(0, max(F.n - 2, 0)), max_size=3 * F.n)):
+        pair = swapped[i : i + 2]
+        if len(pair) == 2 and tuple(sorted(pair)) not in G.edges:
+            swapped[i : i + 2] = pair[::-1]
+    word, other = ToggleWord(family, order), ToggleWord(family, swapped)
+    assert orientation(word, G) == orientation(other, G)
+    orbits = word_orbits(F, word)
+    assert word_orbits(F, other) == orbits
+
+    def step(F, members):
+        for x in reversed(order):
+            members = oracle.brute_toggle(F, family, x, members)
+        return members
+
+    brute = oracle.brute_ideals if family == IDEAL else oracle.brute_antichains
+    want = oracle.brute_orbits(F, brute(F), step)
+    got = [[frozenset(S.elements) for S in o.reps] for o in orbits]
+    assert _cycles(got) == _cycles(want)
 
 
 def _mask(members):

@@ -9,7 +9,9 @@ import pytest
 from fences import (
     ANTICHAIN,
     IDEAL,
+    FenceError,
     RoleError,
+    ToggleWord,
     antichain_orbits,
     build_fence,
     check_homomesy,
@@ -21,6 +23,7 @@ from fences import (
     parse_stat,
     tile_counts,
     tiling_of_orbit,
+    transfer_check,
 )
 from fences.harness import all_fence_compositions, orbit_profiles
 from fences.stats import StatExprError, orbit_element_counts
@@ -36,13 +39,26 @@ class TestParser:
             (-1, "chi", 5),
         ]
 
-    def test_pickle_leaves_the_cached_hash_behind(self):
-        # string hashes differ between processes, so a copy recomputes it
+    def test_pickled_copy_keeps_the_integer_form(self):
         e = parse_stat("2*chi[3] - 1/2")
-        hash(e)
+        form = e.integer_form
         copy = pickle.loads(pickle.dumps(e))
-        assert copy == e and "_hash" not in vars(copy)
-        assert hash(copy) == hash(e)
+        assert copy == e and hash(copy) == hash(e)
+        assert copy.integer_form == form == (2, -1, ((2, 4),))
+
+    @pytest.mark.parametrize(
+        "text, form",
+        [
+            ("chi", (1, 0, ((None, 1),))),
+            ("2*chihat - 1/3", (3, -1, ((None, 6),))),
+            ("chi - chi[4] + chi[4]", (1, 0, ((None, 1),))),
+            ("1/2*chi[2] + chi + 1/3*chi[2] - 3/4", (12, -9, ((1, 10), (None, 12)))),
+            ("chi[3] - chi[3] + 5", (1, 5, ())),
+        ],
+    )
+    def test_integer_form(self, text, form):
+        # atoms on the same element merge, and zero weights are dropped
+        assert parse_stat(text).integer_form == form
 
     def test_whitespace_insensitive(self):
         assert parse_stat("chi[1]+chi[2]") == parse_stat(" chi[ 1 ] + chi[ 2 ] ")
@@ -151,6 +167,62 @@ class TestHomomesy:
         d = r.to_json_dict()
         assert set(d) == {"kind", "constant", "per_orbit"}
         assert all(set(x) == {"size", "sum", "average"} for x in d["per_orbit"])
+
+
+class TestErrorPaths:
+    """A statistic that does not fit the fence: every entry point that sums
+    it names the first element out of range, after the checks of its
+    statistic's family that come first there."""
+
+    RANGE = "element x11 out of range 1..10"
+    MIXED = "statistic mixes antichain (chi) and ideal (chihat) atoms"
+
+    def sums(self, F, text):
+        """Every entry point, summing the statistic over antichain orbits."""
+        expr, w = parse_stat(text), ToggleWord(ANTICHAIN, range(1, F.n + 1))
+        return {
+            "check_homomesy": lambda: check_homomesy(F, ANTICHAIN, expr),
+            "orbit_sum": lambda: orbit_sum(F, expr, antichain_orbits(F)[0]),
+            "transfer_check": lambda: transfer_check(F, ANTICHAIN, w, w, [expr]),
+        }
+
+    @pytest.mark.parametrize("entry", ["check_homomesy", "orbit_sum", "transfer_check"])
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("chi[11]", FenceError, RANGE),
+            ("chi[1] + chi[11] + chi[12]", FenceError, RANGE),
+            ("chi[11] - chi[11]", FenceError, RANGE),
+            ("chi[11] + chihat[2]", RoleError, MIXED),
+            ("chihat[1] + chi[11]", RoleError, MIXED),
+        ],
+    )
+    def test_message(self, f434, entry, text, error, message):
+        with pytest.raises(error) as info:
+            self.sums(f434, text)[entry]()
+        assert type(info.value) is error and str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "entry, error, message",
+        [
+            ("check_homomesy", RoleError, "statistic over ideals checked on antichain orbits"),
+            ("orbit_sum", RoleError, "statistic over ideals summed over a antichain orbit"),
+            ("transfer_check", FenceError, RANGE),
+        ],
+    )
+    def test_range_against_the_family_check(self, f434, entry, error, message):
+        # chihat[11] on antichain orbits: check_homomesy and orbit_sum test
+        # the family first, transfer_check the range of every statistic
+        with pytest.raises(error) as info:
+            self.sums(f434, "chihat[11]")[entry]()
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_transfer_checks_every_range_before_any_family(self, f434):
+        w = ToggleWord(ANTICHAIN, range(1, 11))
+        battery = [parse_stat("chihat[1]"), parse_stat("chi[11]")]
+        with pytest.raises(FenceError) as info:
+            transfer_check(f434, ANTICHAIN, w, w, battery)
+        assert type(info.value) is FenceError and str(info.value) == self.RANGE
 
 
 class TestTilingFormulas:
