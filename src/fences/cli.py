@@ -16,7 +16,9 @@ or svg (--render), check json or ascii and every claim json.
 (exit 3 above it); sweeps and --a/--b instances keep DEFAULT_MAX_FAMILY,
 and info enumerates no family.  Each claim of verify and scan is one
 subparser built from its harness.CLAIMS row, and _cmd_claim is their one
-dispatch.  This last paragraph is left out of the help text.
+dispatch.  It is also the one timer: it times the checker or sweep call
+and writes runtime_ms beside schema_version, since the harness's reports
+are pure data.  This last paragraph is left out of the help text.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import io
 import json
 import os
 import sys
+import time
 
 from . import harness
 from .enumeration import closed_form_count, count_ideals
@@ -288,12 +291,10 @@ def _cmd_tiling(args) -> int:
             )
     else:
         raise _UsageError("tiling needs --rep or --orbit-index")
+    # several orbits stack their blocks (svg: whole documents) into one
+    # output, separated by blank lines
     blocks = [render_tiling(tiling_of_orbit(F, o), args.render) for o in orbits]
-    if args.render == "svg" and len(blocks) > 1:
-        # stack independent documents into one file, separated by blank lines
-        _emit(args, "\n".join(blocks))
-    else:
-        _emit(args, "\n".join(blocks) if len(blocks) > 1 else blocks[0])
+    _emit(args, "\n".join(blocks))
     return 0
 
 
@@ -321,8 +322,8 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _report_exit(args, report) -> int:
-    payload = {"schema_version": SCHEMA_VERSION}
+def _report_exit(args, report, runtime_ms: int) -> int:
+    payload = {"schema_version": SCHEMA_VERSION, "runtime_ms": runtime_ms}
     payload.update(report.to_json_dict())
     _emit(args, _json(payload))
     return 0 if report.ok else 2
@@ -333,29 +334,32 @@ def _cmd_claim(args) -> int:
     instance checker when every selecting option is given, the sweep over
     the bound when none is.  Half an instance, an instance given the
     bound too, or no instance of a claim without a sweep, is a usage
-    error.  An --alpha instance gets its fence, capped, from _fence_from."""
+    error.  An --alpha instance gets its fence, capped, from _fence_from,
+    before the clock starts: runtime_ms times the checker or sweep call."""
     name = getattr(args, _CLAIM_COMMANDS[args.command][0])
     claim = harness.CLAIMS[name]
     given = [getattr(args, option) for option in claim.selects]
     bound = getattr(args, claim.bound) if claim.bound else None
     needs = " and ".join(f"--{option}" for option in claim.selects)
     if claim.check and all(given) and bound is None:
+        checker = claim.check
         values = [
             _fence_from(args) if option == "alpha" else v
             for option, v in zip(claim.selects, given)
         ]
         if claim.samples is not None:
             values += [_or(args.samples, claim.samples), args.seed]
-        rep = getattr(harness, claim.check)(*values)
     elif claim.sweep and not any(given):
-        rep = getattr(harness, claim.sweep)(_or(bound, claim.default))
+        checker, values = claim.sweep, [_or(bound, claim.default)]
     elif all(given):
         raise _UsageError(
             f"{args.command} {name} takes {needs} or {_flag(claim.bound)}, not both"
         )
     else:
         raise _UsageError(f"{args.command} {name} needs {needs}")
-    return _report_exit(args, rep)
+    t0 = time.perf_counter()
+    report = getattr(harness, checker)(*values)
+    return _report_exit(args, report, int((time.perf_counter() - t0) * 1000))
 
 
 # -- parser -------------------------------------------------------------------

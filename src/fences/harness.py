@@ -5,7 +5,9 @@ tuple (or per claim part), each instance pass, fail, or vacuous when a
 stated hypothesis does not hold.  A failing instance always carries a
 witness complete enough to re-check by hand: the composition, the orbit
 representative, and the statistic values involved.  All arithmetic is
-exact, so there are no tolerances anywhere.
+exact, so there are no tolerances anywhere.  A report is pure data, frozen
+and equal on every run of its checker: it carries no timing, and the CLI
+times the one checker or sweep call of a claim.
 
 The linear identities are data.  A row names its keys (x, y, segment, j,
 k or stat), integer weights over an orbit profile's antichain_counts or
@@ -38,7 +40,6 @@ loop, _sweep.
 from __future__ import annotations
 
 import random
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
@@ -77,12 +78,11 @@ class InstanceResult:
     detail: dict | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationReport:
     claim: str
     params: dict
     instances: list[InstanceResult] = field(default_factory=list)
-    runtime_ms: int = 0
 
     @property
     def verdict(self) -> str:
@@ -112,7 +112,6 @@ class VerificationReport:
             "params": self.params,
             "verdict": self.verdict,
             "witnesses": self.witnesses,
-            "runtime_ms": self.runtime_ms,
         }
 
 
@@ -121,19 +120,12 @@ def _result(params: dict, witness: dict | None) -> InstanceResult:
     return InstanceResult(params, "pass" if witness is None else "fail", witness)
 
 
-def _timed(rep: VerificationReport, t0: float) -> VerificationReport:
-    rep.runtime_ms = int((time.perf_counter() - t0) * 1000)
-    return rep
-
-
 def _sweep(claim: str, params: dict, parts) -> VerificationReport:
     """One report holding the instances of every part, in order.  `parts`
     is an iterable of instance lists that runs the checks as it is
     consumed, so this is the one loop over the instances of every sweep
     and grid scan."""
-    t0 = time.perf_counter()
-    instances = [r for part in parts for r in part]
-    return _timed(VerificationReport(claim, params, instances), t0)
+    return VerificationReport(claim, params, [r for part in parts for r in part])
 
 
 def _constant_grid(max_total: int):
@@ -281,7 +273,6 @@ def verify_two_segment(a: int, b: int) -> VerificationReport:
     two-segment fence: all orbits have size lcm(a,b) except one longer by
     one, there are gcd(a,b) orbits, and the chi / chihat sums per orbit
     are fixed polynomials in a and b."""
-    t0 = time.perf_counter()
     F = _fence((a, b))
     profiles = orbit_profiles(F)
     g, ell = gcd(a, b), a * b // gcd(a, b)
@@ -309,7 +300,7 @@ def verify_two_segment(a: int, b: int) -> VerificationReport:
         _rows_part({**params, "part": "chi"}, profiles, [chi]),
         _rows_part({**params, "part": "chihat"}, profiles, [chihat]),
     ]
-    return _timed(VerificationReport("two-segment", params, instances), t0)
+    return VerificationReport("two-segment", params, instances)
 
 
 def sweep_two_segment(max_sum: int) -> VerificationReport:
@@ -360,7 +351,6 @@ def aba_orbit_structure(a: int, b: int) -> dict:
 def verify_aba(a: int, b: int) -> VerificationReport:
     """Orbit-size multiset, chi orbomesy, and the n/2 average of chihat
     on the palindromic three-segment fence (a, b, a)."""
-    t0 = time.perf_counter()
     F = _fence((a, b, a))
     profiles = orbit_profiles(F)
     sizes = aba_orbit_structure(a, b)["expected_sizes"]
@@ -371,7 +361,7 @@ def verify_aba(a: int, b: int) -> VerificationReport:
         _chi_orbomesic({**params, "part": "chi-orbomesic"}, profiles),
         _rows_part({**params, "part": "chihat-half-n"}, profiles, half_n),
     ]
-    return _timed(VerificationReport("aba", params, instances), t0)
+    return VerificationReport("aba", params, instances)
 
 
 def sweep_aba(max_sum: int) -> VerificationReport:
@@ -391,7 +381,6 @@ def sweep_aba(max_sum: int) -> VerificationReport:
 
 def verify_a4(a: int) -> VerificationReport:
     """Orbit counts, sizes, and the full chi/chihat chart on (a,a,a,a)."""
-    t0 = time.perf_counter()
     F = _fence((a, a, a, a))
     profiles = orbit_profiles(F)
     # orbit size: (number of orbits of that size, chi sum, chihat sum)
@@ -412,7 +401,7 @@ def verify_a4(a: int) -> VerificationReport:
         _sizes_part({"a": a, "part": "orbit-sizes"}, profiles, expected),
         _rows_part({"a": a, "part": "statistic-chart"}, profiles, rows),
     ]
-    return _timed(VerificationReport("a4", {"a": a}, instances), t0)
+    return VerificationReport("a4", {"a": a}, instances)
 
 
 def sweep_a4(max_a: int) -> VerificationReport:
@@ -428,7 +417,6 @@ def verify_a1a1a(a: int) -> VerificationReport:
     """Orbit counts, sizes, chi values, and the superorbit pairing on
     (a,1,a,1,a): the size-(a+1) orbits pair up under the ideal
     complement, every other orbit is closed under it."""
-    t0 = time.perf_counter()
     F = _fence((a, 1, a, 1, a))
     profiles = orbit_profiles(F)
     expected = {
@@ -465,7 +453,7 @@ def verify_a1a1a(a: int) -> VerificationReport:
     if bad is None and (pairs != a - 1 or singles != merged):
         bad = {"pairs": pairs, "singles": sorted(singles.items()), "expected_pairs": a - 1}
     instances.append(_result({"a": a, "part": "superorbit-pairing"}, bad))
-    return _timed(VerificationReport("a1a1a", {"a": a}, instances), t0)
+    return VerificationReport("a1a1a", {"a": a}, instances)
 
 
 def sweep_a1a1a(max_a: int) -> VerificationReport:
@@ -486,7 +474,6 @@ def verify_general_homomesies(alpha) -> VerificationReport:
     Parts with a hypothesis (equal red-head counts, odd segment count
     with even parts, all parts equal to two, self-duality) report vacuous
     when the hypothesis fails."""
-    t0 = time.perf_counter()
     F = _fence(alpha)
     key = tuple(F.alpha.parts)
     profiles = orbit_profiles(F)
@@ -566,9 +553,7 @@ def verify_general_homomesies(alpha) -> VerificationReport:
     else:
         instances.append(InstanceResult(params("superorbit-half-n"), "vacuous"))
 
-    return _timed(
-        VerificationReport("homomesies", {"alpha": key}, instances), t0
-    )
+    return VerificationReport("homomesies", {"alpha": key}, instances)
 
 
 def sweep_general_homomesies(max_n: int) -> VerificationReport:
@@ -616,7 +601,6 @@ def verify_palindromic_props(alpha) -> VerificationReport:
     palindromic compositions: black palindromic iff red palindromic when
     all parts are >= 2, and the mirror homomesies when additionally every
     orbit has palindromic sequences (the ideal version needs odd s)."""
-    t0 = time.perf_counter()
     F = _fence(alpha)
     key = tuple(F.alpha.parts)
     if not F.alpha.is_palindromic:
@@ -659,9 +643,7 @@ def verify_palindromic_props(alpha) -> VerificationReport:
         for k in (half if s % 2 == 1 else ())
     ]
     instances.append(_rows_part({"alpha": key, "part": "mirror-ideal"}, profiles, rows))
-    return _timed(
-        VerificationReport("palindromic", {"alpha": key}, instances), t0
-    )
+    return VerificationReport("palindromic", {"alpha": key}, instances)
 
 
 def _palindromic_tiles(a: int, s: int) -> list[InstanceResult]:
@@ -707,15 +689,12 @@ def scan_conjecture_constant_alpha(max_total: int) -> VerificationReport:
 def find_cross_orbit_complement(alpha) -> VerificationReport:
     """Search a self-dual fence for ideals whose complement lies in a
     different rowmotion orbit (superorbits coarser than orbits)."""
-    t0 = time.perf_counter()
     F = _fence(alpha)
     key = tuple(F.alpha.parts)
     F.index_reversal()
     orbit_index: dict[int, int] = {}
-    for idx, ms in enumerate(
-        [o.masks for o in ideal_orbits(F)]
-    ):
-        for m in ms:
+    for idx, o in enumerate(ideal_orbits(F)):
+        for m in o.masks:
             orbit_index[m] = idx
     found = []
     for m in F.ideal_masks():
@@ -728,20 +707,11 @@ def find_cross_orbit_complement(alpha) -> VerificationReport:
                     "orbits": (orbit_index[m], orbit_index[mm]),
                 }
             )
-    return _timed(
-        VerificationReport(
-            "cross-orbit-complement",
-            {"alpha": key},
-            [
-                InstanceResult(
-                    {"alpha": key},
-                    "pass",
-                    None,
-                    {"count": len(found), "pairs": found[:8]},
-                )
-            ],
-        ),
-        t0,
+    detail = {"count": len(found), "pairs": found[:8]}
+    return VerificationReport(
+        "cross-orbit-complement",
+        {"alpha": key},
+        [InstanceResult({"alpha": key}, "pass", None, detail)],
     )
 
 
@@ -753,7 +723,6 @@ def verify_linear_extension_toggles(
 ) -> VerificationReport:
     """Composing ideal toggles along any linear extension (rightmost,
     i.e. maximal elements first) equals ideal rowmotion pointwise."""
-    t0 = time.perf_counter()
     F = _fence(alpha)
     key = tuple(F.alpha.parts)
     chunks = [
@@ -782,20 +751,16 @@ def verify_linear_extension_toggles(
 
     exts = sample_linear_extensions(F, max_extensions, seed)
     bad = next(filter(None, map(failure, exts)), None)
-    return _timed(
-        VerificationReport(
-            "linear-extension-toggles",
-            {"alpha": key, "extensions": len(exts), "seed": seed},
-            [_result({"alpha": key}, bad)],
-        ),
-        t0,
+    return VerificationReport(
+        "linear-extension-toggles",
+        {"alpha": key, "extensions": len(exts), "seed": seed},
+        [_result({"alpha": key}, bad)],
     )
 
 
 def verify_base_graph(alpha) -> VerificationReport:
     """The ideal base graph is acyclic and its edges are exactly the
     cover pairs of the fence."""
-    t0 = time.perf_counter()
     F = _fence(alpha)
     key = tuple(F.alpha.parts)
     G = base_graph(F, IDEAL)
@@ -808,14 +773,7 @@ def verify_base_graph(alpha) -> VerificationReport:
         bad = {"extra_edges": sorted(set(G.edges) - covers)}
     elif not G.is_forest:
         bad = {"reason": "graph has a cycle"}
-    return _timed(
-        VerificationReport(
-            "base-graph",
-            {"alpha": key},
-            [_result({"alpha": key}, bad)],
-        ),
-        t0,
-    )
+    return VerificationReport("base-graph", {"alpha": key}, [_result({"alpha": key}, bad)])
 
 
 def _transfer(
@@ -831,7 +789,6 @@ def _transfer(
     the family, every indicator and the cardinality get the same
     homomesy/orbomesy verdict under both words.  The claim name, the rng
     tag and the params key of the sample count are the caller's."""
-    t0 = time.perf_counter()
     F = _fence(alpha)
     key = tuple(F.alpha.parts)
     rng = random.Random(f"{rng_tag}:{seed}:{key}")
@@ -852,13 +809,10 @@ def _transfer(
                 "verdicts": (d.report_a.kind, d.report_b.kind),
             }
             break
-    return _timed(
-        VerificationReport(
-            claim,
-            {"alpha": key, count_key: samples, "seed": seed},
-            [_result({"alpha": key}, bad)],
-        ),
-        t0,
+    return VerificationReport(
+        claim,
+        {"alpha": key, count_key: samples, "seed": seed},
+        [_result({"alpha": key}, bad)],
     )
 
 

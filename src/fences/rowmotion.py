@@ -37,7 +37,6 @@ from functools import partial
 from .fence import (
     ANTICHAIN,
     IDEAL,
-    UPPER,
     ElementSet,
     Fence,
     FenceError,

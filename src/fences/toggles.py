@@ -310,22 +310,18 @@ def sample_linear_extensions(
     attempts = 0
     while len(out) < count and attempts < 50 * count:
         attempts += 1
-        placed = 0
         order = []
         remaining = F.full_mask
         while remaining:
-            avail = []
-            rest = remaining
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                e = low.bit_length() - 1
-                if not F.strict_down[e] & remaining:
-                    avail.append(e + 1)
-            pick = rng.choice(avail)
+            # the placed elements form an ideal, so the rest is an upper set
+            avail, choices = F._minimal_mask(remaining), []
+            while avail:
+                low = avail & -avail
+                avail ^= low
+                choices.append(low.bit_length())
+            pick = rng.choice(choices)
             order.append(pick)
             remaining ^= 1 << (pick - 1)
-            placed += 1
         tup = tuple(order)
         if tup not in seen:
             seen.add(tup)

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import contextlib
+import dataclasses
 import inspect
 import io
 import json
@@ -264,10 +265,6 @@ _DEFAULTS = {
 }
 
 
-def _without_runtime(payload: dict) -> dict:
-    return {k: v for k, v in payload.items() if k != "runtime_ms"}
-
-
 class TestClaimTable:
     @pytest.mark.parametrize("name", list(harness.CLAIMS))
     def test_cli_runs_the_harness_checker(self, capsys, name):
@@ -277,9 +274,20 @@ class TestClaimTable:
             report = getattr(harness, checker)(*call)
             expected = {"schema_version": 1, **report.to_json_dict()}
             assert err == "" and code == (0 if report.ok else 2)
-            assert _without_runtime(json.loads(out)) == json.loads(
-                json.dumps(_without_runtime(expected))
-            )
+            # the CLI times the claim: the one key the report lacks
+            payload = json.loads(out)
+            runtime = payload.pop("runtime_ms")
+            assert type(runtime) is int and runtime >= 0
+            assert payload == json.loads(json.dumps(expected))
+
+    @pytest.mark.parametrize("name", list(harness.CLAIMS))
+    def test_reports_are_frozen_data(self, name):
+        # a report carries no timing, so two runs of a checker are equal
+        for _, checker, call in _SMALL[name]:
+            report = getattr(harness, checker)(*call)
+            assert report == getattr(harness, checker)(*call)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                report.claim = name
 
     @pytest.mark.parametrize("name", list(_DEFAULTS))
     def test_defaults(self, capsys, monkeypatch, name):

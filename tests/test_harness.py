@@ -1,8 +1,10 @@
 import dataclasses
+import json
 
 import pytest
 
 from fences import FamilyCapError, FenceError, build_fence, harness
+from fences.cli import main
 from fences.harness import (
     aba_orbit_structure,
     all_fence_compositions,
@@ -184,10 +186,14 @@ class TestToggleHarness:
     def test_transfer_ideal(self):
         assert verify_transfer_ideal((3, 3, 2), pairs=40).verdict == "pass"
 
-    def test_report_json_schema(self):
-        rep = verify_two_segment(3, 2)
-        d = rep.to_json_dict()
-        assert set(d) == {"claim", "params", "verdict", "witnesses", "runtime_ms"}
+    def test_report_json_schema(self, capsys):
+        # a report is data; the CLI times the claim and adds runtime_ms
+        d = verify_two_segment(3, 2).to_json_dict()
+        assert set(d) == {"claim", "params", "verdict", "witnesses"}
+        assert main(["verify", "two-segment", "--a", "3", "--b", "2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == set(d) | {"schema_version", "runtime_ms"}
+        assert type(payload["runtime_ms"]) is int
 
 
 class TestProfileCache:

@@ -1,3 +1,6 @@
+import random
+
+import oracle
 import pytest
 
 from fences import (
@@ -71,6 +74,27 @@ class TestApplyWord:
                 step = compile_word(F, ToggleWord(IDEAL, ext))
                 for m in F.ideal_masks():
                     assert step(m) == _rho_hat_mask(F, m), (alpha, ext)
+
+    def test_sampler_draws_replay_on_brute_minimal(self):
+        # the sampler's draws pinned: a random minimal element of what is
+        # left, chosen in increasing element order, from the same rng
+        def replay(F, count, seed):
+            rng = random.Random(f"linext:{seed}:{F.alpha}")
+            out, attempts = [], 0
+            while len(out) < count and attempts < 50 * count:
+                attempts += 1
+                order, remaining = [], set(range(1, F.n + 1))
+                while remaining:
+                    order.append(rng.choice(sorted(oracle.brute_minimal(F, remaining))))
+                    remaining.remove(order[-1])
+                if tuple(order) not in out:
+                    out.append(tuple(order))
+            return out
+
+        for alpha in all_fence_compositions(8):
+            F = build_fence(alpha)
+            for seed in range(3):
+                assert sample_linear_extensions(F, 6, seed) == replay(F, 6, seed), alpha
 
     def test_word_then_reversed_word_is_identity(self, f434):
         order = (3, 1, 4, 10, 2, 9, 5, 8, 6, 7)
