@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -37,11 +38,12 @@ from .fence import (
     ANTICHAIN,
     IDEAL,
     Composition,
+    ElementSet,
     FamilyCapError,
     Fence,
     MAX_ALPHA_SIZE,
 )
-from .rowmotion import antichain_orbits, ideal_orbits, orbit_of
+from .rowmotion import antichain_orbits, orbit_of
 from .stats import check_homomesy, parse_stat
 from .tiling import render_tiling, tiling_of_orbit
 
@@ -211,23 +213,23 @@ def _cmd_count(args) -> int:
 def _orbit_rows(F: Fence, family: str) -> list[dict]:
     profiles = harness.orbit_profiles(F)
     if family == ANTICHAIN:
-        pairs = [(p.orbit, p) for p in profiles]
+        reps = [(p.orbit.masks[0], p) for p in profiles]
     else:
-        by_antichain_rep = {}
-        for p in profiles:
-            by_antichain_rep[min(F._down_closure_mask(m) for m in p.orbit.masks)] = p
-        pairs = [(o, by_antichain_rep[min(o.masks)]) for o in ideal_orbits(F)]
+        # the ideals an antichain orbit generates form an ideal orbit: the
+        # least is its representative, and ideal_orbits sorts by that
+        least = {min(map(F._down_closure_mask, p.orbit.masks)): p for p in profiles}
+        reps = sorted(least.items())
     return [
         {
             "index": idx,
-            "size": orbit.size,
-            "representative": orbit.representative.label(),
+            "size": p.size,
+            "representative": ElementSet(rep, family).label(),
             "black": list(p.counts.black_sequence),
             "red": list(p.counts.red_sequence),
             "chi": p.chi,
             "chihat": p.chihat,
         }
-        for idx, (orbit, p) in enumerate(pairs)
+        for idx, (rep, p) in enumerate(reps)
     ]
 
 
@@ -369,7 +371,10 @@ def _flag(option: str) -> str:
     return "--" + option.replace("_", "-")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every command, built once per process; dispatch reads
+    the harness's checkers by name when a claim runs."""
     parser = _Parser(prog="fences", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

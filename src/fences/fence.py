@@ -219,11 +219,12 @@ class Composition:
 
 @dataclass(frozen=True)
 class ElementSet:
-    """A subset of fence elements tagged with the family it belongs to.
+    """A subset of fence elements tagged with the family it is meant to
+    belong to.
 
-    The mask uses bit k-1 for element x_k.  Instances made through
-    Fence.element_set are validated against their role; arithmetic
-    produced by the library preserves validity by construction.
+    The mask uses bit k-1 for element x_k.  An ElementSet is plain data:
+    it checks nothing when built, and every public function that takes one
+    checks it once, through Fence.require_role, before using its mask.
     """
 
     mask: int
@@ -231,16 +232,10 @@ class ElementSet:
 
     @property
     def elements(self) -> tuple[int, ...]:
-        out = []
-        m = self.mask
-        while m:
-            low = m & -m
-            out.append(low.bit_length())
-            m ^= low
-        return tuple(out)
+        return tuple(elements_of(self.mask))
 
     def __len__(self) -> int:
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def __contains__(self, k: int) -> bool:
         return bool(self.mask >> (k - 1) & 1)
@@ -421,6 +416,8 @@ class Fence:
     # -- element sets ----------------------------------------------------
 
     def mask_of(self, elements: Iterable[int]) -> int:
+        """The mask of the elements; the one range check of element
+        indices, naming the first outside 1..n."""
         m = 0
         for k in elements:
             if not 1 <= k <= self.n:
@@ -460,15 +457,21 @@ class Fence:
         return ElementSet(m, role)
 
     def set_from_mask(self, m: int, role: str) -> ElementSet:
-        if m & ~self.full_mask:
-            raise FenceError("mask has bits outside the fence")
-        return ElementSet(m, role)
+        """The mask as a checked member of the role's family."""
+        S = ElementSet(m, role)
+        self.require_role(S, role)
+        return S
 
     def require_role(self, S: ElementSet, role: str) -> None:
+        """The one check of an ElementSet argument: S is tagged `role`,
+        fits this fence and is a member of the role's family.  Every
+        public function that takes an ElementSet calls it once."""
         if S.role != role:
             raise RoleError(f"expected a {role}, got a {S.role}")
         if S.mask & ~self.full_mask:
             raise FenceError("element set does not fit this fence")
+        if not self._role_ok(S.mask, role):
+            raise RoleError(f"{S} is not an {role} of {self!r}")
 
     # -- closures and extremal elements -----------------------------------
 
@@ -516,27 +519,22 @@ class Fence:
     def maximal_elements(self, I: ElementSet) -> ElementSet:
         """The antichain of maximal elements of an ideal."""
         self.require_role(I, IDEAL)
-        if not self.is_ideal_mask(I.mask):
-            raise RoleError(f"{I} is not an ideal of {self!r}")
         return ElementSet(self._maximal_mask(I.mask), ANTICHAIN)
 
     def minimal_elements(self, U: ElementSet) -> ElementSet:
         """The antichain of minimal elements of an upper ideal."""
         self.require_role(U, UPPER)
-        if not self.is_upper_mask(U.mask):
-            raise RoleError(f"{U} is not an upper ideal of {self!r}")
         return ElementSet(self._minimal_mask(U.mask), ANTICHAIN)
 
     def complement(self, S: ElementSet) -> ElementSet:
         """Set complement; swaps the ideal and upper-ideal roles."""
-        if S.role == IDEAL:
-            return ElementSet(self.full_mask ^ S.mask, UPPER)
-        if S.role == UPPER:
-            return ElementSet(self.full_mask ^ S.mask, IDEAL)
-        raise RoleError(
-            "complement is defined for ideals and upper ideals; the "
-            "complement of an antichain belongs to neither family"
-        )
+        if S.role not in (IDEAL, UPPER):
+            raise RoleError(
+                "complement is defined for ideals and upper ideals; the "
+                "complement of an antichain belongs to neither family"
+            )
+        self.require_role(S, S.role)
+        return ElementSet(self.full_mask ^ S.mask, UPPER if S.role == IDEAL else IDEAL)
 
     # -- self-duality ------------------------------------------------------
 
@@ -631,6 +629,14 @@ class Fence:
 
     def enumerate_antichains(self) -> tuple[ElementSet, ...]:
         return tuple(ElementSet(m, ANTICHAIN) for m in self.antichain_masks())
+
+
+def elements_of(m: int) -> Iterator[int]:
+    """The 1-based elements x_k of a mask, in increasing order."""
+    while m:
+        low = m & -m
+        yield low.bit_length()
+        m ^= low
 
 
 def _path_intervals(edge_up: Sequence[bool], up: bool) -> tuple[int, ...]:

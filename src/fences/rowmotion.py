@@ -124,8 +124,7 @@ def _step_of(F: Fence, S: ElementSet, steps=_STEPS):
     inverse), once S is checked to be a member of that family."""
     if S.role not in steps:
         raise RoleError(f"rowmotion acts on antichains and ideals, not {S.role}")
-    if not F._role_ok(S.mask, S.role):
-        raise RoleError(f"{S} is not an {S.role} of {F!r}")
+    F.require_role(S, S.role)
     return partial(steps[S.role], F)
 
 

@@ -64,7 +64,9 @@ from math import lcm
 from operator import add, eq, mul
 from typing import Iterable, Sequence
 
-from .fence import _SWAP, ANTICHAIN, IDEAL, ElementSet, Fence, FenceError, RoleError
+from .fence import (
+    _SWAP, ANTICHAIN, IDEAL, ElementSet, Fence, FenceError, RoleError, elements_of
+)
 from .rowmotion import Orbit, antichain_orbits, ideal_orbits
 from .tiling import AlphaTiling, TileCounts, TilingError, tile_counts
 
@@ -231,31 +233,22 @@ def parse_stat(text: str) -> StatExpr:
 
 
 def evaluate(F: Fence, expr: StatExpr, S: ElementSet) -> Fraction:
-    """Exact value of a statistic on one element set."""
-    fam = expr.family()
-    if fam is not None and S.role != fam:
-        raise RoleError(
-            f"statistic over {fam}s evaluated on a {S.role}"
-        )
+    """Exact value of a statistic on one element set, a member of the
+    statistic's family (of its own role when the statistic has no atoms)."""
+    F.require_role(S, expr.family() or S.role)
+    _check_elements(F, expr)
     total = expr.constant
     for coeff, atom in expr.terms:
         if atom.element is None:
             total += coeff * len(S)
-        else:
-            if not 1 <= atom.element <= F.n:
-                raise FenceError(
-                    f"element x{atom.element} out of range 1..{F.n}"
-                )
-            if atom.element in S:
-                total += coeff
+        elif atom.element in S:
+            total += coeff
     return total
 
 
 def _check_elements(F: Fence, expr: StatExpr) -> None:
     """Raise FenceError naming the statistic's first atom outside F."""
-    for _, atom in expr.terms:
-        if atom.element is not None and not 1 <= atom.element <= F.n:
-            raise FenceError(f"element x{atom.element} out of range 1..{F.n}")
+    F.mask_of(atom.element for _, atom in expr.terms if atom.element is not None)
 
 
 def weighted_sum(pairs: Iterable[tuple[int | None, int]], counts: Sequence[int]) -> int:
@@ -369,10 +362,8 @@ def _plane_counts(n: int, masks: Sequence[int]) -> tuple[int, ...]:
     counts = [0] * n
     weight = 1
     for p in planes:
-        while p:
-            low = p & -p
-            p ^= low
-            counts[low.bit_length() - 1] += weight
+        for k in elements_of(p):
+            counts[k - 1] += weight
         weight <<= 1
     return tuple(counts)
 

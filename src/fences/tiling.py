@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fence import ANTICHAIN, Composition, Fence, FenceError
+from .fence import ANTICHAIN, Composition, Fence, FenceError, elements_of
 from .rowmotion import Orbit, _rho_mask
 
 YELLOW = "yellow"
@@ -174,11 +174,7 @@ def tiling_of_orbit(F: Fence, orbit: Orbit) -> AlphaTiling:
     # cell occupancy per row: None (yellow), 'red', or the unshared element
     rows: list[list] = [[None] * w for _ in range(s + 1)]
     for c, m in enumerate(orbit.masks):
-        rest = m
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            k = low.bit_length()
+        for k in elements_of(m):
             si = F.shared_index(k)
             if si is not None:
                 tiles.append(Tile(RED, si, c))

@@ -22,6 +22,11 @@ on the whole family.  A toggle is admissible for a word when it is a
 source or a sink of the orientation the word induces on the base graph;
 conjugating by an admissible toggle moves it to the far end of the word,
 which flips that vertex in the orientation.
+
+A word is checked once, by _check_word, where it meets what it acts on:
+compile_word checks it against the fence and orientation against the
+base graph, which covers admissible_toggles, conjugate_word and
+conjugation_path.
 """
 
 from __future__ import annotations
@@ -31,7 +36,9 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
-from .fence import ANTICHAIN, IDEAL, ElementSet, Fence, FenceError, Lanes, RoleError
+from .fence import (
+    ANTICHAIN, IDEAL, ElementSet, Fence, FenceError, Lanes, RoleError, elements_of
+)
 from .rowmotion import Orbit, decompose
 from .stats import (
     MesyReport,
@@ -69,11 +76,13 @@ class ToggleWord:
         return cls(family, tuple(int(t) for t in text.split(",")))
 
 
-def _check_word(F: Fence, word: ToggleWord) -> None:
-    if sorted(word.order) != list(range(1, F.n + 1)):
-        raise FenceError(
-            f"word {word.order} is not a permutation of 1..{F.n}"
-        )
+def _check_word(n: int, family: str, word: ToggleWord) -> None:
+    """The one check of a word against what it acts on: the family's
+    members on n elements, each toggled exactly once."""
+    if word.family != family:
+        raise RoleError(f"word acts on {word.family}s, not {family}s")
+    if sorted(word.order) != list(range(1, n + 1)):
+        raise FenceError(f"word {word.order} is not a permutation of 1..{n}")
 
 
 def toggle_mask(
@@ -113,15 +122,14 @@ def toggle_mask(
 def toggle(F: Fence, family: str, x: int, S: ElementSet) -> ElementSet:
     """Toggle x in S, freezing when the result would leave the family."""
     F.require_role(S, family)
-    if not 1 <= x <= F.n:
-        raise FenceError(f"element x{x} out of range 1..{F.n}")
+    F.mask_of((x,))
     return ElementSet(toggle_mask(F, family, x, S.mask), family)
 
 
 def compile_word(F: Fence, word: ToggleWord) -> Callable[..., int]:
     """The word as a step(m, lanes=None) on every lane of a layout (one
     mask when lanes is None), applying the toggles right to left."""
-    _check_word(F, word)
+    _check_word(F.n, word.family, word)
     family, order = word.family, tuple(reversed(word.order))
 
     def step(m: int, lanes: Lanes | None = None) -> int:
@@ -198,7 +206,9 @@ def base_graph(F: Fence, family: str) -> BaseGraph:
 
 
 def orientation(word: ToggleWord, G: BaseGraph) -> frozenset[tuple[int, int]]:
-    """Each base-graph edge directed from the earlier toggle in the word."""
+    """Each base-graph edge directed from the earlier toggle in the word,
+    a Coxeter word on the graph's family and elements."""
+    _check_word(G.n, G.family, word)
     pos = {x: i for i, x in enumerate(word.order)}
     out = set()
     for u, v in G.edges:
@@ -237,13 +247,12 @@ def conjugate_word(word: ToggleWord, x: int, G: BaseGraph) -> ToggleWord:
     way.  Either move flips the vertex in the induced orientation.
     """
     o = orientation(word, G)
-    incident_out = any(u == x for u, _ in o)
-    incident_in = any(v == x for _, v in o)
     rest = tuple(y for y in word.order if y != x)
-    if not incident_in:  # source (or isolated): send x to the right end
-        return ToggleWord(word.family, rest + (x,))
-    if not incident_out:  # sink: send x to the left end
-        return ToggleWord(word.family, (x,) + rest)
+    if x in word.order:
+        if not any(v == x for _, v in o):  # source (or isolated): to the right end
+            return ToggleWord(word.family, rest + (x,))
+        if not any(u == x for u, _ in o):  # sink: to the left end
+            return ToggleWord(word.family, (x,) + rest)
     raise FenceError(f"toggle {x} is not admissible for word {word}")
 
 
@@ -261,15 +270,13 @@ def conjugation_path(
     orientations with source/sink flips.  Requires an acyclic base graph;
     the answer is empty exactly when the orientations already agree.
     """
-    if word.family != word2.family:
-        raise FenceError("words act on different families")
+    start = orientation(word, G)
+    goal = orientation(word2, G)
     if not G.is_forest:
         raise FenceError(
             "base graph has a cycle; admissible conjugation paths are "
             "only guaranteed for acyclic base graphs"
         )
-    start = orientation(word, G)
-    goal = orientation(word2, G)
     if start == goal:
         return []
     flippable = sorted({u for e in G.edges for u in e})
@@ -314,12 +321,7 @@ def sample_linear_extensions(
         remaining = F.full_mask
         while remaining:
             # the placed elements form an ideal, so the rest is an upper set
-            avail, choices = F._minimal_mask(remaining), []
-            while avail:
-                low = avail & -avail
-                avail ^= low
-                choices.append(low.bit_length())
-            pick = rng.choice(choices)
+            pick = rng.choice(list(elements_of(F._minimal_mask(remaining))))
             order.append(pick)
             remaining ^= 1 << (pick - 1)
         tup = tuple(order)

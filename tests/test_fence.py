@@ -12,6 +12,7 @@ from fences import (
     IDEAL,
     UPPER,
     Composition,
+    ElementSet,
     FamilyCapError,
     FenceError,
     RoleError,
@@ -153,12 +154,12 @@ class TestClosures:
             f434.maximal_elements(f434.element_set([1], ANTICHAIN))
 
     def test_extremal_elements_need_a_true_ideal(self, f434):
-        # set_from_mask checks only the bounds; the cover-shift rule for
-        # extremal elements is exact only on ideals and upper ideals
+        # the cover-shift rule for extremal elements is exact only on ideals
+        # and upper ideals; the non-members are built unchecked
         with pytest.raises(RoleError):
-            f434.maximal_elements(f434.set_from_mask(0b10, IDEAL))  # no x1
+            f434.maximal_elements(ElementSet(0b10, IDEAL))  # no x1
         with pytest.raises(RoleError):
-            f434.minimal_elements(f434.set_from_mask(0b01, UPPER))  # no x2
+            f434.minimal_elements(ElementSet(0b01, UPPER))  # no x2
 
     def test_invalid_sets_rejected(self, f434):
         with pytest.raises(RoleError):

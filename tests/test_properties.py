@@ -18,7 +18,9 @@ The ideal-count recurrence, which the family cap is checked against, is
 compared with enumeration, and the cap boundary with every family
 accessor.  On self-dual fences the ideal complement is an involution
 conjugating rowmotion to its inverse.  Three fixed fences with n >= 64
-check families and orbits past one machine word.
+check families and orbits past one machine word.  Every public function
+that takes an ElementSet (n <= 8) raises exactly when the set does not
+fit the fence or is not a member of a family the function accepts.
 """
 
 from fractions import Fraction
@@ -34,9 +36,12 @@ from fences import (
     UPPER,
     ElementSet,
     FamilyCapError,
+    FenceError,
     Orbit,
+    RoleError,
     TilingError,
     antichain_orbits,
+    apply_word,
     base_graph,
     build_fence,
     check_homomesy,
@@ -44,11 +49,14 @@ from fences import (
     evaluate,
     ideal_complement,
     ideal_orbits,
+    orbit_of,
     orbit_of_tiling,
+    parse_stat,
     rowmotion,
     rowmotion_inverse,
     tile_counts,
     tiling_of_orbit,
+    toggle,
 )
 from fences.harness import orbit_profiles
 from fences.stats import (
@@ -325,6 +333,75 @@ def test_closures_and_extremal_elements_match_oracle(data):
         assert F._maximal_mask(m) == _mask(oracle.brute_maximal(F, I))
         U = _members(full ^ m)
         assert F._minimal_mask(full ^ m) == _mask(oracle.brute_minimal(F, U))
+
+
+def _entry_points(F, S, x):
+    """Every public function that takes an ElementSet, called on S, as
+    name -> (the roles it accepts, the call, the role of its answer, None
+    for S's own).  Toggles, words and statistics act on S's own family,
+    ideals when S is an upper set; x is the toggled element."""
+    family = ANTICHAIN if S.role == ANTICHAIN else IDEAL
+    word = ToggleWord(family, range(1, F.n + 1))
+    stat = parse_stat("chi" if family == ANTICHAIN else "chihat")
+    every, both, own = (ANTICHAIN, IDEAL, UPPER), (ANTICHAIN, IDEAL), None
+    flipped = {IDEAL: UPPER, UPPER: IDEAL}.get(S.role)
+    return {
+        "set_from_mask": (every, lambda: F.set_from_mask(S.mask, S.role), own),
+        "down_closure": ((ANTICHAIN,), lambda: F.down_closure(S), IDEAL),
+        "up_closure": ((ANTICHAIN,), lambda: F.up_closure(S), UPPER),
+        "maximal_elements": ((IDEAL,), lambda: F.maximal_elements(S), ANTICHAIN),
+        "minimal_elements": ((UPPER,), lambda: F.minimal_elements(S), ANTICHAIN),
+        "complement": ((IDEAL, UPPER), lambda: F.complement(S), flipped),
+        "rowmotion": (both, lambda: rowmotion(F, S), own),
+        "rowmotion_inverse": (both, lambda: rowmotion_inverse(F, S), own),
+        "orbit_of": (both, lambda: orbit_of(F, S), own),
+        "ideal_complement": ((IDEAL,), lambda: ideal_complement(F, S), IDEAL),
+        "toggle": (both, lambda: toggle(F, family, x, S), own),
+        "apply_word": (both, lambda: apply_word(F, word, S), own),
+        "evaluate": (both, lambda: evaluate(F, stat, S), own),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_entry_points_check_their_element_set(data):
+    # a mask below 1 << (n + 1) may carry a bit outside the fence; each
+    # entry point raises exactly when S is not a member of a family it
+    # accepts, by the oracle, and otherwise answers in the expected role.
+    # ideal_complement also raises for every ideal of a fence that is not
+    # self-dual.
+    F = build_fence(data.draw(compositions(max_n=8)))
+    ideals = set(map(_mask, oracle.brute_ideals(F)))
+    members = {
+        ANTICHAIN: set(map(_mask, oracle.brute_antichains(F))),
+        IDEAL: ideals,
+        UPPER: {F.full_mask ^ m for m in ideals},
+    }
+    role = data.draw(st.sampled_from(sorted(members)))
+    m = data.draw(
+        st.one_of(
+            st.sampled_from(sorted(members[role])),
+            st.integers(0, (1 << (F.n + 1)) - 1),
+        )
+    )
+    S, x = ElementSet(m, role), data.draw(st.integers(1, F.n))
+    self_dual = F.alpha.is_palindromic and F.s % 2 == 1
+    for name, (roles, call, answer_role) in _entry_points(F, S, x).items():
+        fails = role not in roles or m not in members[role]
+        if fails or (name == "ideal_complement" and not self_dual):
+            # a RoleError (a FenceError) when the tag is one it does not accept
+            with pytest.raises(FenceError if role in roles else RoleError):
+                call()
+            continue
+        answer = call()
+        if isinstance(answer, Orbit):
+            assert m in answer.masks, name
+            answer = answer.representative
+        if not isinstance(answer, ElementSet):  # evaluate: a cardinality
+            assert answer == len(S), name
+            continue
+        want = answer_role or role
+        assert answer.role == want and answer.mask in members[want], name
 
 
 @PROPERTY

@@ -190,6 +190,36 @@ class TestAdmissibility:
         assert all(stepa(m) == stepb(m) for m in f222.ideal_masks())
 
 
+# words that are not Coxeter words of (2,2,2)'s ideal toggles
+_BAD_WORDS = {
+    "short": ToggleWord(IDEAL, (1, 2)),
+    "long": ToggleWord(IDEAL, (1, 5, 2, 4, 3, 6)),
+    "other family": ToggleWord(ANTICHAIN, (1, 5, 2, 4, 3)),
+}
+
+
+class TestWordChecks:
+    @pytest.mark.parametrize("kind", sorted(_BAD_WORDS))
+    def test_bad_words_rejected(self, f222, kind):
+        G = base_graph(f222, IDEAL)
+        bad, good = _BAD_WORDS[kind], ToggleWord(IDEAL, (1, 5, 2, 4, 3))
+        calls = (
+            lambda: admissible_toggles(bad, G),
+            lambda: conjugate_word(bad, 1, G),
+            lambda: conjugation_path(bad, good, G),
+            lambda: conjugation_path(good, bad, G),
+        )
+        for call in calls:
+            with pytest.raises(FenceError):
+                call()
+
+    @pytest.mark.parametrize("x", [-1, 0, 6, 9])
+    def test_conjugating_by_a_toggle_outside_the_word(self, f222, x):
+        G = base_graph(f222, IDEAL)
+        with pytest.raises(FenceError, match="is not admissible"):
+            conjugate_word(ToggleWord(IDEAL, (1, 5, 2, 4, 3)), x, G)
+
+
 class TestConjugationPath:
     def test_worked_single_step(self, f222):
         G = base_graph(f222, IDEAL)
