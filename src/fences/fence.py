@@ -384,6 +384,7 @@ class Fence:
 
     def segments_of(self, k: int) -> tuple[int, ...]:
         """Indices of the segments containing x_k."""
+        self.mask_of((k,))  # the range check of k
         i = self._shared_index.get(k)
         if i is not None:
             return (i, i + 1)
@@ -404,10 +405,14 @@ class Fence:
 
     def unshared_element(self, i: int, j: int) -> int:
         """The j-th smallest unshared element of segment i."""
-        try:
-            return self.unshared[i][j - 1]
-        except IndexError:
-            raise FenceError(f"no unshared element ({i},{j}) in {self!r}")
+        if not 1 <= i <= self.s:
+            raise FenceError(f"segment {i} out of range 1..{self.s}")
+        row = self.unshared[i]
+        if not 1 <= j <= len(row):
+            raise FenceError(
+                f"position {j} out of range 1..{len(row)} of segment {i}"
+            )
+        return row[j - 1]
 
     def unshared_position(self, k: int) -> tuple[int, int] | None:
         """(i, j) with x_k the j-th smallest unshared element of segment i."""

@@ -16,10 +16,13 @@ which antichain_orbits and ideal_orbits return on every call.
 decompose steps a whole family with one call of its step per chunk of
 lanes: it packs the sorted family into the lanes of a few ints
 (Fence.lane_chunks; one int unless the family is large), applies the step
-to each, unpacks the images and bisects each into the family.
-The orbits are then a walk over that successor table by index, so they
-hold the family's own mask objects; a step that sends two members to one
-image, or a member outside the family, raises FenceError in that walk.
+to each and unpacks the images.  One argsort of the images gives the
+predecessor permutation (the member stepping to each member), and one
+list comparison proves the step a bijection on the family before any
+walk; a step that sends two members to one image, or a member outside
+the family, raises FenceError there.  The orbits are then an unchecked
+walk along the predecessors by index, each reversed once, so they hold
+the family's own mask objects.
 
 On a self-dual fence the ideal complement reverses ideal rowmotion, so it
 maps each ideal orbit onto a whole orbit.  superorbits therefore finds an
@@ -29,10 +32,9 @@ masks, without stepping any mask.
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
+from typing import NoReturn
 
 from .fence import (
     ANTICHAIN,
@@ -146,43 +148,59 @@ def decompose(F: Fence, masks, step) -> list[list[int]]:
     bijective step called as step(packed, lanes) on a chunk of them at a
     time (Fence.lane_chunks).
 
-    Seeds are taken in increasing mask order, so each orbit starts at its
-    smallest member and the orbit list is sorted by that representative.
-    An image outside the masks, or a walk that reaches a member already
-    placed before it returns to its seed, means step is not a bijection
-    on them and raises FenceError.
+    pred, the indices sorted by image, is the predecessor permutation:
+    pred[j] is the member whose image is the j-th smallest mask.  The
+    step is a bijection on the masks exactly when the images in that
+    order are the sorted masks, which one list comparison checks up
+    front; otherwise FenceError names an image outside the masks, or else
+    a mask that is the image of two.  Each orbit is then walked backwards
+    along pred from its seed and reversed.  Seeds are taken in increasing
+    mask order, so each orbit starts at its smallest member and the orbit
+    list is sorted by that representative.
     """
     order = sorted(masks)
     count = len(order)
     images: list[int] = []
     for lanes, packed in F.lane_chunks(order):
         images += lanes.unpack(step(packed, lanes))
-    succ = array("l", map(partial(bisect_left, order), images))
+    pred = sorted(range(count), key=images.__getitem__)
+    if list(map(images.__getitem__, pred)) != order:
+        _raise_not_a_bijection(order, images)
     seen = bytearray(count)
     orbits: list[list[int]] = []
-    for seed in range(count):
-        if seen[seed]:
-            continue
+    seed = seen.find(0)
+    while seed >= 0:
         orbit, i = [], seed
         while True:
+            i = pred[i]
             seen[i] = 1
             orbit.append(order[i])
-            j = succ[i]
-            if j == count or order[j] != images[i]:
-                raise FenceError(
-                    f"step is not a bijection: mask {order[i]} steps to "
-                    f"{images[i]}, outside the masks"
-                )
-            if j == seed:
+            if i == seed:
                 break
-            if seen[j]:
-                raise FenceError(
-                    f"step is not a bijection: mask {order[j]} is the image "
-                    "of two masks"
-                )
-            i = j
+        orbit.reverse()
         orbits.append(orbit)
+        seed = seen.find(0, seed + 1)
     return orbits
+
+
+def _raise_not_a_bijection(order: list[int], images: list[int]) -> NoReturn:
+    """Name the first image outside the masks, or else a mask that is the
+    image of two: one of them exists when the sorted images differ from
+    the sorted masks."""
+    members = set(order)
+    for m, image in zip(order, images):
+        if image not in members:
+            raise FenceError(
+                f"step is not a bijection: mask {m} steps to {image}, "
+                "outside the masks"
+            )
+    hit: set[int] = set()
+    for image in images:
+        if image in hit:
+            raise FenceError(
+                f"step is not a bijection: mask {image} is the image of two masks"
+            )
+        hit.add(image)
 
 
 def _rowmotion_orbits(F: Fence, family: str) -> tuple[Orbit, ...]:

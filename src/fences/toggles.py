@@ -34,6 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from .fence import (
@@ -310,12 +311,14 @@ def sample_linear_extensions(
     F: Fence, count: int, seed: int = 0
 ) -> list[tuple[int, ...]]:
     """Up to `count` distinct linear extensions, sampled reproducibly by
-    repeatedly picking a random currently-minimal element."""
+    repeatedly picking a random currently-minimal element.  Sampling
+    stops once every linear extension has been drawn."""
     rng = random.Random(f"linext:{seed}:{F.alpha}")
     seen: set[tuple[int, ...]] = set()
     out: list[tuple[int, ...]] = []
+    wanted = min(count, count_linear_extensions(F))
     attempts = 0
-    while len(out) < count and attempts < 50 * count:
+    while len(out) < wanted and attempts < 50 * count:
         attempts += 1
         order = []
         remaining = F.full_mask
@@ -329,6 +332,21 @@ def sample_linear_extensions(
             seen.add(tup)
             out.append(tup)
     return out
+
+
+def count_linear_extensions(F: Fence) -> int:
+    """The number of linear extensions of F, exactly.  Listing the
+    positions of x_1..x_n gives the permutations whose up/down signature
+    is F.edge_up, which the boustrophedon recurrence counts with O(n^2)
+    additions: after the first i elements, ways[r] counts the relative
+    orders of their positions in which x_i's is the (r+1)-th smallest."""
+    ways = [1]
+    for up in F.edge_up:
+        if up:  # x_{i+1} comes after x_i
+            ways = [0, *accumulate(ways)]
+        else:  # x_{i+1} comes before x_i
+            ways = [*accumulate(reversed(ways))][::-1] + [0]
+    return sum(ways)
 
 
 def is_linear_extension(F: Fence, order: Sequence[int]) -> bool:

@@ -169,6 +169,24 @@ def brute_orbits(F, family, step):
     return orbits
 
 
+def dict_orbits(masks, image):
+    """Cycles of the bijection image (a dict) on masks, each listed from
+    its smallest member, by following image from every unplaced mask in
+    increasing order."""
+    seen = set()
+    orbits = []
+    for start in sorted(masks):
+        if start in seen:
+            continue
+        orbit, m = [], start
+        while m not in seen:
+            seen.add(m)
+            orbit.append(m)
+            m = image[m]
+        orbits.append(orbit)
+    return orbits
+
+
 def brute_base_graph(F, family):
     """Base-graph edges (x, y), x < y, found by applying both orders of
     every pair of toggles to every member of the family.  The single

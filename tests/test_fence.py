@@ -54,6 +54,27 @@ class TestConstruction:
         assert F.segments_of(4) == (1, 2)
         assert F.segments_of(5) == (2,)
 
+    @pytest.mark.parametrize(
+        "i,j,message",
+        [
+            (0, 1, "segment 0 out of range 1..3"),
+            (-1, 1, "segment -1 out of range 1..3"),
+            (4, 1, "segment 4 out of range 1..3"),
+            (1, 0, "position 0 out of range 1..3 of segment 1"),
+            (2, -1, "position -1 out of range 1..2 of segment 2"),
+            (2, 3, "position 3 out of range 1..2 of segment 2"),
+        ],
+    )
+    def test_unshared_element_range(self, f434, i, j, message):
+        # negative indices used to wrap: (1, 0) gave x3 and (-1, 1) gave x8
+        with pytest.raises(FenceError, match=re.escape(message)):
+            f434.unshared_element(i, j)
+
+    @pytest.mark.parametrize("k", [0, -1, 11])
+    def test_segments_of_range(self, f434, k):
+        with pytest.raises(FenceError, match=re.escape(f"element x{k} out of range 1..10")):
+            f434.segments_of(k)
+
     @pytest.mark.parametrize("alpha", [(1, 3), (3, 1), (2, 0, 2), ()])
     def test_rejects_bad_compositions(self, alpha):
         with pytest.raises(FenceError):

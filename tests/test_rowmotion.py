@@ -1,4 +1,9 @@
+import tracemalloc
+from functools import partial
+
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import oracle
 from fences import (
@@ -19,7 +24,7 @@ from fences import (
     superorbits,
 )
 from fences.harness import all_fence_compositions
-from fences.rowmotion import decompose
+from fences.rowmotion import _rho_hat_mask, decompose
 
 
 def lanewise(f):
@@ -206,6 +211,50 @@ class TestOrbits:
         step = lanewise(table.__getitem__)
         got = decompose(build_fence((2, 2)), [5, 4, 3, 2, 1, 0], step)
         assert got == [[0, 3], [1, 2, 5], [4]]
+
+    @given(st.data())
+    def test_decompose_matches_a_dict_walk(self, data):
+        # a random permutation of a random set of masks, lane by lane
+        masks = data.draw(st.sets(st.integers(0, 1023), min_size=1, max_size=60))
+        images = data.draw(st.permutations(sorted(masks)))
+        table = dict(zip(sorted(masks), images))
+        got = decompose(build_fence((4, 3, 4)), masks, lanewise(table.__getitem__))
+        assert got == oracle.dict_orbits(masks, table)
+
+    @given(st.data())
+    def test_decompose_names_why_a_map_is_not_a_bijection(self, data):
+        masks = sorted(data.draw(st.sets(st.integers(0, 15), min_size=1)))
+        images = data.draw(
+            st.lists(st.integers(0, 15), min_size=len(masks), max_size=len(masks))
+        )
+        assume(sorted(images) != masks)
+        table = dict(zip(masks, images))
+        why = "outside" if set(images) - set(masks) else "two masks"
+        with pytest.raises(FenceError, match=f"not a bijection.*{why}"):
+            decompose(build_fence((2, 3)), masks, lanewise(table.__getitem__))
+
+    @pytest.mark.parametrize(
+        "orbits,family", [(antichain_orbits, ANTICHAIN), (ideal_orbits, IDEAL)]
+    )
+    def test_orbits_hold_the_family_masks(self, orbits, family):
+        # every orbit mask is the family's own object, so none is a copy
+        F = build_fence((4, 3, 4))
+        own = {id(m) for m in F.family_masks(family)}
+        assert all(id(m) in own for o in orbits(F) for m in o.masks)
+
+    def test_decompose_memory_peak(self, f48):
+        # one ideal decomposition of (4^8), 98,209 members, held under
+        # 12 MB; a dict successor map, or any other per-member hash
+        # table, costs about 10 MB more
+        masks = f48.ideal_masks()
+        tracemalloc.start()
+        try:
+            orbits = decompose(f48, masks, partial(_rho_hat_mask, f48))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, orbits)) == len(masks)
+        assert peak < 12 << 20, peak
 
     def test_matches_oracle_orbits(self):
         for alpha in [(2, 2), (2, 2, 2), (3, 3, 2)]:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import oracle
@@ -26,7 +27,13 @@ from fences import (
 )
 from fences.harness import all_fence_compositions
 from fences.rowmotion import _rho_hat_mask
-from fences.toggles import compile_word, is_linear_extension, toggle_mask
+from fences import toggles
+from fences.toggles import (
+    compile_word,
+    count_linear_extensions,
+    is_linear_extension,
+    toggle_mask,
+)
 
 
 class TestToggle:
@@ -95,6 +102,35 @@ class TestApplyWord:
             F = build_fence(alpha)
             for seed in range(3):
                 assert sample_linear_extensions(F, 6, seed) == replay(F, 6, seed), alpha
+
+    def test_linear_extension_count_matches_brute_force(self):
+        for alpha in all_fence_compositions(7):
+            F = build_fence(alpha)
+            brute = sum(
+                is_linear_extension(F, order)
+                for order in itertools.permutations(range(1, F.n + 1))
+            )
+            assert count_linear_extensions(F) == brute, alpha
+
+    def test_sampler_stops_once_every_extension_is_drawn(self, f22, monkeypatch):
+        # (2,2) has two linear extensions; each draw reads the minimal
+        # elements once per pick, n = 3 times.  The replay finds the draw
+        # that brings the second extension, where the sampler must stop
+        # rather than make all 50 * 50 draws.
+        calls = []
+        real = toggles.elements_of
+        monkeypatch.setattr(toggles, "elements_of", lambda m: calls.append(m) or real(m))
+        exts = sample_linear_extensions(f22, 50, seed=0)
+        rng, drawn, draws = random.Random(f"linext:0:{f22.alpha}"), set(), 0
+        while len(drawn) < 2:
+            draws += 1
+            order, remaining = [], {1, 2, 3}
+            while remaining:
+                order.append(rng.choice(sorted(oracle.brute_minimal(f22, remaining))))
+                remaining.remove(order[-1])
+            drawn.add(tuple(order))
+        assert sorted(exts) == sorted(drawn) == [(1, 3, 2), (3, 1, 2)]
+        assert len(calls) == 3 * draws
 
     def test_word_then_reversed_word_is_identity(self, f434):
         order = (3, 1, 4, 10, 2, 9, 5, 8, 6, 7)
