@@ -42,9 +42,10 @@ One cap bounds every family.  Antichains are in bijection with ideals
 (through the ideal an antichain generates) and upper ideals are the
 complements of ideals, so all three families have the ideal count, which
 the two-term recurrence of Composition.ideal_count gives without
-enumerating.  Fence.ideal_masks compares that count with the cap
-(max_family, or DEFAULT_MAX_FAMILY when not given) before it builds
-anything, and every other family is built from the ideals.
+enumerating.  Fence.ideal_masks and Fence.antichain_masks compare that
+count with the cap (max_family, or DEFAULT_MAX_FAMILY when not given)
+before they build anything; each runs its own transfer recurrence along
+the path, and the upper ideals are the complements of the ideals.
 
 The poset data set up by the constructor never changes; derived results
 (families, orbit lists, the tiling lemma, orbit profiles, the self-duality
@@ -57,7 +58,10 @@ import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+
+if TYPE_CHECKING:
+    from .rowmotion import Orbit
 
 ANTICHAIN = "antichain"
 IDEAL = "ideal"
@@ -478,6 +482,34 @@ class Fence:
         if not self._role_ok(S.mask, role):
             raise RoleError(f"{S} is not an {role} of {self!r}")
 
+    def require_orbit(self, orbit: Orbit, family: str) -> None:
+        """The one check of an Orbit argument: it is tagged `family`, a
+        family rowmotion acts on, its masks are distinct members of
+        0..full_mask, and one lane-packed rowmotion step maps them onto
+        their rotation by one.  Public functions that take an orbit call
+        it once; library-built orbits skip it inside the library."""
+        from .rowmotion import _STEPS  # rowmotion imports this module
+
+        if orbit.family != family:
+            raise RoleError(
+                f"expected an orbit of {family}s, got one of {orbit.family}s"
+            )
+        if family not in _STEPS:
+            raise RoleError(f"rowmotion acts on antichains and ideals, not {family}")
+        masks = orbit.masks
+        if not masks:
+            raise FenceError("an orbit has at least one member")
+        for m in masks:
+            if not 0 <= m <= self.full_mask:
+                raise FenceError(f"orbit mask {m} does not fit this fence")
+        images: list[int] = []
+        for lanes, packed in self.lane_chunks(masks):
+            images += lanes.unpack(_STEPS[family](self, packed, lanes))
+        if images[-1] != masks[0] or images[:-1] != list(masks[1:]):
+            raise FenceError(f"the masks are not a rowmotion orbit of {family}s")
+        if len(set(masks)) != len(masks):
+            raise FenceError("the orbit repeats a member")
+
     # -- closures and extremal elements -----------------------------------
 
     def _down_closure_mask(self, m: int, lanes: Lanes | None = None) -> int:
@@ -593,10 +625,15 @@ class Fence:
         """
         return self.memo("ideal_masks", self._build_ideal_masks)
 
-    def _build_ideal_masks(self) -> tuple[int, ...]:
+    def _check_cap(self) -> None:
+        """Raise FamilyCapError when the families (all of the ideal count)
+        are larger than the cap; called before any list is built."""
         limit = DEFAULT_MAX_FAMILY if self.max_family is None else self.max_family
         if self.alpha.ideal_count > limit:
             raise FamilyCapError(f"ideal enumeration of {self!r} exceeded cap {limit}")
+
+    def _build_ideal_masks(self) -> tuple[int, ...]:
+        self._check_cap()
         # Ideals of the prefix x_1..x_{e+1}, split by whether x_{e+1} is
         # absent or present.  Each list stays sorted and every present mask
         # exceeds every absent one, so absent + present is sorted.
@@ -610,14 +647,30 @@ class Fence:
         return tuple(absent + present)
 
     def antichain_masks(self) -> tuple[int, ...]:
-        """All antichains as sorted bitmasks (maximal elements of ideals)."""
+        """All antichains as sorted bitmasks, via transfer along the spine.
+
+        Two elements are comparable exactly when one segment holds both,
+        so the antichains are the sets that meet every segment at most
+        once.  The walk keeps the antichains of the prefix split by
+        whether the segment of the current element is still unmet; the
+        cap is checked first, as for ideal_masks.
+        """
         return self.memo("antichain_masks", self._build_antichain_masks)
 
     def _build_antichain_masks(self) -> tuple[int, ...]:
-        maximal: list[int] = []
-        for lanes, ideals in self.lane_chunks(self.ideal_masks()):
-            maximal += lanes.unpack(self._maximal_mask(ideals, lanes))
-        return tuple(sorted(maximal))
+        self._check_cap()
+        # Antichains of the prefix x_1..x_k that miss (free) or meet (used)
+        # the last segment holding x_k.  Both lists stay sorted: every mask
+        # added holds the new bit, so it exceeds every mask already there.
+        free: list[int] = [0]
+        used: list[int] = []
+        for k in range(1, self.n + 1):
+            bit = 1 << (k - 1)
+            if k in self._shared_index:  # closes a segment, opens the next
+                free, used = sorted(free + used), [m | bit for m in free]
+            else:
+                used += [m | bit for m in free]
+        return tuple(sorted(free + used))
 
     def family_masks(self, family: str) -> tuple[int, ...]:
         if family == IDEAL:

@@ -283,11 +283,14 @@ def scaled_sums(
 
 
 def orbit_sum(F: Fence, expr: StatExpr, orbit: Orbit) -> Fraction:
-    """Sum of the statistic over all members of an orbit."""
+    """Sum of the statistic over all members of an orbit, once the
+    statistic fits the orbit's family and the fence, and the orbit is one
+    (Fence.require_orbit)."""
     fam = expr.family()
     if fam is not None and orbit.family != fam:
         raise RoleError(f"statistic over {fam}s summed over a {orbit.family} orbit")
     _check_elements(F, expr)
+    F.require_orbit(orbit, orbit.family)
     columns = orbit_element_counts(F, [orbit.masks])
     return Fraction(scaled_sums(expr, [orbit.size], columns)[0], expr.integer_form[0])
 
@@ -480,7 +483,8 @@ class TilingLemma:
         members with element counts `counts`.  An antichain meets segment
         i's chain of unshared elements at most once, so row i is black in
         every column exactly when their counts sum to the size: no real
-        orbit does that, and it raises TilingError as tiling_of_orbit does."""
+        orbit does that, and it raises TilingError, the error of an
+        all-black row in the tiling builder."""
         sums = list(map(sum, map(counts.__getitem__, self._rows)))
         if size in sums:
             raise TilingError(

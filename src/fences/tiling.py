@@ -16,17 +16,33 @@ rotation of the column colour sequence.
 The statistics of an orbit depend on its tiling only through the tile
 counts, and the paper's tiling lemma (`stats.TilingLemma`) reads those
 off the orbit's antichain element counts.  An AlphaTiling is built only
-to render an orbit or to round-trip it through `orbit_of_tiling`, and
-every built tiling is validated.  One painter (`_paint`) lays the tiles'
-cells onto the cylinder in one pass; the colour grid, the validator's
-tile-index and cover grids and the ascii renderer all read it.
+to render an orbit or to round-trip it through `orbit_of_tiling`.
+
+`tiling_of_orbit` builds a tiling a row at a time.  It packs the orbit
+into lanes (`Fence.lane_chunks`), so bit 0 of lane c ORed over a
+segment's elements says whether the c-th antichain meets the segment;
+one such int per row for black cells and one for red heads give each
+row's cell codes as every lane's first byte, and one regular-expression
+pass over that row string emits its tiles in column order.
+
+Every built tiling is validated once: `AlphaTiling.report` keeps the
+report of `validate_tiling`, which returns it for the tiling's own
+composition.  One painter (`_paint`) lays the tiles' cells onto the
+cylinder in one pass; the colour grid, the validator's tile-index and
+cover grids and the ascii renderer all read it, and the validator checks
+each row of those grids at once.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
+from typing import NamedTuple
 
-from .fence import ANTICHAIN, Composition, Fence, FenceError, elements_of
+from .fence import ANTICHAIN, Composition, Fence, FenceError
 from .rowmotion import Orbit, _rho_mask
 
 YELLOW = "yellow"
@@ -34,6 +50,16 @@ BLACK = "black"
 RED = "red"
 
 _CELL_CODE = {YELLOW: "Y", BLACK: "B", RED: "R"}
+
+# A row's lane bytes, black | head << 1 | tail << 2, as cell letters: a red
+# cell is "R" where the domino's head lies in the row and "r" where its
+# tail does.  Tiles start at a black run, a yellow cell or a red head.
+_ROW_LETTERS = bytes.maketrans(b"\0\1\2\4", b"YBRr")
+_ROW_TILES = re.compile("B+|[YR]")
+# a one byte where a cell is yellow, for the red rule's row pairs
+_YELLOW_BYTES = bytes(int(b == ord("Y")) for b in range(256))
+_ONE = re.compile(b"\1")
+_DOUBLED = re.compile("BB|YY")
 
 SVG_PALETTE = {YELLOW: "#FFD700", RED: "#D62728", BLACK: "#222222"}
 _SVG_CELL = 24
@@ -43,24 +69,18 @@ class TilingError(ValueError):
     """A tiling violates its defining conditions."""
 
 
-@dataclass(frozen=True)
-class Tile:
+class Tile(NamedTuple):
     """One tile: yellow 1x1, black 1x(span) in its row, or a red vertical
-    domino whose row is the head (upper) row."""
+    domino whose row is the head (upper) row.
+
+    A NamedTuple, so it is immutable, unpacks as (kind, row, col, span)
+    and compares (and hashes) equal to the plain 4-tuple of its fields.
+    """
 
     kind: str
     row: int
     col: int
     span: int = 1
-
-    def cells(self, width: int) -> tuple[tuple[int, int], ...]:
-        if self.kind == RED:
-            return ((self.row, self.col), (self.row + 1, self.col))
-        if self.kind == BLACK:
-            return tuple(
-                (self.row, (self.col + j) % width) for j in range(self.span)
-            )
-        return ((self.row, self.col),)
 
 
 @dataclass(frozen=True)
@@ -72,6 +92,13 @@ class AlphaTiling:
     @property
     def rows(self) -> int:
         return self.alpha.s
+
+    @cached_property
+    def report(self) -> TilingReport:
+        """The report of validate_tiling(self.alpha, self), made on first
+        use and kept (cached_property writes the instance dict, which a
+        frozen dataclass allows)."""
+        return _check_tiling(Composition.coerce(self.alpha), self)
 
     def cell_grid(self) -> list[list[str]]:
         """Colour codes Y/B/R per cell, rows 1..s outer, columns inner."""
@@ -102,8 +129,8 @@ class AlphaTiling:
         )
 
 
-def _tile_key(t: Tile) -> tuple:
-    return (t.row, t.col, t.kind, t.span)
+# tiles in (row, col, kind, span) order
+_tile_key = itemgetter(1, 2, 0, 3)
 
 
 def _paint(T: AlphaTiling) -> tuple[list[list[str]], list[list[int]], list[list[int]]]:
@@ -114,12 +141,20 @@ def _paint(T: AlphaTiling) -> tuple[list[list[str]], list[list[int]], list[list[
     codes = [["?"] * w for _ in range(s)]
     index = [[-1] * w for _ in range(s)]
     cover = [[0] * w for _ in range(s)]
-    for idx, t in enumerate(T.tiles):
-        code = _CELL_CODE[t.kind]
-        for r, c in t.cells(w):
-            codes[r - 1][c] = code
-            index[r - 1][c] = idx
-            cover[r - 1][c] += 1
+    for idx, (kind, row, col, span) in enumerate(T.tiles):
+        code = _CELL_CODE[kind]
+        if kind == RED:
+            for r in (row - 1, row):
+                codes[r][col] = code
+                index[r][col] = idx
+                cover[r][col] += 1
+            continue
+        codes_r, index_r, cover_r = codes[row - 1], index[row - 1], cover[row - 1]
+        for c in range(col, col + span) if kind == BLACK else (col,):
+            c %= w
+            codes_r[c] = code
+            index_r[c] = idx
+            cover_r[c] += 1
     return codes, index, cover
 
 
@@ -162,43 +197,45 @@ class TilingReport:
 def tiling_of_orbit(F: Fence, orbit: Orbit) -> AlphaTiling:
     """Encode an antichain orbit as its cylindrical tiling.
 
-    Column c is the c-th antichain counted from the canonical
-    representative.  The result always satisfies the tiling conditions;
-    a failure here would be a library bug and is raised, never swallowed.
+    Column c is the c-th antichain of the orbit as given (a library orbit
+    starts at its canonical representative).  The orbit is checked once
+    (Fence.require_orbit), and the result always satisfies the tiling
+    conditions; a failure here would be a library bug and is raised,
+    never swallowed.
     """
-    if orbit.family != ANTICHAIN:
-        raise FenceError("tilings encode antichain orbits")
-    w = orbit.size
-    s = F.s
+    F.require_orbit(orbit, ANTICHAIN)
+    w, s = orbit.size, F.s
+    rows = [bytearray() for _ in range(s)]
+    for lanes, packed in F.lane_chunks(orbit.masks):
+        size, rep = lanes.width * lanes.count, lanes.rep
+        tail = 0
+        for i in range(1, s + 1):
+            black = 0
+            for k in F.unshared[i]:
+                black |= (packed >> (k - 1)) & rep
+            head = (packed >> (F.shared[i - 1] - 1)) & rep if i < s else 0
+            code = black | head << 1 | tail << 2
+            rows[i - 1] += code.to_bytes(size, "little")[:: lanes.width]
+            tail = head
     tiles: list[Tile] = []
-    # cell occupancy per row: None (yellow), 'red', or the unshared element
-    rows: list[list] = [[None] * w for _ in range(s + 1)]
-    for c, m in enumerate(orbit.masks):
-        for k in elements_of(m):
-            si = F.shared_index(k)
-            if si is not None:
-                tiles.append(Tile(RED, si, c))
-                rows[si][c] = RED
-                rows[si + 1][c] = RED
-            else:
-                i, _ = F.unshared_position(k)
-                rows[i][c] = k
-    for i in range(1, s + 1):
-        row = rows[i]
-        black = [cell is not None and cell != RED for cell in row]
-        if all(black):
+    for i, codes in enumerate(rows, start=1):
+        row = codes.translate(_ROW_LETTERS).decode()
+        if row.count("B") == w:
             raise TilingError(
                 f"row {i} is entirely black; no tiling decomposition exists"
             )
-        for c in range(w):
-            if black[c] and not black[c - 1]:
-                span = 0
-                while black[(c + span) % w]:
-                    span += 1
-                tiles.append(Tile(BLACK, i, c, span))
-            elif row[c] is None:
+        # a black run at column 0 continues the run that ends at the seam
+        seam = len(row) - len(row.lstrip("B")) if row[-1] == "B" else 0
+        for m in _ROW_TILES.finditer(row, seam):
+            c = m.start()
+            if row[c] == "Y":
                 tiles.append(Tile(YELLOW, i, c))
-    T = AlphaTiling(F.alpha, w, tuple(sorted(tiles, key=_tile_key)))
+            elif row[c] == "R":
+                tiles.append(Tile(RED, i, c))
+            else:
+                end = m.end()
+                tiles.append(Tile(BLACK, i, c, end - c + (seam if end == w else 0)))
+    T = AlphaTiling(F.alpha, w, tuple(tiles))
     report = validate_tiling(F.alpha, T)
     if not report.valid:
         raise TilingError(
@@ -254,8 +291,18 @@ def validate_tiling(alpha: Composition, T: AlphaTiling) -> TilingReport:
     contain a black tile (red cells ignored), and the local rule that a
     red domino on rows i, i+1 appears exactly where the neighbouring
     column (previous for even i, next for odd i) is yellow in both rows.
+
+    For the tiling's own composition this is T.report, so each tiling is
+    checked once however often it is validated; any other alpha is
+    checked afresh and reported as a mismatch first.
     """
     alpha = Composition.coerce(alpha)
+    if alpha == Composition.coerce(T.alpha):
+        return T.report
+    return _check_tiling(alpha, T)
+
+
+def _check_tiling(alpha: Composition, T: AlphaTiling) -> TilingReport:
     s = alpha.s
     w = T.width
     bad: list[str] = []
@@ -265,40 +312,45 @@ def validate_tiling(alpha: Composition, T: AlphaTiling) -> TilingReport:
         bad.append("width must be at least 1")
         return TilingReport(False, tuple(bad))
 
-    for t in T.tiles:
-        if t.kind not in (YELLOW, BLACK, RED):
-            bad.append(f"unknown tile kind {t.kind!r} at ({t.row},{t.col})")
+    heads: list[set[int]] = [set() for _ in range(s)]
+    for kind, row, col, span in T.tiles:
+        if kind not in (YELLOW, BLACK, RED):
+            bad.append(f"unknown tile kind {kind!r} at ({row},{col})")
             continue
-        if not 0 <= t.col < w:
-            bad.append(f"{t.kind} tile column {t.col} outside 0..{w - 1}")
-        if t.kind == RED:
-            if not 1 <= t.row <= s - 1:
-                bad.append(f"red head row {t.row} outside 1..{s - 1}")
-        elif not 1 <= t.row <= s:
-            bad.append(f"{t.kind} tile row {t.row} outside 1..{s}")
-        if t.kind == BLACK:
-            if not 1 <= t.row <= s:
+        if not 0 <= col < w:
+            bad.append(f"{kind} tile column {col} outside 0..{w - 1}")
+        if kind == RED:
+            if not 1 <= row <= s - 1:
+                bad.append(f"red head row {row} outside 1..{s - 1}")
+            else:
+                heads[row].add(col)
+        elif not 1 <= row <= s:
+            bad.append(f"{kind} tile row {row} outside 1..{s}")
+        if kind == BLACK:
+            if not 1 <= row <= s:
                 continue
-            need = alpha[t.row - 1] - 1
+            need = alpha[row - 1] - 1
             if need < 1:
                 bad.append(
-                    f"black tile in row {t.row} but alpha_{t.row} = "
-                    f"{alpha[t.row - 1]} allows none"
+                    f"black tile in row {row} but alpha_{row} = "
+                    f"{alpha[row - 1]} allows none"
                 )
-            elif t.span != need:
+            elif span != need:
                 bad.append(
-                    f"black tile at ({t.row},{t.col}) has span {t.span}, "
-                    f"row {t.row} requires {need}"
+                    f"black tile at ({row},{col}) has span {span}, "
+                    f"row {row} requires {need}"
                 )
-        elif t.span != 1:
-            bad.append(f"{t.kind} tile at ({t.row},{t.col}) has span {t.span}")
+        elif span != 1:
+            bad.append(f"{kind} tile at ({row},{col}) has span {span}")
     if bad:
         return TilingReport(False, tuple(bad))
 
     # the shape checks put every cell of every tile in the cylinder
     grid, idx, cover = _paint(T)
-    for i in range(1, s + 1):
-        for c, k in enumerate(cover[i - 1]):
+    for i, row_cover in enumerate(cover, start=1):
+        if row_cover.count(1) == w:
+            continue
+        for c, k in enumerate(row_cover):
             if k == 0:
                 bad.append(f"cell ({i},{c}) is uncovered")
             elif k > 1:
@@ -307,44 +359,45 @@ def validate_tiling(alpha: Composition, T: AlphaTiling) -> TilingReport:
         return TilingReport(False, tuple(bad))
 
     # alternation: per row, drop red cells, merge cells of one tile, then
-    # black and yellow tokens must alternate around the cylinder
-    for i in range(1, s + 1):
-        row_codes = grid[i - 1]
-        if "B" not in row_codes:
+    # black and yellow tokens must alternate around the cylinder; with the
+    # cover exact, a tile's cells are contiguous, so a run of equal
+    # (code, tile) cells is one token
+    rows = ["".join(codes) for codes in grid]
+    for i, (row, tids) in enumerate(zip(rows, idx), start=1):
+        if "B" not in row:
             continue
-        tokens: list[tuple[str, int]] = []
-        for c in range(w):
-            if row_codes[c] == "R":
-                continue
-            tid = idx[i - 1][c]
-            if not tokens or tokens[-1][1] != tid:
-                tokens.append((row_codes[c], tid))
-        if len(tokens) > 1 and tokens[0][1] == tokens[-1][1]:
+        tokens = [key for key, _ in groupby(zip(row, tids)) if key[0] != "R"]
+        if len(tokens) > 1 and tokens[0] == tokens[-1]:
             tokens.pop()  # a black tile wrapping the seam
         if len(tokens) == 1:
             bad.append(f"row {i}: a black tile has no yellow tile to alternate with")
             continue
-        for a in range(len(tokens)):
-            if tokens[a][0] == tokens[(a + 1) % len(tokens)][0]:
-                bad.append(
-                    f"row {i}: tiles do not alternate black/yellow "
-                    f"(positions {a} and {(a + 1) % len(tokens)} ignoring red)"
-                )
-                break
+        kinds = "".join(code for code, _ in tokens)
+        clash = _DOUBLED.search(kinds + kinds[0])
+        if clash:
+            a = clash.start()
+            bad.append(
+                f"row {i}: tiles do not alternate black/yellow "
+                f"(positions {a} and {(a + 1) % len(kinds)} ignoring red)"
+            )
 
-    # red rule, as an iff at every (row pair, column)
-    heads = {(t.row, t.col) for t in T.tiles if t.kind == RED}
+    # red rule, as an iff at every (row pair, column): the columns c whose
+    # neighbour nb = c - d is yellow in both rows are exactly the heads
+    yellow = [
+        int.from_bytes(row.encode().translate(_YELLOW_BYTES), "little") for row in rows
+    ]
     for i in range(1, s):
-        for c in range(w):
-            nb = (c - 1) % w if i % 2 == 0 else (c + 1) % w
-            spot = grid[i - 1][nb] == "Y" and grid[i][nb] == "Y"
-            have = (i, c) in heads
-            if have and not spot:
+        d = 1 if i % 2 == 0 else -1
+        pairs = (yellow[i - 1] & yellow[i]).to_bytes(w, "little")
+        spots = {(m.start() + d) % w for m in _ONE.finditer(pairs)}
+        for c in sorted(spots ^ heads[i]):
+            nb = (c - d) % w
+            if c in heads[i]:
                 bad.append(
                     f"red domino on rows {i},{i + 1} column {c} without the "
                     f"yellow pair in column {nb}"
                 )
-            elif spot and not have:
+            else:
                 bad.append(
                     f"rows {i},{i + 1} column {nb} are both yellow but no "
                     f"red domino sits in column {c}"

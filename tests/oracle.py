@@ -4,11 +4,24 @@ Everything here recomputes order theory from the cover list alone:
 comparability by transitive closure, families by scanning all 2^n
 subsets, and rowmotion by the raw three-map definition on Python sets.
 Slow on purpose; used to cross-check the bitmask implementations at
-small n.
+small n.  The tiling references at the end are the cell-by-cell builder,
+painter and validator that the row-at-a-time ones in fences.tiling
+replaced.
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+from fences.fence import ANTICHAIN, Composition, elements_of
+from fences.tiling import (
+    BLACK,
+    RED,
+    YELLOW,
+    AlphaTiling,
+    Tile,
+    TilingError,
+    TilingReport,
+)
 
 
 _LEQ_TABLES = {}
@@ -225,3 +238,183 @@ def classify_orbit_sums(data):
     if all(len(v) == 1 for v in by_size.values()):
         return "orbomesic", None, per_orbit
     return "neither", None, per_orbit
+
+
+def is_orbit(F, family, masks):
+    """Whether the tuple is a rowmotion orbit of the family, listed from
+    any member: a rotation of one of the brute-force orbits."""
+    steps = {"antichain": brute_rho, "ideal": brute_rho_hat}
+    if family not in steps or not masks:
+        return False
+    if any(not 0 <= m <= F.full_mask for m in masks):
+        return False
+    members = [frozenset(elements_of(m)) for m in masks]
+    return all(
+        steps[family](F, S) == members[(i + 1) % len(members)]
+        for i, S in enumerate(members)
+    ) and len(set(members)) == len(members)
+
+
+# -- tilings, cell by cell ----------------------------------------------------
+
+
+def _tile_key(t):
+    return (t.row, t.col, t.kind, t.span)
+
+
+def tiling_of_orbit(F, orbit):
+    """The tiling of an antichain orbit, built element by element and cell
+    by cell, its tiles sorted by (row, column)."""
+    assert orbit.family == ANTICHAIN
+    w = orbit.size
+    s = F.s
+    tiles = []
+    # cell occupancy per row: None (yellow), 'red', or the unshared element
+    rows = [[None] * w for _ in range(s + 1)]
+    for c, m in enumerate(orbit.masks):
+        for k in elements_of(m):
+            si = F.shared_index(k)
+            if si is not None:
+                tiles.append(Tile(RED, si, c))
+                rows[si][c] = RED
+                rows[si + 1][c] = RED
+            else:
+                i, _ = F.unshared_position(k)
+                rows[i][c] = k
+    for i in range(1, s + 1):
+        row = rows[i]
+        black = [cell is not None and cell != RED for cell in row]
+        if all(black):
+            raise TilingError(
+                f"row {i} is entirely black; no tiling decomposition exists"
+            )
+        for c in range(w):
+            if black[c] and not black[c - 1]:
+                span = 0
+                while black[(c + span) % w]:
+                    span += 1
+                tiles.append(Tile(BLACK, i, c, span))
+            elif row[c] is None:
+                tiles.append(Tile(YELLOW, i, c))
+    return AlphaTiling(F.alpha, w, tuple(sorted(tiles, key=_tile_key)))
+
+
+def tile_cells(t, width):
+    """The (row, column) cells a tile covers."""
+    if t.kind == RED:
+        return ((t.row, t.col), (t.row + 1, t.col))
+    if t.kind == BLACK:
+        return tuple((t.row, (t.col + j) % width) for j in range(t.span))
+    return ((t.row, t.col),)
+
+
+def paint(T):
+    """The colour-code, tile-index and cover grids of a tiling, one cell
+    of one tile at a time."""
+    w, s = T.width, T.rows
+    codes = [["?"] * w for _ in range(s)]
+    index = [[-1] * w for _ in range(s)]
+    cover = [[0] * w for _ in range(s)]
+    for idx, t in enumerate(T.tiles):
+        code = {YELLOW: "Y", BLACK: "B", RED: "R"}[t.kind]
+        for r, c in tile_cells(t, w):
+            codes[r - 1][c] = code
+            index[r - 1][c] = idx
+            cover[r - 1][c] += 1
+    return codes, index, cover
+
+
+def validate_tiling(alpha, T):
+    """The tiling conditions checked cell by cell, every violation in the
+    order and wording of fences.tiling.validate_tiling."""
+    alpha = Composition.coerce(alpha)
+    s = alpha.s
+    w = T.width
+    bad = []
+    if Composition.coerce(T.alpha) != alpha:
+        bad.append(f"tiling alpha {T.alpha} differs from {alpha}")
+    if w < 1:
+        bad.append("width must be at least 1")
+        return TilingReport(False, tuple(bad))
+
+    for t in T.tiles:
+        if t.kind not in (YELLOW, BLACK, RED):
+            bad.append(f"unknown tile kind {t.kind!r} at ({t.row},{t.col})")
+            continue
+        if not 0 <= t.col < w:
+            bad.append(f"{t.kind} tile column {t.col} outside 0..{w - 1}")
+        if t.kind == RED:
+            if not 1 <= t.row <= s - 1:
+                bad.append(f"red head row {t.row} outside 1..{s - 1}")
+        elif not 1 <= t.row <= s:
+            bad.append(f"{t.kind} tile row {t.row} outside 1..{s}")
+        if t.kind == BLACK:
+            if not 1 <= t.row <= s:
+                continue
+            need = alpha[t.row - 1] - 1
+            if need < 1:
+                bad.append(
+                    f"black tile in row {t.row} but alpha_{t.row} = "
+                    f"{alpha[t.row - 1]} allows none"
+                )
+            elif t.span != need:
+                bad.append(
+                    f"black tile at ({t.row},{t.col}) has span {t.span}, "
+                    f"row {t.row} requires {need}"
+                )
+        elif t.span != 1:
+            bad.append(f"{t.kind} tile at ({t.row},{t.col}) has span {t.span}")
+    if bad:
+        return TilingReport(False, tuple(bad))
+
+    grid, idx, cover = paint(T)
+    for i in range(1, s + 1):
+        for c, k in enumerate(cover[i - 1]):
+            if k == 0:
+                bad.append(f"cell ({i},{c}) is uncovered")
+            elif k > 1:
+                bad.append(f"cell ({i},{c}) is covered {k} times")
+    if bad:
+        return TilingReport(False, tuple(bad))
+
+    for i in range(1, s + 1):
+        row_codes = grid[i - 1]
+        if "B" not in row_codes:
+            continue
+        tokens = []
+        for c in range(w):
+            if row_codes[c] == "R":
+                continue
+            tid = idx[i - 1][c]
+            if not tokens or tokens[-1][1] != tid:
+                tokens.append((row_codes[c], tid))
+        if len(tokens) > 1 and tokens[0][1] == tokens[-1][1]:
+            tokens.pop()
+        if len(tokens) == 1:
+            bad.append(f"row {i}: a black tile has no yellow tile to alternate with")
+            continue
+        for a in range(len(tokens)):
+            if tokens[a][0] == tokens[(a + 1) % len(tokens)][0]:
+                bad.append(
+                    f"row {i}: tiles do not alternate black/yellow "
+                    f"(positions {a} and {(a + 1) % len(tokens)} ignoring red)"
+                )
+                break
+
+    heads = {(t.row, t.col) for t in T.tiles if t.kind == RED}
+    for i in range(1, s):
+        for c in range(w):
+            nb = (c - 1) % w if i % 2 == 0 else (c + 1) % w
+            spot = grid[i - 1][nb] == "Y" and grid[i][nb] == "Y"
+            have = (i, c) in heads
+            if have and not spot:
+                bad.append(
+                    f"red domino on rows {i},{i + 1} column {c} without the "
+                    f"yellow pair in column {nb}"
+                )
+            elif spot and not have:
+                bad.append(
+                    f"rows {i},{i + 1} column {nb} are both yellow but no "
+                    f"red domino sits in column {c}"
+                )
+    return TilingReport(not bad, tuple(bad))

@@ -295,6 +295,26 @@ class TestEnumeration:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_antichains_match_subset_scan_for_n_at_most_9(self):
+        # the antichain recurrence on every composition with n <= 9,
+        # parts of 1 (two shared elements side by side) included
+        compositions = all_fence_compositions(9)
+        assert len(compositions) == 256
+        assert any(1 in alpha for alpha in compositions)
+        for alpha in compositions:
+            F = build_fence(alpha)
+            brute = oracle.brute_antichains(F)
+            want = sorted(sum(1 << (k - 1) for k in A) for A in brute)
+            assert F.antichain_masks() == tuple(want), alpha
+
+    def test_antichain_cap_comes_before_any_list(self):
+        # the ideal count's cap and message, with neither family built
+        F = build_fence((4, 3, 4), max_family=55)
+        with pytest.raises(FamilyCapError) as info:
+            F.antichain_masks()
+        assert str(info.value) == "ideal enumeration of Fence(4,3,4) exceeded cap 55"
+        assert F._cache == {}
+
     def test_no_duplicates(self, f434):
         masks = f434.ideal_masks()
         assert len(masks) == len(set(masks))

@@ -20,7 +20,9 @@ accessor.  On self-dual fences the ideal complement is an involution
 conjugating rowmotion to its inverse.  Three fixed fences with n >= 64
 check families and orbits past one machine word.  Every public function
 that takes an ElementSet (n <= 8) raises exactly when the set does not
-fit the fence or is not a member of a family the function accepts.
+fit the fence or is not a member of a family the function accepts, and
+every one that takes an Orbit (n <= 7) exactly when its masks are not an
+orbit of its family.
 """
 
 from fractions import Fraction
@@ -51,6 +53,7 @@ from fences import (
     ideal_orbits,
     orbit_of,
     orbit_of_tiling,
+    orbit_sum,
     parse_stat,
     rowmotion,
     rowmotion_inverse,
@@ -175,15 +178,62 @@ def test_reps_roundtrip_through_masks(alpha):
         assert o.representative.mask == min(o.masks)
 
 
-def test_all_black_row_raises_like_the_tiling():
+def test_all_black_row_raises_in_the_lemma():
     # one column holding an unshared element of segment 1: row 1 is black
-    # in every column, which no real orbit produces
+    # in every column, which no real orbit produces; tiling_of_orbit
+    # rejects it before building, as it is not an orbit
     F = build_fence((4, 3, 4))
     bogus = Orbit(ANTICHAIN, (1 << (F.unshared_element(1, 1) - 1),))
     with pytest.raises(TilingError, match="row 1 is entirely black"):
         _lemma_counts(F, bogus)
-    with pytest.raises(TilingError, match="row 1 is entirely black"):
+    with pytest.raises(FenceError, match="not a rowmotion orbit of antichains"):
         tiling_of_orbit(F, bogus)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_entry_points_check_their_orbit(data):
+    # a real orbit from any member, or one with a member replaced (out of
+    # the fence, negative and 1 << 70 included), cut short or repeated, or
+    # a few random masks: Fence.require_orbit, orbit_sum and tiling_of_orbit
+    # raise FenceError/RoleError exactly when the oracle says the tuple is
+    # not an orbit of its family, and otherwise answer
+    F = build_fence(data.draw(compositions(max_n=7)))
+    family = data.draw(st.sampled_from([ANTICHAIN, IDEAL, UPPER]))
+    orbits = ideal_orbits(F) if family == IDEAL else antichain_orbits(F)
+    real = data.draw(st.sampled_from(orbits))
+    k = data.draw(st.integers(0, real.size - 1))
+    masks = list(real.masks[k:] + real.masks[:k])
+    wide = st.one_of(st.integers(-1, (1 << (F.n + 1)) - 1), st.just(1 << 70))
+    how = data.draw(st.sampled_from(["real", "replace", "cut", "repeat", "random"]))
+    if how == "replace":
+        masks[data.draw(st.integers(0, len(masks) - 1))] = data.draw(wide)
+    elif how == "cut":
+        masks = masks[: data.draw(st.integers(0, len(masks) - 1))]
+    elif how == "repeat":
+        masks = masks * 2
+    elif how == "random":
+        masks = data.draw(st.lists(wide, max_size=4))
+    orbit = Orbit(family, tuple(masks))
+    stat = parse_stat("chihat" if family == IDEAL else "chi")
+    ok = oracle.is_orbit(F, family, masks)
+    calls = {
+        "require_orbit": (ok, lambda: F.require_orbit(orbit, family)),
+        "orbit_sum": (ok, lambda: orbit_sum(F, stat, orbit)),
+        "tiling_of_orbit": (
+            ok and family == ANTICHAIN, lambda: tiling_of_orbit(F, orbit)
+        ),
+    }
+    for name, (accepts, call) in calls.items():
+        if not accepts:
+            with pytest.raises(FenceError):
+                call()
+            continue
+        answer = call()
+        if name == "orbit_sum":
+            assert answer == sum(m.bit_count() for m in masks)
+        elif name == "tiling_of_orbit":
+            assert answer.width == len(masks)
 
 
 COEFFS = [Fraction(c) for c in (1, -1, 2, -3, "1/2", "-3/4", "5/3", "7/6")]

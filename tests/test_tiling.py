@@ -1,6 +1,9 @@
 import xml.etree.ElementTree as ET
 
+import oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fences import (
     ANTICHAIN,
@@ -18,8 +21,9 @@ from fences import (
     tiling_of_orbit,
     validate_tiling,
 )
+from fences import fence as fence_module
 from fences.harness import all_fence_compositions
-from fences.tiling import SVG_PALETTE, _SVG_CELL, parse_ascii
+from fences.tiling import SVG_PALETTE, _SVG_CELL, _paint, parse_ascii
 
 
 def five_orbit(F):
@@ -201,6 +205,41 @@ class TestValidator:
         rep = validate_tiling(F.alpha, AlphaTiling(T.alpha, T.width, tuple(tiles)))
         assert rep == TilingReport(False, violations)
 
+    def test_moved_red_domino_reports_in_column_order(self, f434):
+        # the red domino of rows 2,3 moved from column 1 to the yellow pair
+        # of column 0: a head without its pair and a pair without its head
+        # in one row pair, reported by column
+        T = tiling_of_orbit(f434, five_orbit(f434))
+        moved = {("red", 2, 1, 1), ("yellow", 2, 0, 1), ("yellow", 3, 0, 1)}
+        tiles = [t for t in T.tiles if t not in moved] + [
+            Tile("red", 2, 0), Tile("yellow", 2, 1), Tile("yellow", 3, 1),
+        ]
+        rep = validate_tiling(f434.alpha, AlphaTiling(T.alpha, 5, tuple(tiles)))
+        assert rep.violations == (
+            "red domino on rows 1,2 column 4 without the yellow pair in column 0",
+            "red domino on rows 2,3 column 0 without the yellow pair in column 4",
+            "rows 2,3 column 1 are both yellow but no red domino sits in column 2",
+        )
+
+    def test_black_tile_across_the_seam_with_only_red_between(self):
+        # row 1 holds one black tile on columns 2, 0 and a red cell: one
+        # token once the seam is joined, so nothing to alternate with
+        alpha = Composition((3, 2))
+        T = AlphaTiling(
+            alpha,
+            3,
+            (
+                Tile("black", 1, 2, 2),
+                Tile("red", 1, 1),
+                Tile("black", 2, 0, 1),
+                Tile("yellow", 2, 2),
+            ),
+        )
+        assert validate_tiling(alpha, T).violations == (
+            "row 1: a black tile has no yellow tile to alternate with",
+            "red domino on rows 1,2 column 1 without the yellow pair in column 2",
+        )
+
     def test_wrong_black_span(self):
         alpha = Composition((2, 2))
         T = AlphaTiling(
@@ -242,6 +281,97 @@ class TestValidator:
         rep = validate_tiling(alpha, T)
         assert not rep.valid
         assert any("alternate" in v for v in rep.violations)
+
+
+class TestAgainstOracle:
+    """The row-at-a-time builder and validator against the cell-by-cell
+    ones of tests/oracle.py."""
+
+    def test_builder_and_painter_on_every_orbit_with_n_at_most_8(self):
+        # painted as built and rotated by one, so black tiles cross the seam
+        for alpha in all_fence_compositions(8):
+            F = build_fence(alpha)
+            for o in antichain_orbits(F):
+                T = tiling_of_orbit(F, o)
+                assert T == oracle.tiling_of_orbit(F, o), (alpha, o)
+                for U in (T, T.rotated(1)):
+                    assert _paint(U) == oracle.paint(U), (alpha, o)
+
+    def test_builder_past_one_word(self):
+        F = build_fence((33, 33))  # n = 65: lanes of nine bytes
+        for o in antichain_orbits(F):
+            assert tiling_of_orbit(F, o) == oracle.tiling_of_orbit(F, o), o
+
+    def test_builder_across_lane_chunks(self, monkeypatch):
+        # three bytes of masks per chunk: every orbit of (4,3,4) (two-byte
+        # lanes) is packed into several ints
+        monkeypatch.setattr(fence_module, "LANE_CHUNK_BYTES", 3)
+        F = build_fence((4, 3, 4))
+        for o in antichain_orbits(F):
+            assert tiling_of_orbit(F, o) == oracle.tiling_of_orbit(F, o), o
+
+    def test_tiles_compare_as_plain_tuples(self, f434):
+        T = tiling_of_orbit(f434, five_orbit(f434))
+        assert T.tiles[0] == ("yellow", 1, 0, 1)
+        assert repr(T.tiles[0]) == "Tile(kind='yellow', row=1, col=0, span=1)"
+        with pytest.raises(AttributeError):
+            T.tiles[0].col = 2
+
+    def test_each_tiling_is_validated_once(self, f434):
+        T = tiling_of_orbit(f434, five_orbit(f434))
+        assert validate_tiling(f434.alpha, T) is T.report
+        assert validate_tiling((4, 3, 4), T) is T.report
+        other = validate_tiling((2, 2, 2), T)
+        assert other.violations[0] == "tiling alpha (4,3,4) differs from (2,2,2)"
+        assert other == oracle.validate_tiling((2, 2, 2), T)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_validator_on_random_mutations(self, data):
+        # one to three mutations of a real tiling (n <= 9): delete,
+        # duplicate, shift a column, change the kind (unknown kinds too),
+        # change the span, move the row (out of range included), or trade
+        # a red domino for the two yellow cells it covers and back, which
+        # keeps the cover exact and so reaches the alternation and red rules
+        alpha = data.draw(st.sampled_from(all_fence_compositions(9)))
+        F = build_fence(alpha)
+        o = data.draw(st.sampled_from(antichain_orbits(F)))
+        T = tiling_of_orbit(F, o)
+        w, s = T.width, F.s
+        tiles = list(T.tiles)
+        for _ in range(data.draw(st.integers(1, 3))):
+            if not tiles:
+                break
+            k = data.draw(st.integers(0, len(tiles) - 1))
+            kind, row, col, span = tiles[k]
+            op = data.draw(
+                st.sampled_from(
+                    ["delete", "duplicate", "shift", "kind", "span", "row", "trade"]
+                )
+            )
+            below = Tile("yellow", row + 1, col)
+            if op == "trade" and kind == "red":
+                tiles[k : k + 1] = [Tile("yellow", row, col), below]
+            elif op == "trade" and kind == "yellow" and below in tiles:
+                tiles.remove(below)
+                tiles[tiles.index((kind, row, col, span))] = Tile("red", row, col)
+            elif op == "delete":
+                del tiles[k]
+            elif op == "duplicate":
+                tiles.insert(data.draw(st.integers(0, len(tiles))), tiles[k])
+            elif op == "shift":
+                cols = st.one_of(st.integers(0, w - 1), st.integers(-2, w + 2))
+                tiles[k] = Tile(kind, row, data.draw(cols), span)
+            elif op == "kind":
+                kinds = st.sampled_from(["yellow", "black", "red", "blue", ""])
+                tiles[k] = Tile(data.draw(kinds), row, col, span)
+            elif op == "span":
+                tiles[k] = Tile(kind, row, col, data.draw(st.integers(0, 5)))
+            elif op == "row":
+                tiles[k] = Tile(kind, data.draw(st.integers(-1, s + 1)), col, span)
+        mutated = AlphaTiling(T.alpha, w, tuple(tiles))
+        want = oracle.validate_tiling(F.alpha, mutated)
+        assert validate_tiling(F.alpha, mutated) == want
 
 
 class TestRendering:
