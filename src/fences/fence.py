@@ -58,10 +58,7 @@ import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
-
-if TYPE_CHECKING:
-    from .rowmotion import Orbit
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 ANTICHAIN = "antichain"
 IDEAL = "ideal"
@@ -348,7 +345,7 @@ class Fence:
         - "self_dual": why the fence is not self-dual, or None (this module);
         - ("orbits", family): the tuple of Orbits of rowmotion on the
           family, ANTICHAIN or IDEAL (fences.rowmotion);
-        - "tiling_lemma": the tiling lemma's index tables (fences.stats);
+        - "tiling_lemma": the tiling lemma's index tables (fences.tiling);
         - "profiles": the antichain orbit profiles (fences.harness).
 
         A Fence shared across threads is mutated by first uses: concurrent
@@ -481,34 +478,6 @@ class Fence:
             raise FenceError("element set does not fit this fence")
         if not self._role_ok(S.mask, role):
             raise RoleError(f"{S} is not an {role} of {self!r}")
-
-    def require_orbit(self, orbit: Orbit, family: str) -> None:
-        """The one check of an Orbit argument: it is tagged `family`, a
-        family rowmotion acts on, its masks are distinct members of
-        0..full_mask, and one lane-packed rowmotion step maps them onto
-        their rotation by one.  Public functions that take an orbit call
-        it once; library-built orbits skip it inside the library."""
-        from .rowmotion import _STEPS  # rowmotion imports this module
-
-        if orbit.family != family:
-            raise RoleError(
-                f"expected an orbit of {family}s, got one of {orbit.family}s"
-            )
-        if family not in _STEPS:
-            raise RoleError(f"rowmotion acts on antichains and ideals, not {family}")
-        masks = orbit.masks
-        if not masks:
-            raise FenceError("an orbit has at least one member")
-        for m in masks:
-            if not 0 <= m <= self.full_mask:
-                raise FenceError(f"orbit mask {m} does not fit this fence")
-        images: list[int] = []
-        for lanes, packed in self.lane_chunks(masks):
-            images += lanes.unpack(_STEPS[family](self, packed, lanes))
-        if images[-1] != masks[0] or images[:-1] != list(masks[1:]):
-            raise FenceError(f"the masks are not a rowmotion orbit of {family}s")
-        if len(set(masks)) != len(masks):
-            raise FenceError("the orbit repeats a member")
 
     # -- closures and extremal elements -----------------------------------
 

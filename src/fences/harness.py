@@ -57,10 +57,8 @@ from .rowmotion import (
     ideal_orbits,
     superorbits,
 )
-from .stats import (
-    classify_orbit_sums, indicator, orbit_element_counts, tiling_lemma, weighted_sum
-)
-from .tiling import TileCounts
+from .stats import classify_orbit_sums, indicator, orbit_element_counts, weighted_sum
+from .tiling import TileCounts, tiling_lemma
 from .toggles import (
     ToggleWord,
     base_graph,
@@ -182,7 +180,7 @@ def orbit_profiles(F: Fence) -> tuple[OrbitProfile, ...]:
     """Profiles of every antichain orbit, canonically ordered; memoised on F.
 
     One orbit_element_counts table counts every orbit; the tiling lemma
-    (stats.TilingLemma) turns each orbit's row of it into the tile counts
+    (tiling.TilingLemma) turns each orbit's row of it into the tile counts
     and ideal counts: no tiling or generated ideal is built here.  Callers
     that render or round-trip a tiling build it with tiling_of_orbit.
     """

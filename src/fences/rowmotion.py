@@ -121,6 +121,31 @@ _STEPS = {ANTICHAIN: _rho_mask, IDEAL: _rho_hat_mask}
 _INVERSE_STEPS = {ANTICHAIN: _rho_inv_mask, IDEAL: _rho_hat_inv_mask}
 
 
+def require_orbit(F: Fence, orbit: Orbit, family: str) -> None:
+    """The one check of an Orbit argument: it is tagged `family`, a
+    family rowmotion acts on, its masks are distinct members of
+    0..full_mask, and one lane-packed rowmotion step maps them onto their
+    rotation by one.  Public functions that take an orbit call it once;
+    library-built orbits skip it inside the library."""
+    if orbit.family != family:
+        raise RoleError(f"expected an orbit of {family}s, got one of {orbit.family}s")
+    if family not in _STEPS:
+        raise RoleError(f"rowmotion acts on antichains and ideals, not {family}")
+    masks = orbit.masks
+    if not masks:
+        raise FenceError("an orbit has at least one member")
+    for m in masks:
+        if not 0 <= m <= F.full_mask:
+            raise FenceError(f"orbit mask {m} does not fit this fence")
+    images: list[int] = []
+    for lanes, packed in F.lane_chunks(masks):
+        images += lanes.unpack(_STEPS[family](F, packed, lanes))
+    if images[-1] != masks[0] or images[:-1] != list(masks[1:]):
+        raise FenceError(f"the masks are not a rowmotion orbit of {family}s")
+    if len(set(masks)) != len(masks):
+        raise FenceError("the orbit repeats a member")
+
+
 def _step_of(F: Fence, S: ElementSet, steps=_STEPS):
     """The mask-level step of S's family from `steps` (rowmotion, or its
     inverse), once S is checked to be a member of that family."""

@@ -30,22 +30,9 @@ PACKED_COUNT_MAX_N elements a mask fits one 8-byte word, and the table
 is read off one array of all the masks with C-level byte operations: a
 strided slice per byte, a translate per bit and a bytes.count per orbit.
 Longer fences add each orbit's masks into bit planes, at a few n-bit
-operations per member.
-
-The paper's tiling lemma reads an antichain orbit's statistics off the
-tile counts of its tiling.  With b_i black tiles and r_i red heads in
-row i (r_0 = r_s = 0) and w columns:
-
-- each unshared element of segment i occurs b_i times, and s_i r_i times;
-- the j-th smallest unshared element of segment i lies in
-  b_i*(alpha_i - j) + r_t of the generated ideals, s_t being the
-  segment's maximal end (t = i for odd i, i - 1 for even i);
-- s_i lies in r_i of them for odd i (a maximal element) and in w - r_i
-  for even i (a minimal one).
-
-TilingLemma (built once per fence by tiling_lemma) is the lemma's one
-home: it maps an orbit's antichain element counts to its tile counts and
-ideal counts, and orbit_stats_from_tiling runs it on a tiling's counts.
+operations per member.  The paper's tiling lemma, which turns an
+antichain orbit's row of that table into its tile and ideal counts,
+lives in fences.tiling.
 
 Text syntax (whitespace-insensitive, 1-based element indices):
 
@@ -58,17 +45,16 @@ import re
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import repeat
 from math import lcm
-from operator import add, eq, mul
+from operator import eq, mul
 from typing import Iterable, Sequence
 
 from .fence import (
     _SWAP, ANTICHAIN, IDEAL, ElementSet, Fence, FenceError, RoleError, elements_of
 )
-from .rowmotion import Orbit, antichain_orbits, ideal_orbits
-from .tiling import AlphaTiling, TileCounts, TilingError, tile_counts
+from .rowmotion import Orbit, antichain_orbits, ideal_orbits, require_orbit
 
 
 class StatExprError(ValueError):
@@ -285,12 +271,12 @@ def scaled_sums(
 def orbit_sum(F: Fence, expr: StatExpr, orbit: Orbit) -> Fraction:
     """Sum of the statistic over all members of an orbit, once the
     statistic fits the orbit's family and the fence, and the orbit is one
-    (Fence.require_orbit)."""
+    (rowmotion.require_orbit)."""
     fam = expr.family()
     if fam is not None and orbit.family != fam:
-        raise RoleError(f"statistic over {fam}s summed over a {orbit.family} orbit")
+        raise RoleError(f"statistic over {fam}s summed over an {orbit.family} orbit")
     _check_elements(F, expr)
-    F.require_orbit(orbit, orbit.family)
+    require_orbit(F, orbit, orbit.family)
     columns = orbit_element_counts(F, [orbit.masks])
     return Fraction(scaled_sums(expr, [orbit.size], columns)[0], expr.integer_form[0])
 
@@ -446,86 +432,3 @@ def check_homomesy(F: Fence, family: str, expr: StatExpr) -> MesyReport:
     columns = orbit_element_counts(F, [o.masks for o in orbits])
     sums = scaled_sums(expr, sizes, columns)
     return classify_orbit_sums(sizes, sums, expr.integer_form[0])
-
-
-# -- the tiling lemma --------------------------------------------------------
-
-
-class TilingLemma:
-    """The tiling lemma of the module docstring on one fence, as integer
-    index tables over the orbit's antichain element counts."""
-
-    def __init__(self, F: Fence):
-        n, s = F.n, F.s
-        # per row i, segment i's unshared elements as a slice of the counts
-        self._rows = tuple(slice(a, b - 1) for a, b in zip(F.cums, F.cums[1:]))
-        # indices into the counts padded with (0, size): n reads 0, n + 1 the size
-        self._black = tuple(r.start if r.start < r.stop else n for r in self._rows)
-        self._red = tuple(x - 1 for x in F.shared)
-        # the ideal count of x_{k+1}: weights[k] * counts[k] + padded counts[adds[k]]
-        weights, adds = [], []
-        for k in range(1, n + 1):
-            i = F.shared_index(k)
-            if i is not None:
-                weights.append(1 if i % 2 else -1)
-                adds.append(n if i % 2 else n + 1)
-                continue
-            i, j = F.unshared_position(k)
-            t = i if i % 2 else i - 1
-            weights.append(F.alpha[i - 1] - j)
-            adds.append(self._red[t - 1] if t < s else n)
-        self._weights, self._adds = tuple(weights), tuple(adds)
-
-    def counts(
-        self, counts: Sequence[int], size: int
-    ) -> tuple[TileCounts, tuple[int, ...]]:
-        """The tile counts and ideal counts of an antichain orbit of `size`
-        members with element counts `counts`.  An antichain meets segment
-        i's chain of unshared elements at most once, so row i is black in
-        every column exactly when their counts sum to the size: no real
-        orbit does that, and it raises TilingError, the error of an
-        all-black row in the tiling builder."""
-        sums = list(map(sum, map(counts.__getitem__, self._rows)))
-        if size in sums:
-            raise TilingError(
-                f"row {sums.index(size) + 1} is entirely black; no tiling "
-                "decomposition exists"
-            )
-        pick = (*counts, 0, size).__getitem__
-        tiles = TileCounts(tuple(map(pick, self._black)), (0, *map(pick, self._red), 0))
-        ideal = tuple(map(add, map(mul, self._weights, counts), map(pick, self._adds)))
-        return tiles, ideal
-
-    def element_counts(self, tiles: TileCounts) -> tuple[int, ...]:
-        """The antichain element counts that a tiling's tile counts give."""
-        counts = [0] * len(self._weights)
-        for r, b in zip(self._rows, tiles.black):
-            counts[r] = [b] * (r.stop - r.start)
-        for k, r in zip(self._red, tiles.red[1:]):
-            counts[k] = r
-        return tuple(counts)
-
-
-def tiling_lemma(F: Fence) -> TilingLemma:
-    """The fence's TilingLemma, memoised on F."""
-    return F.memo("tiling_lemma", partial(TilingLemma, F))
-
-
-@dataclass(frozen=True)
-class OrbitStatistics:
-    """Per-element and total orbit statistics, as computed from a tiling."""
-
-    width: int
-    antichain_counts: tuple[int, ...]
-    ideal_counts: tuple[int, ...]
-    antichain_total: int
-    ideal_total: int
-
-
-def orbit_stats_from_tiling(F: Fence, T: AlphaTiling) -> OrbitStatistics:
-    """Every indicator and both cardinality statistics of an orbit, read
-    off the tile counts of its tiling through the tiling lemma."""
-    lemma = tiling_lemma(F)
-    chi_x = lemma.element_counts(tile_counts(T))
-    _, chihat_x = lemma.counts(chi_x, T.width)
-    return OrbitStatistics(T.width, chi_x, chihat_x, sum(chi_x), sum(chihat_x))

@@ -1,4 +1,5 @@
-"""Cylindrical tilings encoding rowmotion orbits of antichains.
+"""Cylindrical tilings encoding rowmotion orbits of antichains, and the
+paper's tiling lemma.
 
 A rowmotion orbit of width w on a fence with s segments becomes an
 s-row, w-column cylinder: column c describes the c-th antichain of the
@@ -14,9 +15,22 @@ is up to horizontal rotation, decided on the lexicographically least
 rotation of the column colour sequence.
 
 The statistics of an orbit depend on its tiling only through the tile
-counts, and the paper's tiling lemma (`stats.TilingLemma`) reads those
-off the orbit's antichain element counts.  An AlphaTiling is built only
-to render an orbit or to round-trip it through `orbit_of_tiling`.
+counts.  With b_i black tiles and r_i red heads in row i (r_0 = r_s = 0)
+and w columns, the tiling lemma says:
+
+- each unshared element of segment i occurs b_i times, and s_i r_i times;
+- the j-th smallest unshared element of segment i lies in
+  b_i*(alpha_i - j) + r_t of the generated ideals, s_t being the
+  segment's maximal end (t = i for odd i, i - 1 for even i);
+- s_i lies in r_i of them for odd i (a maximal element) and in w - r_i
+  for even i (a minimal one).
+
+TilingLemma (built once per fence by tiling_lemma) is the lemma's one
+home: it maps an orbit's antichain element counts to its tile counts and
+ideal counts, so orbit profiles build no tiling, and
+orbit_stats_from_tiling runs it on a tiling's counts.  An AlphaTiling is
+built only to render an orbit or to round-trip it through
+orbit_of_tiling.
 
 `tiling_of_orbit` builds a tiling a row at a time.  It packs the orbit
 into lanes (`Fence.lane_chunks`), so bit 0 of lane c ORed over a
@@ -31,19 +45,27 @@ composition.  One painter (`_paint`) lays the tiles' cells onto the
 cylinder in one pass; the colour grid, the validator's tile-index and
 cover grids and the ascii renderer all read it, and the validator checks
 each row of those grids at once.
+
+Every public function that reads a tiling (`orbit_of_tiling`,
+`orbit_stats_from_tiling`, `tile_counts`, `render_tiling` and
+`AlphaTiling.cell_grid`) first calls the one tiling check,
+`_require_tiling`: it reads the cached report and raises TilingError on
+a violation, after FenceError when a fence is given whose composition
+is not the tiling's.  `orbit_of_tiling` then leaves the orbit itself to
+the one orbit check, `rowmotion.require_orbit`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import groupby
-from operator import itemgetter
-from typing import NamedTuple
+from operator import add, itemgetter, mul
+from typing import NamedTuple, Sequence
 
 from .fence import ANTICHAIN, Composition, Fence, FenceError
-from .rowmotion import Orbit, _rho_mask
+from .rowmotion import Orbit, require_orbit
 
 YELLOW = "yellow"
 BLACK = "black"
@@ -102,6 +124,7 @@ class AlphaTiling:
 
     def cell_grid(self) -> list[list[str]]:
         """Colour codes Y/B/R per cell, rows 1..s outer, columns inner."""
+        _require_tiling(self)
         return _paint(self)[0]
 
     def rotated(self, offset: int) -> "AlphaTiling":
@@ -199,11 +222,11 @@ def tiling_of_orbit(F: Fence, orbit: Orbit) -> AlphaTiling:
 
     Column c is the c-th antichain of the orbit as given (a library orbit
     starts at its canonical representative).  The orbit is checked once
-    (Fence.require_orbit), and the result always satisfies the tiling
+    (rowmotion.require_orbit), and the result always satisfies the tiling
     conditions; a failure here would be a library bug and is raised,
     never swallowed.
     """
-    F.require_orbit(orbit, ANTICHAIN)
+    require_orbit(F, orbit, ANTICHAIN)
     w, s = orbit.size, F.s
     rows = [bytearray() for _ in range(s)]
     for lanes, packed in F.lane_chunks(orbit.masks):
@@ -220,10 +243,6 @@ def tiling_of_orbit(F: Fence, orbit: Orbit) -> AlphaTiling:
     tiles: list[Tile] = []
     for i, codes in enumerate(rows, start=1):
         row = codes.translate(_ROW_LETTERS).decode()
-        if row.count("B") == w:
-            raise TilingError(
-                f"row {i} is entirely black; no tiling decomposition exists"
-            )
         # a black run at column 0 continues the run that ends at the seam
         seam = len(row) - len(row.lstrip("B")) if row[-1] == "B" else 0
         for m in _ROW_TILES.finditer(row, seam):
@@ -249,12 +268,10 @@ def tiling_of_orbit(F: Fence, orbit: Orbit) -> AlphaTiling:
 
 
 def orbit_of_tiling(F: Fence, T: AlphaTiling) -> Orbit:
-    """Decode a valid tiling back to the antichain orbit it encodes."""
-    if Composition.coerce(T.alpha) != F.alpha:
-        raise FenceError("tiling composition does not match the fence")
-    report = validate_tiling(F.alpha, T)
-    if not report.valid:
-        raise TilingError("invalid tiling: " + "; ".join(report.violations))
+    """Decode a valid tiling back to the antichain orbit it encodes: the
+    columns' masks, rotated to start at the least, checked once as an
+    orbit (rowmotion.require_orbit)."""
+    _require_tiling(T, F)
     w = T.width
     masks = [0] * w
     for t in T.tiles:
@@ -264,20 +281,21 @@ def orbit_of_tiling(F: Fence, T: AlphaTiling) -> Orbit:
             for j in range(t.span):
                 k = F.unshared_element(t.row, j + 1)
                 masks[(t.col + j) % w] |= 1 << (k - 1)
-    for c, m in enumerate(masks):
-        if not F.is_antichain_mask(m):
-            raise TilingError(f"column {c} does not decode to an antichain")
-    for c in range(w):
-        if _rho_mask(F, masks[c]) != masks[(c + 1) % w]:
-            raise TilingError(
-                f"columns {c} -> {(c + 1) % w} are not consecutive under "
-                "rowmotion"
-            )
-    if len(set(masks)) != w:
-        raise TilingError("tiling repeats a column antichain")
     start = masks.index(min(masks))
-    cycle = masks[start:] + masks[:start]
-    return Orbit(ANTICHAIN, tuple(cycle))
+    orbit = Orbit(ANTICHAIN, tuple(masks[start:] + masks[:start]))
+    require_orbit(F, orbit, ANTICHAIN)
+    return orbit
+
+
+def _require_tiling(T: AlphaTiling, F: Fence | None = None) -> None:
+    """The one check of a tiling argument: its composition is F's when a
+    fence is given, and its cached report (AlphaTiling.report) is valid.
+    Every public function that reads a tiling calls it once."""
+    if F is not None and Composition.coerce(T.alpha) != F.alpha:
+        raise FenceError("tiling composition does not match the fence")
+    report = T.report
+    if not report.valid:
+        raise TilingError("invalid tiling: " + "; ".join(report.violations))
 
 
 # -- validation ---------------------------------------------------------------
@@ -407,6 +425,7 @@ def _check_tiling(alpha: Composition, T: AlphaTiling) -> TilingReport:
 
 def tile_counts(T: AlphaTiling) -> TileCounts:
     """Black tiles per row and red heads per row of a tiling."""
+    _require_tiling(T)
     s = T.rows
     black = [0] * (s + 1)
     red = [0] * (s + 1)
@@ -418,11 +437,96 @@ def tile_counts(T: AlphaTiling) -> TileCounts:
     return TileCounts(tuple(black[1:]), tuple(red))
 
 
+# -- the tiling lemma --------------------------------------------------------
+
+
+class TilingLemma:
+    """The tiling lemma of the module docstring on one fence, as integer
+    index tables over the orbit's antichain element counts."""
+
+    def __init__(self, F: Fence):
+        n, s = F.n, F.s
+        # per row i, segment i's unshared elements as a slice of the counts
+        self._rows = tuple(slice(a, b - 1) for a, b in zip(F.cums, F.cums[1:]))
+        # indices into the counts padded with (0, size): n reads 0, n + 1 the size
+        self._black = tuple(r.start if r.start < r.stop else n for r in self._rows)
+        self._red = tuple(x - 1 for x in F.shared)
+        # the ideal count of x_{k+1}: weights[k] * counts[k] + padded counts[adds[k]]
+        weights, adds = [], []
+        for k in range(1, n + 1):
+            i = F.shared_index(k)
+            if i is not None:
+                weights.append(1 if i % 2 else -1)
+                adds.append(n if i % 2 else n + 1)
+                continue
+            i, j = F.unshared_position(k)
+            t = i if i % 2 else i - 1
+            weights.append(F.alpha[i - 1] - j)
+            adds.append(self._red[t - 1] if t < s else n)
+        self._weights, self._adds = tuple(weights), tuple(adds)
+
+    def counts(
+        self, counts: Sequence[int], size: int
+    ) -> tuple[TileCounts, tuple[int, ...]]:
+        """The tile counts and ideal counts of an antichain orbit of `size`
+        members with element counts `counts`.  An antichain meets segment
+        i's chain of unshared elements at most once, so row i is black in
+        every column exactly when their counts sum to the size: no real
+        orbit does that, and it raises TilingError."""
+        sums = list(map(sum, map(counts.__getitem__, self._rows)))
+        if size in sums:
+            raise TilingError(
+                f"row {sums.index(size) + 1} is entirely black; no tiling "
+                "decomposition exists"
+            )
+        pick = (*counts, 0, size).__getitem__
+        tiles = TileCounts(tuple(map(pick, self._black)), (0, *map(pick, self._red), 0))
+        ideal = tuple(map(add, map(mul, self._weights, counts), map(pick, self._adds)))
+        return tiles, ideal
+
+    def element_counts(self, tiles: TileCounts) -> tuple[int, ...]:
+        """The antichain element counts that a tiling's tile counts give."""
+        counts = [0] * len(self._weights)
+        for r, b in zip(self._rows, tiles.black):
+            counts[r] = [b] * (r.stop - r.start)
+        for k, r in zip(self._red, tiles.red[1:]):
+            counts[k] = r
+        return tuple(counts)
+
+
+def tiling_lemma(F: Fence) -> TilingLemma:
+    """The fence's TilingLemma, memoised on F."""
+    return F.memo("tiling_lemma", partial(TilingLemma, F))
+
+
+@dataclass(frozen=True)
+class OrbitStatistics:
+    """Per-element and total orbit statistics, as computed from a tiling."""
+
+    width: int
+    antichain_counts: tuple[int, ...]
+    ideal_counts: tuple[int, ...]
+    antichain_total: int
+    ideal_total: int
+
+
+def orbit_stats_from_tiling(F: Fence, T: AlphaTiling) -> OrbitStatistics:
+    """Every indicator and both cardinality statistics of an orbit, read
+    off the tile counts of its tiling through the tiling lemma, once the
+    tiling is a valid tiling of F."""
+    _require_tiling(T, F)
+    lemma = tiling_lemma(F)
+    chi_x = lemma.element_counts(tile_counts(T))
+    _, chihat_x = lemma.counts(chi_x, T.width)
+    return OrbitStatistics(T.width, chi_x, chihat_x, sum(chi_x), sum(chihat_x))
+
+
 # -- rendering ----------------------------------------------------------------
 
 
 def render_tiling(T: AlphaTiling, format: str = "ascii") -> str:
     """Render as an ascii grid or an SVG document (deterministic bytes)."""
+    _require_tiling(T)
     if format == "ascii":
         return _render_ascii(T)
     if format == "svg":

@@ -369,3 +369,73 @@ class TestMemoKeys:
                 assert f'"{key.value}"' in doc, f"{path.name}:{node.lineno}"
         assert {"ideal_masks", "orbits", "profiles"} <= set(keys)
         assert set(re.findall(r'"(\w+)"', doc)) == set(keys)
+
+
+def _package_imports(path, modules):
+    """(line, imported fences module, where) for every import of a module
+    of the package in the file at path; where is "function", "TYPE_CHECKING"
+    or None for an import that runs when the module is loaded."""
+    out = []
+
+    def targets(node):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:  # a relative import is one from the package itself
+            module = ".".join(filter(None, ("fences" * (node.level > 0), node.module)))
+            names = [f"{module}.{a.name}" for a in node.names]
+        parts = [name.split(".") for name in names]
+        return [
+            p[1] if len(p) > 1 and p[1] in modules else "__init__"
+            for p in parts
+            if p[0] == "fences"
+        ]
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                inner = where or "function"
+            elif isinstance(child, ast.If) and "TYPE_CHECKING" in ast.dump(child.test):
+                inner = where or "TYPE_CHECKING"
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                out.extend((child.lineno, t, inner) for t in targets(child))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(), str(path)), None)
+    return out
+
+
+class TestLayering:
+    def test_package_imports_are_top_level_and_acyclic(self):
+        # a module of the package imports another only when it is loaded:
+        # never inside a function, never only under `if TYPE_CHECKING`, and
+        # those imports form no cycle, so every module's dependencies are
+        # loaded before it is
+        src = Path(fences.__file__).parent
+        modules = {path.stem for path in src.glob("*.py")}
+        graph, bad = {}, []
+        for path in sorted(src.glob("*.py")):
+            graph[path.stem] = set()
+            for line, target, where in _package_imports(path, modules):
+                if where is None:
+                    graph[path.stem].add(target)
+                else:
+                    bad.append(f"{path.name}:{line}: imports {target} in {where}")
+        assert not bad
+        state: dict[str, str] = {}
+
+        def walk(module, path):
+            state[module] = "open"
+            for target in sorted(graph[module]):
+                assert state.get(target) != "open", "import cycle: " + " -> ".join(
+                    path[path.index(target) :] + [target]
+                )
+                if target not in state:
+                    walk(target, path + [target])
+            state[module] = "done"
+
+        for module in sorted(graph):
+            if module not in state:
+                walk(module, [module])
+        assert graph["fence"] == set()
+        assert graph["stats"] == {"fence", "rowmotion"}

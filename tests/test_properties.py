@@ -62,14 +62,15 @@ from fences import (
     toggle,
 )
 from fences.harness import orbit_profiles
+from fences.rowmotion import require_orbit
 from fences.stats import (
     PACKED_COUNT_MAX_N,
     Atom,
     StatExpr,
     classify_orbit_sums,
     orbit_element_counts,
-    tiling_lemma,
 )
+from fences.tiling import tiling_lemma
 from fences.toggles import (
     ToggleWord,
     compile_word,
@@ -195,7 +196,7 @@ def test_all_black_row_raises_in_the_lemma():
 def test_entry_points_check_their_orbit(data):
     # a real orbit from any member, or one with a member replaced (out of
     # the fence, negative and 1 << 70 included), cut short or repeated, or
-    # a few random masks: Fence.require_orbit, orbit_sum and tiling_of_orbit
+    # a few random masks: rowmotion.require_orbit, orbit_sum and tiling_of_orbit
     # raise FenceError/RoleError exactly when the oracle says the tuple is
     # not an orbit of its family, and otherwise answer
     F = build_fence(data.draw(compositions(max_n=7)))
@@ -218,7 +219,7 @@ def test_entry_points_check_their_orbit(data):
     stat = parse_stat("chihat" if family == IDEAL else "chi")
     ok = oracle.is_orbit(F, family, masks)
     calls = {
-        "require_orbit": (ok, lambda: F.require_orbit(orbit, family)),
+        "require_orbit": (ok, lambda: require_orbit(F, orbit, family)),
         "orbit_sum": (ok, lambda: orbit_sum(F, stat, orbit)),
         "tiling_of_orbit": (
             ok and family == ANTICHAIN, lambda: tiling_of_orbit(F, orbit)

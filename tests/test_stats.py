@@ -206,7 +206,7 @@ class TestErrorPaths:
         "entry, error, message",
         [
             ("check_homomesy", RoleError, "statistic over ideals checked on antichain orbits"),
-            ("orbit_sum", RoleError, "statistic over ideals summed over a antichain orbit"),
+            ("orbit_sum", RoleError, "statistic over ideals summed over an antichain orbit"),
             ("transfer_check", FenceError, RANGE),
         ],
     )

@@ -1,4 +1,7 @@
+import re
 import xml.etree.ElementTree as ET
+from collections import Counter
+from functools import partial
 
 import oracle
 import pytest
@@ -9,6 +12,9 @@ from fences import (
     ANTICHAIN,
     AlphaTiling,
     Composition,
+    ElementSet,
+    FenceError,
+    Orbit,
     Tile,
     TilingError,
     TilingReport,
@@ -16,14 +22,17 @@ from fences import (
     build_fence,
     orbit_of,
     orbit_of_tiling,
+    orbit_stats_from_tiling,
     render_tiling,
     tile_counts,
     tiling_of_orbit,
     validate_tiling,
 )
 from fences import fence as fence_module
-from fences.harness import all_fence_compositions
-from fences.tiling import SVG_PALETTE, _SVG_CELL, _paint, parse_ascii
+from fences.harness import all_fence_compositions, orbit_profiles
+from fences.tiling import (
+    SVG_PALETTE, _SVG_CELL, OrbitStatistics, _paint, parse_ascii
+)
 
 
 def five_orbit(F):
@@ -328,50 +337,184 @@ class TestAgainstOracle:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_validator_on_random_mutations(self, data):
-        # one to three mutations of a real tiling (n <= 9): delete,
-        # duplicate, shift a column, change the kind (unknown kinds too),
-        # change the span, move the row (out of range included), or trade
-        # a red domino for the two yellow cells it covers and back, which
-        # keeps the cover exact and so reaches the alternation and red rules
-        alpha = data.draw(st.sampled_from(all_fence_compositions(9)))
-        F = build_fence(alpha)
-        o = data.draw(st.sampled_from(antichain_orbits(F)))
-        T = tiling_of_orbit(F, o)
-        w, s = T.width, F.s
-        tiles = list(T.tiles)
-        for _ in range(data.draw(st.integers(1, 3))):
-            if not tiles:
-                break
-            k = data.draw(st.integers(0, len(tiles) - 1))
-            kind, row, col, span = tiles[k]
-            op = data.draw(
-                st.sampled_from(
-                    ["delete", "duplicate", "shift", "kind", "span", "row", "trade"]
-                )
-            )
-            below = Tile("yellow", row + 1, col)
-            if op == "trade" and kind == "red":
-                tiles[k : k + 1] = [Tile("yellow", row, col), below]
-            elif op == "trade" and kind == "yellow" and below in tiles:
-                tiles.remove(below)
-                tiles[tiles.index((kind, row, col, span))] = Tile("red", row, col)
-            elif op == "delete":
-                del tiles[k]
-            elif op == "duplicate":
-                tiles.insert(data.draw(st.integers(0, len(tiles))), tiles[k])
-            elif op == "shift":
-                cols = st.one_of(st.integers(0, w - 1), st.integers(-2, w + 2))
-                tiles[k] = Tile(kind, row, data.draw(cols), span)
-            elif op == "kind":
-                kinds = st.sampled_from(["yellow", "black", "red", "blue", ""])
-                tiles[k] = Tile(data.draw(kinds), row, col, span)
-            elif op == "span":
-                tiles[k] = Tile(kind, row, col, data.draw(st.integers(0, 5)))
-            elif op == "row":
-                tiles[k] = Tile(kind, data.draw(st.integers(-1, s + 1)), col, span)
-        mutated = AlphaTiling(T.alpha, w, tuple(tiles))
+        F, _, _, mutated = draw_mutated_tiling(data)
         want = oracle.validate_tiling(F.alpha, mutated)
         assert validate_tiling(F.alpha, mutated) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_readers_raise_exactly_on_invalid_tilings(self, data):
+        # on the same mutations every reader raises TilingError exactly when
+        # the oracle reports a violation.  A valid tiling whose columns are
+        # an orbit reads as that orbit's own tiling; one whose columns are
+        # not is read cell by cell, and orbit_of_tiling raises FenceError
+        F, _, _, U = draw_mutated_tiling(data)
+        readers = (
+            partial(orbit_of_tiling, F),
+            partial(orbit_stats_from_tiling, F),
+            tile_counts,
+            render_tiling,
+            partial(render_tiling, format="svg"),
+            AlphaTiling.cell_grid,
+            AlphaTiling.canonical_columns,
+        )
+        if not oracle.validate_tiling(F.alpha, U).valid:
+            for read in readers:
+                with pytest.raises(TilingError, match="^invalid tiling: "):
+                    read(U)
+            return
+        masks = decoded_masks(F, U)
+        if oracle.is_orbit(F, ANTICHAIN, masks):
+            R = tiling_of_orbit(F, Orbit(ANTICHAIN, tuple(masks)))
+            assert Counter(R.tiles) == Counter(U.tiles)
+            for read in readers[2:]:
+                assert read(U) == read(R)
+            o = orbit_of_tiling(F, U)
+            assert o == orbit_of(F, ElementSet(masks[0], ANTICHAIN))
+            p = next(p for p in orbit_profiles(F) if p.orbit == o)
+            assert orbit_stats_from_tiling(F, U) == OrbitStatistics(
+                p.size, p.antichain_counts, p.ideal_counts, p.chi, p.chihat
+            )
+        else:
+            with pytest.raises(FenceError):
+                orbit_of_tiling(F, U)
+            grid = oracle.paint(U)[0]
+            assert U.cell_grid() == grid == parse_ascii(render_tiling(U))
+            ET.fromstring(render_tiling(U, "svg"))
+            stats = orbit_stats_from_tiling(F, U)
+            assert stats.antichain_counts == tuple(
+                sum(m >> k & 1 for m in masks) for k in range(F.n)
+            )
+            assert tile_counts(U).black == tuple(
+                sum(t[:2] == ("black", i) for t in U.tiles) for i in range(1, F.s + 1)
+            )
+
+
+def decoded_masks(F, T):
+    """Each column's antichain, read cell by cell: a red domino with head
+    row i holds s_i, and the j-th cell of a black tile in row i holds the
+    j-th smallest unshared element of segment i."""
+    masks = [0] * T.width
+    for t in T.tiles:
+        if t.kind == "red":
+            masks[t.col] |= 1 << (F.shared_element(t.row) - 1)
+        elif t.kind == "black":
+            for j, (_, c) in enumerate(oracle.tile_cells(t, T.width), start=1):
+                masks[c] |= 1 << (F.unshared_element(t.row, j) - 1)
+    return masks
+
+
+def draw_mutated_tiling(data):
+    """(F, orbit, its tiling, the tiling mutated) for a fence with n <= 9:
+    one to three mutations of the tiling's tiles: delete, duplicate, shift
+    a column, change the kind (unknown kinds too), change the span, move
+    the row (out of range included), or trade a red domino for the two
+    yellow cells it covers and back, which keeps the cover exact and so
+    reaches the alternation and red rules."""
+    alpha = data.draw(st.sampled_from(all_fence_compositions(9)))
+    F = build_fence(alpha)
+    o = data.draw(st.sampled_from(antichain_orbits(F)))
+    T = tiling_of_orbit(F, o)
+    w, s = T.width, F.s
+    tiles = list(T.tiles)
+    for _ in range(data.draw(st.integers(1, 3))):
+        if not tiles:
+            break
+        k = data.draw(st.integers(0, len(tiles) - 1))
+        kind, row, col, span = tiles[k]
+        op = data.draw(
+            st.sampled_from(
+                ["delete", "duplicate", "shift", "kind", "span", "row", "trade"]
+            )
+        )
+        below = Tile("yellow", row + 1, col)
+        if op == "trade" and kind == "red":
+            tiles[k : k + 1] = [Tile("yellow", row, col), below]
+        elif op == "trade" and kind == "yellow" and below in tiles:
+            tiles.remove(below)
+            tiles[tiles.index((kind, row, col, span))] = Tile("red", row, col)
+        elif op == "delete":
+            del tiles[k]
+        elif op == "duplicate":
+            tiles.insert(data.draw(st.integers(0, len(tiles))), tiles[k])
+        elif op == "shift":
+            cols = st.one_of(st.integers(0, w - 1), st.integers(-2, w + 2))
+            tiles[k] = Tile(kind, row, data.draw(cols), span)
+        elif op == "kind":
+            kinds = st.sampled_from(["yellow", "black", "red", "blue", ""])
+            tiles[k] = Tile(data.draw(kinds), row, col, span)
+        elif op == "span":
+            tiles[k] = Tile(kind, row, col, data.draw(st.integers(0, 5)))
+        elif op == "row":
+            tiles[k] = Tile(kind, data.draw(st.integers(-1, s + 1)), col, span)
+    return F, o, T, AlphaTiling(T.alpha, w, tuple(tiles))
+
+
+def orbit_one(F):
+    """Orbit 1 of (4,3,4), of 17 members, and its tiling."""
+    o = antichain_orbits(F)[1]
+    assert o.size == 17
+    return o, tiling_of_orbit(F, o)
+
+
+class TestReadersCheckTheTiling:
+    """Every public function that reads a tiling checks it once, and a
+    decoded orbit is checked as an orbit."""
+
+    def test_doubled_tiling_is_valid_but_repeats_a_member(self, f434):
+        # the 17 columns twice over: every condition on the tiling holds,
+        # and the decoded columns step one to the next, but repeat
+        _, T = orbit_one(f434)
+        copy = tuple(Tile(k, row, col + 17, span) for k, row, col, span in T.tiles)
+        doubled = AlphaTiling(T.alpha, 34, T.tiles + copy)
+        assert validate_tiling(f434.alpha, doubled).valid
+        with pytest.raises(FenceError, match="^the orbit repeats a member$"):
+            orbit_of_tiling(f434, doubled)
+
+    def test_valid_tiling_of_no_orbit(self, f22):
+        # orbit 0 of (2,2), YBR over YB, with its black tile in row 1 made
+        # yellow: that row has no black tile to alternate with and the red
+        # domino keeps its yellow pair, so the tiling is valid, but its
+        # columns {}, {x3}, {x2} are not a rowmotion orbit
+        T = tiling_of_orbit(f22, antichain_orbits(f22)[0])
+        yellow = {("black", 1, 1, 1): Tile("yellow", 1, 1)}
+        U = AlphaTiling(T.alpha, 3, tuple(yellow.get(t, t) for t in T.tiles))
+        assert validate_tiling(f22.alpha, U).valid
+        assert decoded_masks(f22, U) == [0, 0b100, 0b010]
+        with pytest.raises(FenceError, match="^the masks are not a rowmotion orbit"):
+            orbit_of_tiling(f22, U)
+
+    def test_stats_of_another_composition_raise(self, f434, f222):
+        _, T = orbit_one(f434)
+        with pytest.raises(
+            FenceError, match="^tiling composition does not match the fence$"
+        ):
+            orbit_stats_from_tiling(f222, T)
+
+    def test_stats_of_a_duplicated_tile_raise(self, f434):
+        _, T = orbit_one(f434)
+        duplicated = AlphaTiling(T.alpha, T.width, T.tiles + T.tiles[:1])
+        with pytest.raises(TilingError, match="^invalid tiling: cell .* 2 times"):
+            orbit_stats_from_tiling(f434, duplicated)
+
+    @pytest.mark.parametrize(
+        "tile, violation",
+        [
+            (Tile("black", 9, 0, 3), "black tile row 9 outside 1..3"),
+            (Tile("green", 1, 0), "unknown tile kind 'green' at (1,0)"),
+        ],
+    )
+    def test_readers_name_a_bad_tile(self, f434, tile, violation):
+        _, T = orbit_one(f434)
+        bad = AlphaTiling(T.alpha, T.width, T.tiles[1:] + (tile,))
+        for read in (
+            bad.cell_grid,
+            partial(render_tiling, bad),
+            partial(render_tiling, bad, "svg"),
+            partial(tile_counts, bad),
+        ):
+            with pytest.raises(TilingError, match=re.escape(violation)):
+                read()
 
 
 class TestRendering:
