@@ -233,6 +233,15 @@ def _orbit_rows(F: Fence, family: str) -> list[dict]:
     ]
 
 
+# the fields of an orbit row, in CSV column order after schema_version
+_CSV_FIELDS = ("index", "size", "representative", "black", "red", "chi", "chihat")
+
+
+def _csv_cell(value):
+    """A row field as a CSV cell: a list of counts is joined by ';'."""
+    return ";".join(map(str, value)) if isinstance(value, list) else value
+
+
 def _cmd_orbits(args) -> int:
     F = _fence_from(args)
     family = _FAMILIES[args.family]
@@ -240,31 +249,9 @@ def _cmd_orbits(args) -> int:
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            [
-                "schema_version",
-                "index",
-                "size",
-                "representative",
-                "black",
-                "red",
-                "chi",
-                "chihat",
-            ]
-        )
+        writer.writerow(["schema_version", *_CSV_FIELDS])
         for r in rows:
-            writer.writerow(
-                [
-                    SCHEMA_VERSION,
-                    r["index"],
-                    r["size"],
-                    r["representative"],
-                    ";".join(map(str, r["black"])),
-                    ";".join(map(str, r["red"])),
-                    r["chi"],
-                    r["chihat"],
-                ]
-            )
+            writer.writerow([SCHEMA_VERSION, *map(_csv_cell, map(r.get, _CSV_FIELDS))])
         _emit(args, buf.getvalue())
     else:
         payload = {

@@ -48,8 +48,8 @@ before they build anything; each runs its own transfer recurrence along
 the path, and the upper ideals are the complements of the ideals.
 
 The poset data set up by the constructor never changes; derived results
-(families, orbit lists, the tiling lemma, orbit profiles, the self-duality
-check) are memoised through Fence.memo, whose docstring lists the keys.
+(families, orbit lists, orbit profiles, the self-duality check) are
+memoised through Fence.memo, whose docstring lists the keys.
 """
 
 from __future__ import annotations
@@ -345,7 +345,6 @@ class Fence:
         - "self_dual": why the fence is not self-dual, or None (this module);
         - ("orbits", family): the tuple of Orbits of rowmotion on the
           family, ANTICHAIN or IDEAL (fences.rowmotion);
-        - "tiling_lemma": the tiling lemma's index tables (fences.tiling);
         - "profiles": the antichain orbit profiles (fences.harness).
 
         A Fence shared across threads is mutated by first uses: concurrent
@@ -455,12 +454,7 @@ class Fence:
 
     def element_set(self, elements: Iterable[int], role: str) -> ElementSet:
         """Validated constructor; rejects sets that break their role."""
-        m = self.mask_of(elements)
-        if not self._role_ok(m, role):
-            raise RoleError(
-                f"{sorted(set(elements))} is not a valid {role} of {self!r}"
-            )
-        return ElementSet(m, role)
+        return self.set_from_mask(self.mask_of(elements), role)
 
     def set_from_mask(self, m: int, role: str) -> ElementSet:
         """The mask as a checked member of the role's family."""

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
 from math import gcd
-from operator import mul
+from operator import mul, sub
 from typing import Callable, NamedTuple
 
 from .fence import ANTICHAIN, IDEAL, Composition, ElementSet, Fence, FenceError
@@ -140,22 +140,14 @@ def _fence(alpha) -> Fence:
 
 def all_fence_compositions(max_n: int):
     """Every composition with first and last part >= 2 and n <= max_n,
-    in deterministic sorted order."""
-
-    def tails(total: int):
-        if total >= 2:
-            yield (total,)
-        for first in range(1, total - 1):
-            for rest in tails(total - first):
-                yield (first,) + rest
-
-    out = []
-    for total in range(2, max_n + 2):
-        out.append((total,))
-        for first in range(2, total - 1):
-            for rest in tails(total - first):
-                out.append((first,) + rest)
-    return sorted(set(out))
+    in deterministic sorted order: for each total sum(alpha) = n + 1, the
+    parts between every set of cuts at 2 .. total - 2."""
+    return sorted(
+        tuple(map(sub, (*cuts, total), (0, *cuts)))
+        for total in range(2, max_n + 2)
+        for r in range(total - 1)
+        for cuts in combinations(range(2, total - 1), r)
+    )
 
 
 # -- per-orbit profiles ----------------------------------------------------
@@ -179,22 +171,23 @@ class OrbitProfile:
 def orbit_profiles(F: Fence) -> tuple[OrbitProfile, ...]:
     """Profiles of every antichain orbit, canonically ordered; memoised on F.
 
-    One orbit_element_counts table counts every orbit; the tiling lemma
-    (tiling.TilingLemma) turns each orbit's row of it into the tile counts
-    and ideal counts: no tiling or generated ideal is built here.  Callers
+    One orbit_element_counts table counts every orbit, and one
+    tiling.tiling_lemma call reads every orbit's tile counts and ideal
+    counts off it: no tiling or generated ideal is built here.  Callers
     that render or round-trip a tiling build it with tiling_of_orbit.
     """
     return F.memo("profiles", partial(_profiles, F))
 
 
 def _profiles(F: Fence) -> tuple[OrbitProfile, ...]:
-    lemma, out = tiling_lemma(F), []
     orbits = antichain_orbits(F)
+    sizes = [o.size for o in orbits]
     columns = orbit_element_counts(F, [o.masks for o in orbits])
-    for o, a in zip(orbits, zip(*columns)):
-        tiles, i = lemma.counts(a, o.size)
-        out.append(OrbitProfile(o, o.size, a, i, sum(a), sum(i), tiles))
-    return tuple(out)
+    tiles, ideals = tiling_lemma(F, sizes, columns)
+    return tuple(
+        OrbitProfile(o, o.size, a, i, sum(a), sum(i), t)
+        for o, a, i, t in zip(orbits, zip(*columns), ideals, tiles)
+    )
 
 
 def _sizes_part(params: dict, profiles, expected: dict[int, int]) -> InstanceResult:

@@ -30,9 +30,9 @@ PACKED_COUNT_MAX_N elements a mask fits one 8-byte word, and the table
 is read off one array of all the masks with C-level byte operations: a
 strided slice per byte, a translate per bit and a bytes.count per orbit.
 Longer fences add each orbit's masks into bit planes, at a few n-bit
-operations per member.  The paper's tiling lemma, which turns an
-antichain orbit's row of that table into its tile and ideal counts,
-lives in fences.tiling.
+operations per member.  The paper's tiling lemma, which turns a table
+of antichain orbits into their tile and ideal counts, lives in
+fences.tiling (tiling_lemma).
 
 Text syntax (whitespace-insensitive, 1-based element indices):
 

@@ -25,12 +25,13 @@ and w columns, the tiling lemma says:
 - s_i lies in r_i of them for odd i (a maximal element) and in w - r_i
   for even i (a minimal one).
 
-TilingLemma (built once per fence by tiling_lemma) is the lemma's one
-home: it maps an orbit's antichain element counts to its tile counts and
-ideal counts, so orbit profiles build no tiling, and
-orbit_stats_from_tiling runs it on a tiling's counts.  An AlphaTiling is
-built only to render an orbit or to round-trip it through
-orbit_of_tiling.
+`tiling_lemma` is the lemma's one home: it reads every orbit's tile
+counts and ideal counts off a whole count table
+(stats.orbit_element_counts), a column at a time, so orbit profiles
+build no tiling and make one call per decomposition.
+orbit_stats_from_tiling fills a one-orbit table from a tiling's tile
+counts and makes the same call.  An AlphaTiling is built only to render
+an orbit or to round-trip it through orbit_of_tiling.
 
 `tiling_of_orbit` builds a tiling a row at a time.  It packs the orbit
 into lanes (`Fence.lane_chunks`), so bit 0 of lane c ORed over a
@@ -59,9 +60,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import groupby
-from operator import add, itemgetter, mul
+from operator import eq, itemgetter, sub
 from typing import NamedTuple, Sequence
 
 from .fence import ANTICHAIN, Composition, Fence, FenceError
@@ -440,63 +441,36 @@ def tile_counts(T: AlphaTiling) -> TileCounts:
 # -- the tiling lemma --------------------------------------------------------
 
 
-class TilingLemma:
-    """The tiling lemma of the module docstring on one fence, as integer
-    index tables over the orbit's antichain element counts."""
-
-    def __init__(self, F: Fence):
-        n, s = F.n, F.s
-        # per row i, segment i's unshared elements as a slice of the counts
-        self._rows = tuple(slice(a, b - 1) for a, b in zip(F.cums, F.cums[1:]))
-        # indices into the counts padded with (0, size): n reads 0, n + 1 the size
-        self._black = tuple(r.start if r.start < r.stop else n for r in self._rows)
-        self._red = tuple(x - 1 for x in F.shared)
-        # the ideal count of x_{k+1}: weights[k] * counts[k] + padded counts[adds[k]]
-        weights, adds = [], []
-        for k in range(1, n + 1):
-            i = F.shared_index(k)
-            if i is not None:
-                weights.append(1 if i % 2 else -1)
-                adds.append(n if i % 2 else n + 1)
-                continue
-            i, j = F.unshared_position(k)
-            t = i if i % 2 else i - 1
-            weights.append(F.alpha[i - 1] - j)
-            adds.append(self._red[t - 1] if t < s else n)
-        self._weights, self._adds = tuple(weights), tuple(adds)
-
-    def counts(
-        self, counts: Sequence[int], size: int
-    ) -> tuple[TileCounts, tuple[int, ...]]:
-        """The tile counts and ideal counts of an antichain orbit of `size`
-        members with element counts `counts`.  An antichain meets segment
-        i's chain of unshared elements at most once, so row i is black in
-        every column exactly when their counts sum to the size: no real
-        orbit does that, and it raises TilingError."""
-        sums = list(map(sum, map(counts.__getitem__, self._rows)))
-        if size in sums:
+def tiling_lemma(
+    F: Fence, sizes: Sequence[int], columns: Sequence[Sequence[int]]
+) -> tuple[list[TileCounts], list[tuple[int, ...]]]:
+    """The tile counts and ideal counts of antichain orbits of `sizes`
+    members whose count table is `columns` (columns[k][o] is how many
+    members of orbit o contain x_{k+1}), read off a column at a time by
+    the lemma of the module docstring.  An antichain meets segment i's
+    chain of unshared elements at most once, so row i is black in every
+    column exactly when their counts sum to the size: no real orbit does
+    that, and it raises TilingError."""
+    zeros = (0,) * len(sizes)
+    red = [zeros, *(columns[x - 1] for x in F.shared), zeros]
+    black: list[Sequence[int]] = []
+    ideal: list[Sequence[int]] = [zeros] * F.n
+    for i, row in enumerate(F.unshared[1:], start=1):
+        own = [columns[k - 1] for k in row]
+        # zeros leads the zip so that a row with no unshared element sums to 0
+        if any(map(eq, map(sum, zip(zeros, *own)), sizes)):
             raise TilingError(
-                f"row {sums.index(size) + 1} is entirely black; no tiling "
-                "decomposition exists"
+                f"row {i} is entirely black; no tiling decomposition exists"
             )
-        pick = (*counts, 0, size).__getitem__
-        tiles = TileCounts(tuple(map(pick, self._black)), (0, *map(pick, self._red), 0))
-        ideal = tuple(map(add, map(mul, self._weights, counts), map(pick, self._adds)))
-        return tiles, ideal
-
-    def element_counts(self, tiles: TileCounts) -> tuple[int, ...]:
-        """The antichain element counts that a tiling's tile counts give."""
-        counts = [0] * len(self._weights)
-        for r, b in zip(self._rows, tiles.black):
-            counts[r] = [b] * (r.stop - r.start)
-        for k, r in zip(self._red, tiles.red[1:]):
-            counts[k] = r
-        return tuple(counts)
-
-
-def tiling_lemma(F: Fence) -> TilingLemma:
-    """The fence's TilingLemma, memoised on F."""
-    return F.memo("tiling_lemma", partial(TilingLemma, F))
+        black.append(own[0] if own else zeros)
+        r_t = red[i if i % 2 else i - 1]
+        for j, (k, column) in enumerate(zip(row, own), start=1):
+            weight = F.alpha[i - 1] - j
+            ideal[k - 1] = [weight * c + r for c, r in zip(column, r_t)]
+    for i, x in enumerate(F.shared, start=1):
+        column = columns[x - 1]
+        ideal[x - 1] = column if i % 2 else list(map(sub, sizes, column))
+    return list(map(TileCounts, zip(*black), zip(*red))), list(zip(*ideal))
 
 
 @dataclass(frozen=True)
@@ -513,12 +487,18 @@ class OrbitStatistics:
 def orbit_stats_from_tiling(F: Fence, T: AlphaTiling) -> OrbitStatistics:
     """Every indicator and both cardinality statistics of an orbit, read
     off the tile counts of its tiling through the tiling lemma, once the
-    tiling is a valid tiling of F."""
+    tiling is a valid tiling of F: each unshared element of row i occurs
+    b_i times and s_i occurs r_i times."""
     _require_tiling(T, F)
-    lemma = tiling_lemma(F)
-    chi_x = lemma.element_counts(tile_counts(T))
-    _, chihat_x = lemma.counts(chi_x, T.width)
-    return OrbitStatistics(T.width, chi_x, chihat_x, sum(chi_x), sum(chihat_x))
+    tiles = tile_counts(T)
+    chi_x = [0] * F.n
+    for row, b in zip(F.unshared[1:], tiles.black):
+        for k in row:
+            chi_x[k - 1] = b
+    for x, r in zip(F.shared, tiles.red[1:]):
+        chi_x[x - 1] = r
+    _, (chihat_x,) = tiling_lemma(F, (T.width,), [(c,) for c in chi_x])
+    return OrbitStatistics(T.width, tuple(chi_x), chihat_x, sum(chi_x), sum(chihat_x))
 
 
 # -- rendering ----------------------------------------------------------------

@@ -26,7 +26,8 @@ import fences.cli
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # tile_counts builds nothing that a bench job needs: profiles read their
-# tile counts through tiling.TilingLemma, so this layer reads 0 everywhere
+# tile counts off the count table through tiling.tiling_lemma, so this
+# layer reads 0 everywhere
 UNREACHED = {"tiling.counts_s"}
 
 

@@ -188,6 +188,15 @@ class TestClosures:
         with pytest.raises(RoleError):
             f434.element_set([2], IDEAL)  # missing x1 below
 
+    def test_any_iterable_is_read_once(self, f434):
+        # a generator gives the set a list does, and an invalid one is
+        # named by its elements in require_role's message
+        assert f434.element_set(iter([1, 5]), ANTICHAIN) == f434.element_set(
+            [1, 5], ANTICHAIN
+        )
+        with pytest.raises(RoleError, match=re.escape("{x4,x7}, antichain) is not")):
+            f434.element_set((k for k in (4, 7)), ANTICHAIN)
+
 
 class TestComplement:
     def test_examples(self, f22, f434):

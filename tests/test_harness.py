@@ -43,6 +43,13 @@ class TestCompositionSweep:
     def test_deterministic(self):
         assert all_fence_compositions(7) == all_fence_compositions(7)
 
+    @pytest.mark.parametrize("max_n", range(1, 13))
+    def test_every_cut_set_once_in_order(self, max_n):
+        got = all_fence_compositions(max_n)
+        assert len(got) == 2 ** (max_n - 1)
+        assert got == sorted(set(got))
+        assert all(a[0] >= 2 and a[-1] >= 2 and sum(a) - 1 <= max_n for a in got)
+
 
 class TestTwoSegment:
     def test_54(self):

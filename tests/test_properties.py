@@ -105,8 +105,10 @@ def _counts(F, masks):
 
 
 def _lemma_counts(F, o):
-    """The tile counts and ideal counts the tiling lemma gives an orbit."""
-    return tiling_lemma(F).counts(_counts(F, o.masks), o.size)
+    """The tile counts and ideal counts the tiling lemma gives an orbit,
+    read off its one-orbit count table."""
+    tiles, ideals = tiling_lemma(F, [o.size], orbit_element_counts(F, [o.masks]))
+    return tiles[0], ideals[0]
 
 
 @PROPERTY

@@ -30,8 +30,9 @@ from fences import (
 )
 from fences import fence as fence_module
 from fences.harness import all_fence_compositions, orbit_profiles
+from fences.stats import orbit_element_counts
 from fences.tiling import (
-    SVG_PALETTE, _SVG_CELL, OrbitStatistics, _paint, parse_ascii
+    SVG_PALETTE, _SVG_CELL, OrbitStatistics, _paint, parse_ascii, tiling_lemma
 )
 
 
@@ -290,6 +291,44 @@ class TestValidator:
         rep = validate_tiling(alpha, T)
         assert not rep.valid
         assert any("alternate" in v for v in rep.violations)
+
+
+class TestTilingLemma:
+    """tiling_lemma on whole count tables, against tilings built cell by
+    cell and the oracle's down-closures."""
+
+    def test_profiles_on_every_fence_with_n_at_most_8(self):
+        for alpha in all_fence_compositions(8):
+            F = build_fence(alpha)
+            for p in orbit_profiles(F):
+                built = oracle.tiling_of_orbit(F, p.orbit)
+                assert p.counts == tile_counts(built), (alpha, p.orbit)
+                reps = p.orbit.reps
+                ideals = [oracle.brute_down_closure(F, A.elements) for A in reps]
+                want = tuple(sum(k in I for I in ideals) for k in range(1, F.n + 1))
+                assert p.ideal_counts == want, (alpha, p.orbit)
+                stats = OrbitStatistics(
+                    p.size, p.antichain_counts, p.ideal_counts, p.chi, p.chihat
+                )
+                T = tiling_of_orbit(F, p.orbit)
+                assert orbit_stats_from_tiling(F, T) == stats, (alpha, p.orbit)
+
+    def test_a_bogus_orbit_in_a_table_raises(self, f434):
+        # every real orbit, then one column holding an unshared element of
+        # segment 1: row 1 would be black in every column
+        bogus = (1 << (f434.unshared_element(1, 1) - 1),)
+        masks = [*(o.masks for o in antichain_orbits(f434)), bogus]
+        columns = orbit_element_counts(f434, masks)
+        with pytest.raises(TilingError, match="row 1 is entirely black"):
+            tiling_lemma(f434, list(map(len, masks)), columns)
+        # the real orbits alone read as their profiles
+        real = masks[:-1]
+        tiles, ideals = tiling_lemma(
+            f434, list(map(len, real)), orbit_element_counts(f434, real)
+        )
+        profiles = orbit_profiles(f434)
+        assert tiles == [p.counts for p in profiles]
+        assert ideals == [p.ideal_counts for p in profiles]
 
 
 class TestAgainstOracle:

@@ -8,7 +8,11 @@ before each job, so both see the same machine state.  Each round runs the
 workload's jobs (NEW_CHECKOUT's bench/jobs.py) once per side in shuffled
 order, gc.collect() first.  Prints per-job medians and median new/old
 ratios, each side's median wall time and job max, and whether the stdout
-of every job, runtime_ms masked, was the same on both sides.
+of every job, runtime_ms masked, was the same on both sides.  Each job's
+exit codes (old/new, from the first round) are printed beside it; when
+any job exits non-zero on either side the script prints "JOB FAILED" and
+exits 1, so a job that fails the same way on both sides is not taken for
+a timing of the work.
 """
 
 import argparse
@@ -38,17 +42,18 @@ def load(root: Path) -> dict:
 
 
 def run(modules: dict, argv: list) -> tuple:
+    """(seconds, exit code, output with runtime_ms masked) of one job."""
     sys.modules.update(modules)
     gc.collect()
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
         t0 = time.perf_counter()
-        modules["fences.cli"].main(argv)
+        code = modules["fences.cli"].main(argv)
         seconds = time.perf_counter() - t0
-    return seconds, _RUNTIME_MS.sub("", out.getvalue())
+    return seconds, code, _RUNTIME_MS.sub("", out.getvalue())
 
 
-def main() -> None:
+def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("old", type=Path)
     p.add_argument("new", type=Path)
@@ -66,21 +71,27 @@ def main() -> None:
     for _ in range(args.rounds):
         rng.shuffle(order)
         for side, j in order:
-            seconds, text = run(sides[side], job_list[j])
+            seconds, code, text = run(sides[side], job_list[j])
             times[side, j].append(seconds)
-            outputs.setdefault((side, j), text)
+            outputs.setdefault((side, j), (code, text))
     med = {key: statistics.median(v) for key, v in times.items()}
     for j in indices:
         ratio = statistics.median(map(truediv, times["new", j], times["old", j]))
         argv = " ".join(job_list[j])
-        print(f"{med['old', j]:7.3f} {med['new', j]:7.3f}  x{ratio:.3f}  {argv}")
+        codes = f"exit {outputs['old', j][0]}/{outputs['new', j][0]}"
+        timing = f"{med['old', j]:7.3f} {med['new', j]:7.3f}  x{ratio:.3f}"
+        print(f"{timing}  {codes}  {argv}")
     for side in sides:
         walls = [sum(times[side, j][r] for j in indices) for r in range(args.rounds)]
         job_max = max(med[side, j] for j in indices)
         print(f"{side}: wall_s {statistics.median(walls):.3f}  job_max_s {job_max:.3f}")
     same = all(outputs["old", j] == outputs["new", j] for j in indices)
     print("outputs identical" if same else "OUTPUTS DIFFER")
+    if any(code for code, _ in outputs.values()):
+        print("JOB FAILED")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
