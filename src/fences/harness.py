@@ -13,18 +13,27 @@ The linear identities are data.  A row names its keys (x, y, segment, j,
 k or stat), integer weights over an orbit profile's antichain_counts or
 ideal_counts, as the (element, weight) pairs of StatExpr.integer_form
 (None for the cardinality), and the expected orbit sum as a function of
-the orbit size; one checker (_first_failure) runs every row over every
+the orbit size; one checker (_row_failures) runs every row over every
 orbit through stats.weighted_sum.  A part with rows fails on the first
 orbit that breaks one, with the witness
 
     {instance params, row keys, orbit, size, value, expected}
 
 where orbit is the representative's label and value the row's weighted
-sum on it.  A part whose hypothesis leaves it no rows is vacuous.  The
-chi orbomesy parts ask the statistic classifier and report the same
-witness, expected being the sum of the first orbit of that size.  Checks
-that are not linear (size multisets, even sizes, superorbits, tile
-sequences) keep their own witnesses.
+sum on it.  The chi orbomesy parts ask the statistic classifier and
+report the same witness, expected being the sum of the first orbit of
+that size.
+
+The parts that are not linear are data of two more kinds.  A multiset
+part (_multiset_part) compares items counted off the orbits or
+superorbits with (item, count) pairs, equal items adding and zero counts
+dropping, and fails with {instance params, got, expected}, each as sorted
+(item, count) pairs.  A first-witness part (_first_witness_part) is
+vacuous when its hypothesis fails (for rows: when it leaves none), and
+otherwise fails with the first witness a lazy sequence yields: rows and
+chi orbomesy as above, {orbit, size} for an odd orbit size, {superorbit,
+chihat, size} for a superorbit off chihat's n/2 average, and {orbit,
+black, red} for an orbit palindromic in one tile sequence only.
 
 The claims are data too.  CLAIMS maps each claim of `fences verify` and
 `fences scan` to its command, its one-instance checker with the options
@@ -190,13 +199,6 @@ def _profiles(F: Fence) -> tuple[OrbitProfile, ...]:
     )
 
 
-def _sizes_part(params: dict, profiles, expected: dict[int, int]) -> InstanceResult:
-    """The orbit sizes, as {size: number of orbits}, equal `expected`."""
-    got = dict(Counter(p.size for p in profiles))
-    ok = got == expected
-    return _result(params, None if ok else {"sizes": got, "expected": expected})
-
-
 # -- linear rows ---------------------------------------------------------------
 
 
@@ -225,35 +227,58 @@ def _witness(keys: dict, p: OrbitProfile, value: int, expected) -> dict:
     return dict(keys, orbit=orbit, size=p.size, value=value, expected=expected)
 
 
-def _first_failure(profiles, rows) -> dict | None:
-    """The witness of the first orbit breaking a row, rows taken in order."""
+def _row_failures(profiles, rows):
+    """The witness of every orbit breaking a row, rows taken in order."""
     for keys, counts, weights, expected_sum in rows:
         for p in profiles:
             value = weighted_sum(weights, getattr(p, counts))
             expected = expected_sum(p.size)
             if value != expected:
-                return _witness(keys, p, value, expected)
-    return None
+                yield _witness(keys, p, value, expected)
+
+
+def _first_witness_part(params: dict, witnesses) -> InstanceResult:
+    """A part whose failures a lazy iterable yields: vacuous when
+    `witnesses` is None (the part's hypothesis fails), else failing with
+    the first witness it yields, and passing when it yields none."""
+    if witnesses is None:
+        return InstanceResult(params, "vacuous")
+    return _result(params, next(iter(witnesses), None))
 
 
 def _rows_part(params: dict, profiles, rows) -> InstanceResult:
     """A part checked as rows; vacuous when its hypothesis leaves no row."""
-    if not rows:
-        return InstanceResult(params, "vacuous")
-    return _result(params, _first_failure(profiles, rows))
+    return _first_witness_part(params, _row_failures(profiles, rows) if rows else None)
 
 
 def _chi_orbomesic(params: dict, profiles) -> InstanceResult:
     """chi has one sum per orbit size.  The classifier decides; a failure's
     witness is the first orbit whose chi differs from the first orbit of
     its size."""
-    bad = None
     sizes, chi = [p.size for p in profiles], [p.chi for p in profiles]
-    if not classify_orbit_sums(sizes, chi).is_orbomesic:
-        first: dict[int, int] = {}
-        p = next(p for p in profiles if first.setdefault(p.size, p.chi) != p.chi)
-        bad = _witness({}, p, p.chi, first[p.size])
-    return _result(params, bad)
+    first: dict[int, int] = {}
+    witnesses = (
+        _witness({}, p, p.chi, first[p.size])
+        for p in profiles
+        if first.setdefault(p.size, p.chi) != p.chi
+    )
+    orbomesic = classify_orbit_sums(sizes, chi).is_orbomesic
+    return _first_witness_part(params, () if orbomesic else witnesses)
+
+
+def _multiset(pairs) -> Counter:
+    """The multiset of (item, count) pairs: equal items add, and items
+    whose counts add to zero drop (as Counter addition drops them)."""
+    return sum((Counter({item: count}) for item, count in pairs), Counter())
+
+
+def _multiset_part(params: dict, items, expected) -> InstanceResult:
+    """The items, counted as a multiset, equal the multiset of the
+    (item, count) pairs `expected`.  A failure's witness is {got,
+    expected}, each as its sorted (item, count) pairs."""
+    got, want = Counter(items), _multiset(expected)
+    witness = {"got": sorted(got.items()), "expected": sorted(want.items())}
+    return _result(params, None if got == want else witness)
 
 
 # -- two-segment fences ------------------------------------------------------
@@ -269,8 +294,6 @@ def verify_two_segment(a: int, b: int) -> VerificationReport:
     g, ell = gcd(a, b), a * b // gcd(a, b)
     m = (2 * a * b - a - b) // g
     params = {"a": a, "b": b}
-    sizes = sorted(p.size for p in profiles)
-    want = sorted([ell] * (g - 1) + [ell + 1])
     count = len(profiles)
     chi = _Row({}, "antichain_counts", ((None, 1),), lambda w: m if w == ell else m + 1)
     chihat = _Row(  # twice chihat, so the expected sums are integers
@@ -280,9 +303,10 @@ def verify_two_segment(a: int, b: int) -> VerificationReport:
         lambda w: ell * (a + b - 2) if w == ell else (ell + 2) * (a + b - 2) + 2,
     )
     instances = [
-        _result(
+        _multiset_part(
             {**params, "part": "orbit-sizes"},
-            None if sizes == want else {"sizes": sizes, "expected": want},
+            (p.size for p in profiles),
+            ((ell, g - 1), (ell + 1, 1)),
         ),
         _result(
             {**params, "part": "orbit-count"},
@@ -314,20 +338,16 @@ def aba_orbit_structure(a: int, b: int) -> dict:
     g = gcd(a, b)
     abar, bbar = a // g, b // g
     ell = a * b // g
-    m = 1
-    while (m * abar - 1) % bbar or (m * abar - 1) // bbar < 1:
-        m += 1
+    # the least m >= 1 with m * abar = 1 (mod bbar) and m * abar > bbar
+    m = pow(abar, -1, bbar) if bbar > 1 else 1
+    if m * abar <= bbar:  # m * abar = 1: abar is 1
+        m += bbar
     q = (m * abar - 1) // bbar
-    small = abar * (g - 1) ** 2
-    medium, large = q, abar - q
-    expected: dict[int, int] = {}
-    for size, count in (
-        (ell, small),
-        (a * (2 * b - 2 * bbar + m) + g, medium),
-        (a * (2 * b - bbar + m) + g, large),
-    ):
-        if count:
-            expected[size] = expected.get(size, 0) + count
+    sizes = (
+        (ell, abar * (g - 1) ** 2),
+        (a * (2 * b - 2 * bbar + m) + g, q),
+        (a * (2 * b - bbar + m) + g, abar - q),
+    )
     return {
         "g": g,
         "abar": abar,
@@ -335,7 +355,7 @@ def aba_orbit_structure(a: int, b: int) -> dict:
         "ell": ell,
         "m": m,
         "q": q,
-        "expected_sizes": expected,
+        "expected_sizes": dict(_multiset(sizes)),
     }
 
 
@@ -348,7 +368,9 @@ def verify_aba(a: int, b: int) -> VerificationReport:
     params = {"a": a, "b": b}
     half_n = [_half_n_chihat(F.n)]
     instances = [
-        _sizes_part({**params, "part": "orbit-sizes"}, profiles, sizes),
+        _multiset_part(
+            {**params, "part": "orbit-sizes"}, (p.size for p in profiles), sizes.items()
+        ),
         _chi_orbomesic({**params, "part": "chi-orbomesic"}, profiles),
         _rows_part({**params, "part": "chihat-half-n"}, profiles, half_n),
     ]
@@ -381,7 +403,6 @@ def verify_a4(a: int) -> VerificationReport:
         a * a + a + 1: (1, 4 * a * a - a, 2 * a**3 + 3 * a - 1),
         3 * a * a + a: (a - 1, 12 * a * a - 11 * a + 2, 6 * a**3 - a),
     }
-    expected = {size: count for size, (count, _, _) in chart.items() if count}
     chi = {size: v for size, (_, v, _) in chart.items()}
     chihat = {size: v for size, (_, _, v) in chart.items()}
     rows = [
@@ -389,7 +410,11 @@ def verify_a4(a: int) -> VerificationReport:
         _Row({"stat": "chihat"}, "ideal_counts", ((None, 1),), chihat.get),
     ]
     instances = [
-        _sizes_part({"a": a, "part": "orbit-sizes"}, profiles, expected),
+        _multiset_part(
+            {"a": a, "part": "orbit-sizes"},
+            (p.size for p in profiles),
+            ((size, count) for size, (count, _, _) in chart.items()),
+        ),
         _rows_part({"a": a, "part": "statistic-chart"}, profiles, rows),
     ]
     return VerificationReport("a4", {"a": a}, instances)
@@ -410,40 +435,25 @@ def verify_a1a1a(a: int) -> VerificationReport:
     complement, every other orbit is closed under it."""
     F = _fence((a, 1, a, 1, a))
     profiles = orbit_profiles(F)
-    expected = {
-        (a + 1, 3 * a): 2 * a - 2,
-        (3 * a + 2, 9 * a - 3): 1,
-        (a * a + 2 * a, 3 * a * a + 3 * a - 2): a,
-    }
-    instances = []
-    got = Counter((p.size, p.chi) for p in profiles)
-    bad = None
-    if got != {k: v for k, v in expected.items() if v}:
-        bad = {"got": sorted(got.items()), "expected": sorted(expected.items())}
-    instances.append(_result({"a": a, "part": "sizes-and-chi"}, bad))
-    bad = None
-    pairs = 0
-    singles: dict[int, int] = {}
-    for so in superorbits(F):
-        if len(so.orbits) == 2:
-            pairs += 1
-            if any(o.size != a + 1 for o in so.orbits):
-                bad = {"superorbit": repr(so), "reason": "paired orbit not small"}
-                break
-        else:
-            size = so.orbits[0].size
-            singles[size] = singles.get(size, 0) + 1
-            if size == a + 1:
-                bad = {"superorbit": repr(so), "reason": "small orbit self-paired"}
-                break
-    # sizes 3a+2 and a^2+2a coincide at a=2, so accumulate rather than
-    # build a dict literal that would collapse the duplicate key
-    merged: dict[int, int] = {}
-    for size, cnt in ((3 * a + 2, 1), (a * a + 2 * a, a)):
-        merged[size] = merged.get(size, 0) + cnt
-    if bad is None and (pairs != a - 1 or singles != merged):
-        bad = {"pairs": pairs, "singles": sorted(singles.items()), "expected_pairs": a - 1}
-    instances.append(_result({"a": a, "part": "superorbit-pairing"}, bad))
+    sizes_and_chi = (
+        ((a + 1, 3 * a), 2 * a - 2),
+        ((3 * a + 2, 9 * a - 3), 1),
+        ((a * a + 2 * a, 3 * a * a + 3 * a - 2), a),
+    )
+    # each superorbit as the sizes of its orbits; 3a+2 = a^2+2a at a = 2
+    pairing = (((a + 1, a + 1), a - 1), ((3 * a + 2,), 1), ((a * a + 2 * a,), a))
+    instances = [
+        _multiset_part(
+            {"a": a, "part": "sizes-and-chi"},
+            ((p.size, p.chi) for p in profiles),
+            sizes_and_chi,
+        ),
+        _multiset_part(
+            {"a": a, "part": "superorbit-pairing"},
+            (tuple(o.size for o in so.orbits) for so in superorbits(F)),
+            pairing,
+        ),
+    ]
     return VerificationReport("a1a1a", {"a": a}, instances)
 
 
@@ -517,32 +527,31 @@ def verify_general_homomesies(alpha) -> VerificationReport:
     instances.append(_rows_part(params("shared-pair"), profiles, rows))
 
     # (e) odd segment count with all parts even forces even orbit sizes
-    if s % 2 == 1 and all(part % 2 == 0 for part in F.alpha):
-        bad = None
-        for p in profiles:
-            if p.size % 2:
-                bad = {"orbit": p.orbit.representative.label(), "size": p.size}
-                break
-        instances.append(_result(params("even-orbit-sizes"), bad))
-    else:
-        instances.append(InstanceResult(params("even-orbit-sizes"), "vacuous"))
+    odd = (
+        {"orbit": p.orbit.representative.label(), "size": p.size}
+        for p in profiles
+        if p.size % 2
+    )
+    even_parts = s % 2 == 1 and all(part % 2 == 0 for part in F.alpha)
+    instances.append(
+        _first_witness_part(params("even-orbit-sizes"), odd if even_parts else None)
+    )
 
     # (f) all parts 2: chi averages s/2
     all_twos = all(part == 2 for part in F.alpha)
     rows = [_Row({}, A, ((None, 2),), _times(s))] if all_twos else []
     instances.append(_rows_part(params("half-s-average"), profiles, rows))
 
-    # chihat averages n/2 on superorbits of self-dual fences
+    # chihat averages n/2 on superorbits, which only self-dual fences have
+    unbalanced = None
     if F._self_duality_failure() is None:
-        bad = None
-        for so in superorbits(F):
-            total = sum(m.bit_count() for o in so.orbits for m in o.masks)
-            if 2 * total != n * so.size:
-                bad = {"superorbit": repr(so), "chihat": total, "size": so.size}
-                break
-        instances.append(_result(params("superorbit-half-n"), bad))
-    else:
-        instances.append(InstanceResult(params("superorbit-half-n"), "vacuous"))
+        unbalanced = (
+            {"superorbit": repr(so), "chihat": total, "size": so.size}
+            for so in superorbits(F)
+            for total in [sum(m.bit_count() for o in so.orbits for m in o.masks)]
+            if 2 * total != n * so.size
+        )
+    instances.append(_first_witness_part(params("superorbit-half-n"), unbalanced))
 
     return VerificationReport("homomesies", {"alpha": key}, instances)
 
@@ -561,18 +570,12 @@ def sweep_general_homomesies(max_n: int) -> VerificationReport:
 # -- palindromic tile sequences ---------------------------------------------------
 
 
-def _is_palindromic(seq) -> bool:
-    return tuple(seq) == tuple(reversed(tuple(seq)))
-
-
 def _tile_sequences(params: dict, profiles) -> tuple[InstanceResult, list]:
     """The tile-sequences data part, listing the orbits whose black or red
     sequence is not a palindrome, and each orbit's (black, red)
     palindromicity."""
-    flags = [
-        (_is_palindromic(p.counts.black_sequence), _is_palindromic(p.counts.red_sequence))
-        for p in profiles
-    ]
+    sequences = [(p.counts.black_sequence, p.counts.red_sequence) for p in profiles]
+    flags = [(black == black[::-1], red == red[::-1]) for black, red in sequences]
     exceptions = [
         {
             "orbit": p.orbit.representative.label(),
@@ -603,24 +606,21 @@ def verify_palindromic_props(alpha) -> VerificationReport:
     )
     instances = [sequences]
 
-    if all(part >= 2 for part in F.alpha):
-        bad = None
-        for p, (black_ok, red_ok) in zip(profiles, flags):
-            if black_ok != red_ok:
-                bad = {
-                    "orbit": p.orbit.representative.label(),
-                    "black": list(p.counts.black_sequence),
-                    "red": list(p.counts.red_sequence),
-                }
-                break
-        instances.append(_result({"alpha": key, "part": "black-iff-red"}, bad))
-    else:
-        instances.append(
-            InstanceResult({"alpha": key, "part": "black-iff-red"}, "vacuous")
-        )
+    unmatched = (
+        {
+            "orbit": p.orbit.representative.label(),
+            "black": list(p.counts.black_sequence),
+            "red": list(p.counts.red_sequence),
+        }
+        for p, (black_ok, red_ok) in zip(profiles, flags)
+        if black_ok != red_ok
+    )
+    parts_ge_2 = all(part >= 2 for part in F.alpha)
+    params = {"alpha": key, "part": "black-iff-red"}
+    instances.append(_first_witness_part(params, unmatched if parts_ge_2 else None))
 
     # k and n+1-k give the same row, so k runs up to the middle element
-    all_palindromic = all(map(all, flags)) and all(part >= 2 for part in F.alpha)
+    all_palindromic = all(map(all, flags)) and parts_ge_2
     half = range(1, (n + 1) // 2 + 1) if all_palindromic else ()
     rows = [
         _Row({"k": k}, "antichain_counts", ((k - 1, 1), (n - k, -1)), _times(0))
@@ -755,13 +755,12 @@ def verify_base_graph(alpha) -> VerificationReport:
     F = _fence(alpha)
     key = tuple(F.alpha.parts)
     G = base_graph(F, IDEAL)
-    covers = {tuple(sorted(p)) for p in F.cover_pairs()}
-    missing = sorted(covers - set(G.edges))
+    edges, covers = set(G.edges), {tuple(sorted(p)) for p in F.cover_pairs()}
     bad = None
-    if missing:
-        bad = {"missing_edges": missing}
-    elif set(G.edges) != covers:
-        bad = {"extra_edges": sorted(set(G.edges) - covers)}
+    if covers - edges:
+        bad = {"missing_edges": sorted(covers - edges)}
+    elif edges - covers:
+        bad = {"extra_edges": sorted(edges - covers)}
     elif not G.is_forest:
         bad = {"reason": "graph has a cycle"}
     return VerificationReport("base-graph", {"alpha": key}, [_result({"alpha": key}, bad)])

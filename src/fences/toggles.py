@@ -195,15 +195,7 @@ def base_graph(F: Fence, family: str) -> BaseGraph:
                     continue
                 if flip(y, x_first) != flip(x, flip(y, packed)):
                     edges.add((x, y))
-    G = BaseGraph(family, F.n, frozenset(edges))
-    if family == IDEAL:
-        covers = {tuple(sorted(p)) for p in F.cover_pairs()}
-        stray = edges - covers
-        if stray:  # contradicts commutation of non-covering ideal toggles
-            raise FenceError(
-                f"ideal toggles fail to commute off cover pairs: {sorted(stray)}"
-            )
-    return G
+    return BaseGraph(family, F.n, frozenset(edges))
 
 
 def orientation(word: ToggleWord, G: BaseGraph) -> frozenset[tuple[int, int]]:

@@ -4,13 +4,15 @@ Everything here recomputes order theory from the cover list alone:
 comparability by transitive closure, families by scanning all 2^n
 subsets, and rowmotion by the raw three-map definition on Python sets.
 Slow on purpose; used to cross-check the bitmask implementations at
-small n.  The tiling references at the end are the cell-by-cell builder,
-painter and validator that the row-at-a-time ones in fences.tiling
-replaced.
+small n.  aba_orbit_structure keeps the search for m that the modular
+inverse in fences.harness replaced.  The tiling references at the end are
+the cell-by-cell builder, painter and validator that the row-at-a-time
+ones in fences.tiling replaced.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from fences.fence import ANTICHAIN, Composition, elements_of
 from fences.tiling import (
@@ -238,6 +240,28 @@ def classify_orbit_sums(data):
     if all(len(v) == 1 for v in by_size.values()):
         return "orbomesic", None, per_orbit
     return "neither", None, per_orbit
+
+
+def aba_orbit_structure(a, b):
+    """(m, {size: count}) for the fence (a, b, a): m is the least m >= 1
+    with m * abar = 1 (mod bbar) and (m * abar - 1) // bbar >= 1, found
+    by search, and the three predicted (size, count) pairs are merged by
+    hand, zero counts dropped."""
+    g = gcd(a, b)
+    abar, bbar = a // g, b // g
+    m = 1
+    while (m * abar - 1) % bbar or (m * abar - 1) // bbar < 1:
+        m += 1
+    q = (m * abar - 1) // bbar
+    expected = {}
+    for size, count in (
+        (a * b // g, abar * (g - 1) ** 2),
+        (a * (2 * b - 2 * bbar + m) + g, q),
+        (a * (2 * b - bbar + m) + g, abar - q),
+    ):
+        if count:
+            expected[size] = expected.get(size, 0) + count
+    return m, expected
 
 
 def is_orbit(F, family, masks):

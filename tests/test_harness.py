@@ -1,9 +1,10 @@
 import dataclasses
 import json
 
+import oracle
 import pytest
 
-from fences import FamilyCapError, FenceError, build_fence, harness
+from fences import FamilyCapError, FenceError, build_fence, harness, toggles
 from fences.cli import main
 from fences.harness import (
     aba_orbit_structure,
@@ -27,6 +28,7 @@ from fences.harness import (
     verify_transfer_ideal,
     verify_two_segment,
 )
+from fences.rowmotion import Superorbit
 
 
 class TestCompositionSweep:
@@ -74,6 +76,15 @@ class TestAba:
     def test_structure_equal_parts(self):
         info = aba_orbit_structure(2, 2)
         assert info["expected_sizes"] == {2: 1, 10: 1}
+
+    def test_structure_matches_search(self):
+        # m by modular inverse and the merged sizes, against the search
+        for a in range(1, 61):
+            for b in range(1, 61):
+                info = aba_orbit_structure(a, b)
+                m, sizes = oracle.aba_orbit_structure(a, b)
+                assert info["m"] == m, (a, b)
+                assert list(info["expected_sizes"].items()) == list(sizes.items())
 
     def test_verify(self):
         for a, b in [(4, 3), (2, 2), (2, 1), (3, 6), (5, 5)]:
@@ -190,6 +201,27 @@ class TestToggleHarness:
         for alpha in [(2, 2, 2), (4, 3, 4), (6,)]:
             assert verify_base_graph(alpha).verdict == "pass"
 
+    @pytest.mark.parametrize(
+        "when,witness",
+        [(3, {"missing_edges": [[1, 2]]}), (5, {"extra_edges": [[1, 5]]})],
+    )
+    def test_bent_toggle_fails_base_graph(self, monkeypatch, capsys, when, witness):
+        # an ideal toggle of x1 frozen when x_when is present: with x3 the
+        # pair (1, 2) commutes, with x5 the pair (1, 5) does not
+        real = toggles.toggle_mask
+
+        def bent(F, family, x, m, lanes=None):
+            got = real(F, family, x, m, lanes)
+            if x != 1:
+                return got
+            return got ^ ((got ^ m) & (m >> (when - 1)) & (lanes or F.lane).rep)
+
+        monkeypatch.setattr(toggles, "toggle_mask", bent)
+        assert main(["verify", "base-graph", "--alpha", "2,2,2"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "fail"
+        assert payload["witnesses"] == [{"alpha": [2, 2, 2], **witness}]
+
     def test_transfer_ideal(self):
         assert verify_transfer_ideal((3, 3, 2), pairs=40).verdict == "pass"
 
@@ -212,51 +244,111 @@ class TestProfileCache:
             orbit_profiles(build_fence((3, 3, 3), max_family=32))
 
 
-def _bump(value, at):
-    """value + 1, or a tuple with 1 added at index `at`."""
-    if at is None:
-        return value + 1
-    return value[:at] + (value[at] + 1,) + value[at + 1 :]
+def _profile(index, corrupt):
+    """A patch making harness.orbit_profiles return profile `index` as
+    corrupt(profile)."""
 
-
-class TestForcedFailures:
-    """A corrupted profile makes one part fail with the row witness
-    {instance params, row keys, orbit, size, value, expected}."""
-
-    @pytest.mark.parametrize(
-        "check,args,index,field,at,part,want",
-        [
-            # homomesy row: chi[x1] - chi[x2] = 0 on (4,3,4)
-            (verify_general_homomesies, ((4, 3, 4),), 0, "antichain_counts", 0,
-             "same-segment-indicators",
-             {"alpha": (4, 3, 4), "x": 1, "y": 2, "orbit": "{}", "size": 5,
-              "value": 1, "expected": 0}),
-            # chart row: chihat sums 21 on the size-7 orbit of (2,2,2,2)
-            (verify_a4, (2,), 0, "ideal_counts", 0, "statistic-chart",
-             {"a": 2, "stat": "chihat", "orbit": "{}", "size": 7,
-              "value": 22, "expected": 21}),
-            # mirror row: chi[x1] - chi[x7] = 0 on (3,3,3)
-            (verify_palindromic_props, ((3, 3, 3),), 0, "antichain_counts", 0,
-             "mirror-antichain",
-             {"alpha": (3, 3, 3), "k": 1, "orbit": "{}", "size": 21,
-              "value": 1, "expected": 0}),
-            # orbomesy: the third size-17 orbit of (4,3,4) gets another chi sum
-            (verify_aba, (4, 3), 3, "chi", None, "chi-orbomesic",
-             {"a": 4, "b": 3, "orbit": "{x3}", "size": 17, "value": 37,
-              "expected": 36}),
-        ],
-    )
-    def test_witness(self, monkeypatch, check, args, index, field, at, part, want):
+    def patch(monkeypatch):
         real = harness.orbit_profiles
 
         def corrupted(F):
             profiles = list(real(F))
-            p = profiles[index]
-            bumped = _bump(getattr(p, field), at)
-            profiles[index] = dataclasses.replace(p, **{field: bumped})
+            profiles[index] = corrupt(profiles[index])
             return tuple(profiles)
 
         monkeypatch.setattr(harness, "orbit_profiles", corrupted)
+
+    return patch
+
+
+def _bump(field, at=None):
+    """A corruption adding 1 to a dataclass's int field, or to index `at`
+    of its tuple field."""
+
+    def corrupt(p):
+        value = getattr(p, field)
+        if at is None:
+            value += 1
+        else:
+            value = value[:at] + (value[at] + 1,) + value[at + 1 :]
+        return dataclasses.replace(p, **{field: value})
+
+    return corrupt
+
+
+def _bump_red_head(p):
+    """The profile with one more red head in row 1."""
+    return dataclasses.replace(p, counts=_bump("red", 1)(p.counts))
+
+
+def _split_superorbits(monkeypatch):
+    """A patch making harness.superorbits split every pair of orbits."""
+    real = harness.superorbits
+
+    def split(F):
+        return tuple(Superorbit((o,)) for so in real(F) for o in so.orbits)
+
+    monkeypatch.setattr(harness, "superorbits", split)
+
+
+class TestForcedFailures:
+    """A corrupted profile or superorbit makes one part fail with its
+    whole witness: the row witness {instance params, row keys, orbit,
+    size, value, expected}, a multiset part's {got, expected}, or a
+    first-witness part's own."""
+
+    @pytest.mark.parametrize(
+        "check,args,patch,part,want",
+        [
+            # homomesy row: chi[x1] - chi[x2] = 0 on (4,3,4)
+            (verify_general_homomesies, ((4, 3, 4),),
+             _profile(0, _bump("antichain_counts", 0)), "same-segment-indicators",
+             {"alpha": (4, 3, 4), "x": 1, "y": 2, "orbit": "{}", "size": 5,
+              "value": 1, "expected": 0}),
+            # chart row: chihat sums 21 on the size-7 orbit of (2,2,2,2)
+            (verify_a4, (2,), _profile(0, _bump("ideal_counts", 0)), "statistic-chart",
+             {"a": 2, "stat": "chihat", "orbit": "{}", "size": 7,
+              "value": 22, "expected": 21}),
+            # mirror row: chi[x1] - chi[x7] = 0 on (3,3,3)
+            (verify_palindromic_props, ((3, 3, 3),),
+             _profile(0, _bump("antichain_counts", 0)), "mirror-antichain",
+             {"alpha": (3, 3, 3), "k": 1, "orbit": "{}", "size": 21,
+              "value": 1, "expected": 0}),
+            # orbomesy: the third size-17 orbit of (4,3,4) gets another chi sum
+            (verify_aba, (4, 3), _profile(3, _bump("chi")), "chi-orbomesic",
+             {"a": 4, "b": 3, "orbit": "{x3}", "size": 17, "value": 37,
+              "expected": 36}),
+            # multiset: the size-5 orbit of (4,3,4) grows by one
+            (verify_aba, (4, 3), _profile(0, _bump("size")), "orbit-sizes",
+             {"a": 4, "b": 3, "got": [(6, 1), (17, 3)],
+              "expected": [(5, 1), (17, 3)]}),
+            # multiset: the one orbit of (5,4) grows by one; (20, 0) drops
+            (verify_two_segment, (5, 4), _profile(0, _bump("size")), "orbit-sizes",
+             {"a": 5, "b": 4, "got": [(22, 1)], "expected": [(21, 1)]}),
+            # multiset: one (8, 16) orbit of (2,1,2,1,2) gets chi 17
+            (verify_a1a1a, (2,), _profile(0, _bump("chi")), "sizes-and-chi",
+             {"a": 2, "got": [((3, 6), 2), ((8, 15), 1), ((8, 16), 1), ((8, 17), 1)],
+              "expected": [((3, 6), 2), ((8, 15), 1), ((8, 16), 2)]}),
+            # multiset: the two pairs of size-4 orbits of (3,1,3,1,3) split
+            (verify_a1a1a, (3,), _split_superorbits, "superorbit-pairing",
+             {"a": 3, "got": [((4,), 4), ((11,), 1), ((15,), 3)],
+              "expected": [((4, 4), 2), ((11,), 1), ((15,), 3)]}),
+            # first witness: an odd orbit size on (4,4,4)
+            (verify_general_homomesies, ((4, 4, 4),), _profile(0, _bump("size")),
+             "even-orbit-sizes", {"alpha": (4, 4, 4), "orbit": "{}", "size": 37}),
+            # first witness: half of a split pair is off chihat's n/2 average
+            (verify_general_homomesies, ((3, 1, 3, 1, 3),), _split_superorbits,
+             "superorbit-half-n",
+             {"alpha": (3, 1, 3, 1, 3), "superorbit": "Superorbit(sizes=4)",
+              "chihat": 22, "size": 4}),
+            # first witness: a red sequence of (3,3,3) made non-palindromic
+            (verify_palindromic_props, ((3, 3, 3),), _profile(0, _bump_red_head),
+             "black-iff-red",
+             {"alpha": (3, 3, 3), "orbit": "{}", "black": [6, 5, 6], "red": [4, 3]}),
+        ],
+    )
+    def test_witness(self, monkeypatch, check, args, patch, part, want):
+        patch(monkeypatch)
         rep = check(*args)
         verdicts = {r.params["part"]: r.verdict for r in rep.instances}
         assert verdicts[part] == "fail"

@@ -7,12 +7,14 @@ Both `fences` packages live in this one process, swapped into sys.modules
 before each job, so both see the same machine state.  Each round runs the
 workload's jobs (NEW_CHECKOUT's bench/jobs.py) once per side in shuffled
 order, gc.collect() first.  Prints per-job medians and median new/old
-ratios, each side's median wall time and job max, and whether the stdout
-of every job, runtime_ms masked, was the same on both sides.  Each job's
-exit codes (old/new, from the first round) are printed beside it; when
-any job exits non-zero on either side the script prints "JOB FAILED" and
-exits 1, so a job that fails the same way on both sides is not taken for
-a timing of the work.
+ratios, each side's median wall time and job max, and whether every round
+of every job gave one exit code and stdout, runtime_ms masked, on both
+sides; a job whose output changes in a later round on either side (state
+carried across rounds, say) prints "OUTPUTS DIFFER".  Each job's exit
+codes (old/new, from the first round) are printed beside it; when any
+job exits non-zero in any round on either side the script prints "JOB
+FAILED" and exits 1, so a job that fails the same way on both sides is
+not taken for a timing of the work.
 """
 
 import argparse
@@ -67,27 +69,28 @@ def main() -> int:
     indices = range(len(job_list))
     order = [(s, j) for s in sides for j in indices]
     times = {key: [] for key in order}
-    outputs, rng = {}, random.Random(args.seed)
+    outputs = {key: [] for key in order}  # (exit code, output) per round
+    rng = random.Random(args.seed)
     for _ in range(args.rounds):
         rng.shuffle(order)
         for side, j in order:
             seconds, code, text = run(sides[side], job_list[j])
             times[side, j].append(seconds)
-            outputs.setdefault((side, j), (code, text))
+            outputs[side, j].append((code, text))
     med = {key: statistics.median(v) for key, v in times.items()}
     for j in indices:
         ratio = statistics.median(map(truediv, times["new", j], times["old", j]))
         argv = " ".join(job_list[j])
-        codes = f"exit {outputs['old', j][0]}/{outputs['new', j][0]}"
+        codes = f"exit {outputs['old', j][0][0]}/{outputs['new', j][0][0]}"
         timing = f"{med['old', j]:7.3f} {med['new', j]:7.3f}  x{ratio:.3f}"
         print(f"{timing}  {codes}  {argv}")
     for side in sides:
         walls = [sum(times[side, j][r] for j in indices) for r in range(args.rounds)]
         job_max = max(med[side, j] for j in indices)
         print(f"{side}: wall_s {statistics.median(walls):.3f}  job_max_s {job_max:.3f}")
-    same = all(outputs["old", j] == outputs["new", j] for j in indices)
+    same = all(len({*outputs["old", j], *outputs["new", j]}) == 1 for j in indices)
     print("outputs identical" if same else "OUTPUTS DIFFER")
-    if any(code for code, _ in outputs.values()):
+    if any(code for runs in outputs.values() for code, _ in runs):
         print("JOB FAILED")
         return 1
     return 0
