@@ -206,8 +206,9 @@ class TestToggleHarness:
         [(3, {"missing_edges": [[1, 2]]}), (5, {"extra_edges": [[1, 5]]})],
     )
     def test_bent_toggle_fails_base_graph(self, monkeypatch, capsys, when, witness):
-        # an ideal toggle of x1 frozen when x_when is present: with x3 the
-        # pair (1, 2) commutes, with x5 the pair (1, 5) does not
+        # the ideal toggle of x1 frozen when x_when is present: frozen by
+        # x3 it commutes with the toggle of x2 (a cover edge goes missing),
+        # frozen by x5 it no longer commutes with that of x5 (a stray edge)
         real = toggles.toggle_mask
 
         def bent(F, family, x, m, lanes=None):
