@@ -32,7 +32,8 @@ dropping, and fails with {instance params, got, expected}, each as sorted
 vacuous when its hypothesis fails (for rows: when it leaves none), and
 otherwise fails with the first witness a lazy sequence yields: rows and
 chi orbomesy as above, {orbit, size} for an odd orbit size, {superorbit,
-chihat, size} for a superorbit off chihat's n/2 average, and {orbit,
+chihat, size} for a superorbit off chihat's n/2 average (superorbit
+lists the representative label of each of its orbits), and {orbit,
 black, red} for an orbit palindromic in one tile sequence only.
 
 The claims are data too.  CLAIMS maps each claim of `fences verify` and
@@ -474,7 +475,9 @@ def verify_general_homomesies(alpha) -> VerificationReport:
 
     Parts with a hypothesis (equal red-head counts, odd segment count
     with even parts, all parts equal to two, self-duality) report vacuous
-    when the hypothesis fails."""
+    when the hypothesis fails.  A superorbit off the n/2 average is named
+    by the representative labels of its orbits, so the witness can be
+    checked by hand with `fences orbits --family ideals`."""
     F = _fence(alpha)
     key = tuple(F.alpha.parts)
     profiles = orbit_profiles(F)
@@ -546,7 +549,11 @@ def verify_general_homomesies(alpha) -> VerificationReport:
     unbalanced = None
     if F._self_duality_failure() is None:
         unbalanced = (
-            {"superorbit": repr(so), "chihat": total, "size": so.size}
+            {
+                "superorbit": [o.representative.label() for o in so.orbits],
+                "chihat": total,
+                "size": so.size,
+            }
             for so in superorbits(F)
             for total in [sum(m.bit_count() for o in so.orbits for m in o.masks)]
             if 2 * total != n * so.size

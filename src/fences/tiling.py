@@ -306,10 +306,13 @@ def validate_tiling(alpha: Composition, T: AlphaTiling) -> TilingReport:
     """Check the defining tiling conditions, reporting every violation.
 
     Checks: tile shapes and rows, exact cover of the s x width cylinder,
-    black span alpha_i - 1 per row, black/yellow alternation in rows that
-    contain a black tile (red cells ignored), and the local rule that a
-    red domino on rows i, i+1 appears exactly where the neighbouring
-    column (previous for even i, next for odd i) is yellow in both rows.
+    black span alpha_i - 1 per row, black/yellow alternation (red cells
+    ignored) in every row with alpha_i >= 2, so such a row needs a black
+    tile, and the local rule that a red domino on rows i, i+1 appears
+    exactly where the neighbouring column (previous for even i, next for
+    odd i) is yellow in both rows.  An orbit's tiling has a black tile in
+    each such row: without one segment balance would make the whole row
+    red, which the red rule forbids.
 
     For the tiling's own composition this is T.report, so each tiling is
     checked once however often it is validated; any other alpha is
@@ -377,13 +380,16 @@ def _check_tiling(alpha: Composition, T: AlphaTiling) -> TilingReport:
     if bad:
         return TilingReport(False, tuple(bad))
 
-    # alternation: per row, drop red cells, merge cells of one tile, then
-    # black and yellow tokens must alternate around the cylinder; with the
-    # cover exact, a tile's cells are contiguous, so a run of equal
-    # (code, tile) cells is one token
+    # alternation, in every row that allows black tiles: per row, drop red
+    # cells, merge cells of one tile, then black and yellow tokens must
+    # alternate around the cylinder; with the cover exact, a tile's cells
+    # are contiguous, so a run of equal (code, tile) cells is one token
     rows = ["".join(codes) for codes in grid]
     for i, (row, tids) in enumerate(zip(rows, idx), start=1):
+        if alpha[i - 1] < 2:
+            continue
         if "B" not in row:
+            bad.append(f"row {i}: no black tile, though alpha_{i} = {alpha[i - 1]}")
             continue
         tokens = [key for key, _ in groupby(zip(row, tids)) if key[0] != "R"]
         if len(tokens) > 1 and tokens[0] == tokens[-1]:

@@ -21,7 +21,11 @@ The base graph joins two toggles when they fail to commute as functions
 on the whole family.  A toggle is admissible for a word when it is a
 source or a sink of the orientation the word induces on the base graph;
 conjugating by an admissible toggle moves it to the far end of the word,
-which flips that vertex in the orientation.
+which flips that vertex in the orientation.  An orientation is an int
+with one bit per edge of the graph (BaseGraph), so a source or sink is
+one test against the vertex's incidence mask and a flip is one XOR with
+it.  conjugation_path builds its path from heights on a spanning forest
+of the graph, with no search over orientations.
 
 A word is checked once, by _check_word, where it meets what it acts on:
 compile_word checks it against the fence and orientation against the
@@ -32,7 +36,7 @@ conjugation_path.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence
@@ -153,26 +157,58 @@ def apply_word(F: Fence, word: ToggleWord, S: ElementSet) -> ElementSet:
 
 @dataclass(frozen=True)
 class BaseGraph:
+    """The toggles of a family on n elements, joined when they fail to
+    commute.  edges is the sorted tuple of pairs (u, v) with u < v, and an
+    orientation is an int whose bit i is set when edges[i] points from u
+    to v (u comes first in the word).  Built once per graph: inc[x], the
+    edges at x; upper[x], those where x is the larger end; tree[x], the
+    least vertex of x's tree in one spanning forest; and tree_edges, that
+    forest's (parent, child, bit) triples in traversal order."""
+
     family: str
     n: int
-    edges: frozenset[tuple[int, int]]  # pairs (u, v) with u < v
+    edges: tuple[tuple[int, int], ...]
+    inc: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    upper: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    tree: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    tree_edges: tuple[tuple[int, int, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        edges = tuple(sorted(self.edges))
+        inc, upper, tree = [0] * (self.n + 1), [0] * (self.n + 1), [0] * (self.n + 1)
+        for i, (u, v) in enumerate(edges):
+            inc[u] |= 1 << i
+            inc[v] |= 1 << i
+            upper[v] |= 1 << i
+        tree_edges = []
+        for root in range(1, self.n + 1):
+            if tree[root]:
+                continue
+            tree[root] = root
+            reached = [root]
+            for x in reached:  # grows as the tree is traversed
+                for i, (u, v) in enumerate(edges):
+                    y = u + v - x
+                    if inc[x] >> i & 1 and not tree[y]:
+                        tree[y] = root
+                        tree_edges.append((x, y, i))
+                        reached.append(y)
+        for name, value in zip(
+            ("edges", "inc", "upper", "tree", "tree_edges"),
+            (edges, tuple(inc), tuple(upper), tuple(tree), tuple(tree_edges)),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def is_forest(self) -> bool:
-        parent = list(range(self.n + 1))
+        return len(self.tree_edges) == len(self.edges)
 
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for u, v in self.edges:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
+    def away(self, o: int, x: int) -> int:
+        """The edges of x that orientation o directs away from x: all of
+        inc[x] when x is a source, none when it is a sink."""
+        return (o ^ self.upper[x]) & self.inc[x]
 
 
 def base_graph(F: Fence, family: str) -> BaseGraph:
@@ -195,41 +231,22 @@ def base_graph(F: Fence, family: str) -> BaseGraph:
                     continue
                 if flip(y, x_first) != flip(x, flip(y, packed)):
                     edges.add((x, y))
-    return BaseGraph(family, F.n, frozenset(edges))
+    return BaseGraph(family, F.n, tuple(edges))
 
 
-def orientation(word: ToggleWord, G: BaseGraph) -> frozenset[tuple[int, int]]:
-    """Each base-graph edge directed from the earlier toggle in the word,
-    a Coxeter word on the graph's family and elements."""
+def orientation(word: ToggleWord, G: BaseGraph) -> int:
+    """The orientation a Coxeter word on the graph's family and elements
+    induces: bit i is set when the smaller end of G.edges[i] comes first
+    in the word."""
     _check_word(G.n, G.family, word)
-    pos = {x: i for i, x in enumerate(word.order)}
-    out = set()
-    for u, v in G.edges:
-        if pos[u] < pos[v]:
-            out.add((u, v))
-        else:
-            out.add((v, u))
-    return frozenset(out)
-
-
-def _sources_and_sinks(
-    o: frozenset[tuple[int, int]], vertices: Iterable[int]
-) -> set[int]:
-    indeg: dict[int, int] = {}
-    outdeg: dict[int, int] = {}
-    for u, v in o:
-        outdeg[u] = outdeg.get(u, 0) + 1
-        indeg[v] = indeg.get(v, 0) + 1
-    out = set()
-    for x in vertices:
-        if indeg.get(x, 0) == 0 or outdeg.get(x, 0) == 0:
-            out.add(x)
-    return out
+    pos = dict(zip(word.order, range(G.n)))
+    return sum(1 << i for i, (u, v) in enumerate(G.edges) if pos[u] < pos[v])
 
 
 def admissible_toggles(word: ToggleWord, G: BaseGraph) -> set[int]:
     """Elements whose toggle is a source or sink of the word's orientation."""
-    return _sources_and_sinks(orientation(word, G), range(1, G.n + 1))
+    o = orientation(word, G)
+    return {x for x in range(1, G.n + 1) if G.away(o, x) in (0, G.inc[x])}
 
 
 def conjugate_word(word: ToggleWord, x: int, G: BaseGraph) -> ToggleWord:
@@ -237,63 +254,72 @@ def conjugate_word(word: ToggleWord, x: int, G: BaseGraph) -> ToggleWord:
 
     A source commutes past everything to its left, so conjugation removes
     it there and re-inserts it at the right end; a sink moves the other
-    way.  Either move flips the vertex in the induced orientation.
+    way.  Either move flips the vertex in the induced orientation, which
+    is o ^ G.inc[x].
     """
     o = orientation(word, G)
     rest = tuple(y for y in word.order if y != x)
     if x in word.order:
-        if not any(v == x for _, v in o):  # source (or isolated): to the right end
+        away = G.away(o, x)
+        if away == G.inc[x]:  # source (or isolated): to the right end
             return ToggleWord(word.family, rest + (x,))
-        if not any(u == x for u, _ in o):  # sink: to the left end
+        if not away:  # sink: to the left end
             return ToggleWord(word.family, (x,) + rest)
     raise FenceError(f"toggle {x} is not admissible for word {word}")
-
-
-def _flip(o: frozenset[tuple[int, int]], x: int) -> frozenset[tuple[int, int]]:
-    return frozenset(
-        (v, u) if u == x or v == x else (u, v) for u, v in o
-    )
 
 
 def conjugation_path(
     word: ToggleWord, word2: ToggleWord, G: BaseGraph
 ) -> list[int]:
-    """A sequence of admissible conjugations carrying the orientation of
-    one Coxeter word onto the other's, found by breadth-first search over
-    orientations with source/sink flips.  Requires an acyclic base graph;
-    the answer is empty exactly when the orientations already agree.
+    """The lexicographically least shortest sequence of admissible
+    conjugations carrying the orientation of one Coxeter word onto the
+    other's, built without search.  Requires an acyclic base graph; the
+    answer is empty exactly when the orientations already agree.
+
+    Give each vertex a height that rises by one along every edge: flipping
+    a source raises it by 2, flipping a sink lowers it by 2 (Propp,
+    arXiv:math/0209005).  So owed[x], the flips x still owes (+1 for each
+    source flip, -1 for each sink flip), is fixed up to one constant c per
+    tree: along a tree edge it steps by the change the edge's bit needs,
+    signed by which end is larger.  The shortest remaining length is the
+    sum over trees of min_c sum |owed - c|, with the best c between the
+    tree's lower and upper median.  A flip lies on a shortest path exactly
+    when it lowers that sum: a source whose owed is above its tree's lower
+    median, or a sink whose owed is below the upper one.  One always
+    exists, since among the vertices owing source flips one of least
+    height is a source.
+    Flipping the least such vertex at each step gives the least path,
+    which is the one a breadth-first search expanding sources and sinks in
+    sorted order finds.
     """
-    start = orientation(word, G)
-    goal = orientation(word2, G)
+    o, goal = orientation(word, G), orientation(word2, G)
     if not G.is_forest:
         raise FenceError(
             "base graph has a cycle; admissible conjugation paths are "
             "only guaranteed for acyclic base graphs"
         )
-    if start == goal:
-        return []
-    flippable = sorted({u for e in G.edges for u in e})
-    frontier = [start]
-    parents: dict[frozenset, tuple[frozenset, int] | None] = {start: None}
-    while frontier:
-        nxt = []
-        for o in frontier:
-            for x in sorted(_sources_and_sinks(o, flippable)):
-                o2 = _flip(o, x)
-                if o2 in parents:
-                    continue
-                parents[o2] = (o, x)
-                if o2 == goal:
-                    path = [x]
-                    back = o
-                    while parents[back] is not None:
-                        prev, step = parents[back]
-                        path.append(step)
-                        back = prev
-                    return path[::-1]
-                nxt.append(o2)
-        frontier = nxt
-    raise FenceError("no conjugation path found (unexpected for a forest)")
+    owed = [0] * (G.n + 1)
+    for p, c, i in G.tree_edges:
+        need = (goal >> i & 1) - (o >> i & 1)
+        owed[c] = owed[p] + (need if c > p else -need)
+    path = []
+    while o != goal:
+        trees: dict[int, list[int]] = {}
+        for x in range(1, G.n + 1):
+            trees.setdefault(G.tree[x], []).append(owed[x])
+        for values in trees.values():
+            values.sort()
+        for x in range(1, G.n + 1):
+            away, values = G.away(o, x), trees[G.tree[x]]
+            if away == G.inc[x] and owed[x] > values[(len(values) - 1) // 2]:
+                owed[x] -= 1
+                break
+            if not away and owed[x] < values[len(values) // 2]:
+                owed[x] += 1
+                break
+        o ^= G.inc[x]
+        path.append(x)
+    return path
 
 
 # -- linear extensions ---------------------------------------------------

@@ -5,9 +5,11 @@ comparability by transitive closure, families by scanning all 2^n
 subsets, and rowmotion by the raw three-map definition on Python sets.
 Slow on purpose; used to cross-check the bitmask implementations at
 small n.  aba_orbit_structure keeps the search for m that the modular
-inverse in fences.harness replaced.  The tiling references at the end are
-the cell-by-cell builder, painter and validator that the row-at-a-time
-ones in fences.tiling replaced.
+inverse in fences.harness replaced.  The orientations as edge sets and
+the breadth-first conjugation_path are the search that the integer
+orientations and the path construction in fences.toggles replaced.  The
+tiling references at the end are the cell-by-cell builder, painter and
+validator that the row-at-a-time ones in fences.tiling replaced.
 """
 
 from fractions import Fraction
@@ -222,6 +224,64 @@ def brute_base_graph(F, family):
     return edges
 
 
+# -- orientations as edge sets, and the search for conjugation paths ----------
+
+
+def orientation(word, G):
+    """The base-graph edges, each directed from the toggle earlier in the
+    word, as a frozenset of (tail, head) pairs."""
+    pos = {x: i for i, x in enumerate(word.order)}
+    return frozenset((u, v) if pos[u] < pos[v] else (v, u) for u, v in G.edges)
+
+
+def sources_and_sinks(o, vertices):
+    """The vertices with no incoming or no outgoing edge in o."""
+    heads, tails = {v for _, v in o}, {u for u, _ in o}
+    return {x for x in vertices if x not in heads or x not in tails}
+
+
+def flip(o, x):
+    """o with every edge at x reversed."""
+    return frozenset((v, u) if x in (u, v) else (u, v) for u, v in o)
+
+
+def admissible_toggles(word, G):
+    """The sources and sinks of the word's orientation, isolated vertices
+    included."""
+    return sources_and_sinks(orientation(word, G), range(1, G.n + 1))
+
+
+def conjugation_path(word, word2, G):
+    """The conjugation path found by breadth-first search over
+    orientations, expanding each orientation's sources and sinks in sorted
+    order, so the first path to reach the goal is the lexicographically
+    least shortest one.  Exponential in n; G must be a forest."""
+    start, goal = orientation(word, G), orientation(word2, G)
+    if start == goal:
+        return []
+    flippable = sorted({u for e in G.edges for u in e})
+    frontier = [start]
+    parents = {start: None}
+    while frontier:
+        nxt = []
+        for o in frontier:
+            for x in sorted(sources_and_sinks(o, flippable)):
+                o2 = flip(o, x)
+                if o2 in parents:
+                    continue
+                parents[o2] = (o, x)
+                if o2 == goal:
+                    path = [x]
+                    back = o
+                    while parents[back] is not None:
+                        back, step = parents[back]
+                        path.append(step)
+                    return path[::-1]
+                nxt.append(o2)
+        frontier = nxt
+    raise AssertionError("no conjugation path found")
+
+
 def classify_orbit_sums(data):
     """Reference homomesy/orbomesy classifier over exact Fraction sums.
 
@@ -403,7 +463,10 @@ def validate_tiling(alpha, T):
 
     for i in range(1, s + 1):
         row_codes = grid[i - 1]
+        if alpha[i - 1] < 2:
+            continue
         if "B" not in row_codes:
+            bad.append(f"row {i}: no black tile, though alpha_{i} = {alpha[i - 1]}")
             continue
         tokens = []
         for c in range(w):

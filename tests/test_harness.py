@@ -340,7 +340,7 @@ class TestForcedFailures:
             # first witness: half of a split pair is off chihat's n/2 average
             (verify_general_homomesies, ((3, 1, 3, 1, 3),), _split_superorbits,
              "superorbit-half-n",
-             {"alpha": (3, 1, 3, 1, 3), "superorbit": "Superorbit(sizes=4)",
+             {"alpha": (3, 1, 3, 1, 3), "superorbit": ["{x1,x2,x3,x4}"],
               "chihat": 22, "size": 4}),
             # first witness: a red sequence of (3,3,3) made non-palindromic
             (verify_palindromic_props, ((3, 3, 3),), _profile(0, _bump_red_head),

@@ -13,7 +13,8 @@ statistics with n <= 12, the column classifier over a denominator > 1
 likewise, the transfer check of one such word against check_homomesy, and
 the count table of a list of orbits against a plain count.  Two Coxeter
 words with one orientation of the base graph (n <= 8) give one orbit
-partition, the oracle's.
+partition, the oracle's, and conjugating one ideal word along its
+conjugation path to another gives the other's Coxeter element.
 The ideal-count recurrence, which the family cap is checked against, is
 compared with enumeration, and the cap boundary with every family
 accessor.  On self-dual fences the ideal complement is an involution
@@ -74,6 +75,8 @@ from fences.tiling import tiling_lemma
 from fences.toggles import (
     ToggleWord,
     compile_word,
+    conjugate_word,
+    conjugation_path,
     orientation,
     sample_linear_extensions,
     transfer_check,
@@ -328,6 +331,24 @@ def test_words_with_one_orientation_have_one_orbit_partition(data):
     want = oracle.brute_orbits(F, brute(F), step)
     got = [[frozenset(S.elements) for S in o.reps] for o in orbits]
     assert _cycles(got) == _cycles(want)
+
+
+@PROPERTY
+@given(st.data())
+def test_conjugation_path_carries_the_coxeter_element(data):
+    # conjugating one word along the path to another gives a word for the
+    # other's Coxeter element: the same step on every ideal
+    F = build_fence(data.draw(compositions(max_n=8)))
+    G = base_graph(F, IDEAL)
+    wa, wb = (
+        ToggleWord(IDEAL, data.draw(st.permutations(range(1, F.n + 1))))
+        for _ in range(2)
+    )
+    word = wa
+    for x in conjugation_path(wa, wb, G):
+        word = conjugate_word(word, x, G)
+    step, want = compile_word(F, word), compile_word(F, wb)
+    assert all(step(m) == want(m) for m in F.ideal_masks())
 
 
 def _mask(members):

@@ -510,17 +510,19 @@ class TestReadersCheckTheTiling:
         with pytest.raises(FenceError, match="^the orbit repeats a member$"):
             orbit_of_tiling(f434, doubled)
 
-    def test_valid_tiling_of_no_orbit(self, f22):
+    def test_tiling_of_no_orbit_lacks_a_black_tile(self, f22):
         # orbit 0 of (2,2), YBR over YB, with its black tile in row 1 made
-        # yellow: that row has no black tile to alternate with and the red
-        # domino keeps its yellow pair, so the tiling is valid, but its
-        # columns {}, {x3}, {x2} are not a rowmotion orbit
+        # yellow: the red domino keeps its yellow pair and the columns
+        # {}, {x3}, {x2} are not a rowmotion orbit.  Row 1 allows black
+        # tiles but holds none, which is the tiling's one violation
         T = tiling_of_orbit(f22, antichain_orbits(f22)[0])
         yellow = {("black", 1, 1, 1): Tile("yellow", 1, 1)}
         U = AlphaTiling(T.alpha, 3, tuple(yellow.get(t, t) for t in T.tiles))
-        assert validate_tiling(f22.alpha, U).valid
+        violation = "row 1: no black tile, though alpha_1 = 2"
+        assert validate_tiling(f22.alpha, U).violations == (violation,)
+        assert oracle.validate_tiling(f22.alpha, U).violations == (violation,)
         assert decoded_masks(f22, U) == [0, 0b100, 0b010]
-        with pytest.raises(FenceError, match="^the masks are not a rowmotion orbit"):
+        with pytest.raises(TilingError, match=f"^invalid tiling: {violation}$"):
             orbit_of_tiling(f22, U)
 
     def test_stats_of_another_composition_raise(self, f434, f222):

@@ -29,9 +29,11 @@ from fences.harness import all_fence_compositions
 from fences.rowmotion import _rho_hat_mask
 from fences import toggles
 from fences.toggles import (
+    BaseGraph,
     compile_word,
     count_linear_extensions,
     is_linear_extension,
+    orientation,
     toggle_mask,
 )
 
@@ -187,16 +189,23 @@ class TestAdmissibility:
         assert admissible_toggles(w, G) == {1}
 
     def test_first_toggle_of_extension_is_source(self, f222):
+        # a source moves to the right end; a sink would stay where it is
         G = base_graph(f222, IDEAL)
         ext = sample_linear_extensions(f222, 1, seed=3)[0]
         w = ToggleWord(IDEAL, ext)
-        from fences.toggles import orientation
+        assert ext[0] in admissible_toggles(w, G)
+        assert conjugate_word(w, ext[0], G).order == ext[1:] + ext[:1]
 
-        o = orientation(w, G)
-        first = ext[0]
-        assert all(u == first for u, v in o if first in (u, v)) or not any(
-            first in e for e in G.edges
-        )
+    @pytest.mark.parametrize("family", [IDEAL, ANTICHAIN])
+    def test_admissible_toggles_match_the_edge_sets(self, family):
+        # antichain base graphs have cycles; ideal ones are paths
+        for alpha in all_fence_compositions(8):
+            F = build_fence(alpha)
+            G = base_graph(F, family)
+            rng = random.Random(f"admissible:{alpha}")
+            for _ in range(3):
+                w = ToggleWord(family, rng.sample(range(1, F.n + 1), F.n))
+                assert admissible_toggles(w, G) == oracle.admissible_toggles(w, G)
 
     def test_conjugate_matches_group_element(self, f222):
         G = base_graph(f222, IDEAL)
@@ -272,22 +281,49 @@ class TestConjugationPath:
         assert conjugation_path(w, w, G) == []
 
     def test_path_exists_and_is_correct(self):
-        import random
-
-        for alpha in [(2, 2), (2, 2, 2), (3, 3, 2), (2, 1, 1, 2)]:
+        # (3^9), n = 26, is far past what a search over orientations reaches
+        for alpha in [(2, 2), (2, 2, 2), (3, 3, 2), (2, 1, 1, 2), (3,) * 9]:
             F = build_fence(alpha)
             G = base_graph(F, IDEAL)
             rng = random.Random(11)
             for _ in range(6):
                 wa = ToggleWord(IDEAL, rng.sample(range(1, F.n + 1), F.n))
                 wb = ToggleWord(IDEAL, rng.sample(range(1, F.n + 1), F.n))
-                path = conjugation_path(wa, wb, G)
-                from fences.toggles import _flip, orientation
+                w = wa
+                for x in conjugation_path(wa, wb, G):
+                    w = conjugate_word(w, x, G)
+                assert orientation(w, G) == orientation(wb, G)
 
-                o = orientation(wa, G)
-                for x in path:
-                    o = _flip(o, x)
-                assert o == orientation(wb, G)
+    def test_path_is_the_search_path_on_every_small_fence(self):
+        for alpha in all_fence_compositions(9):
+            F = build_fence(alpha)
+            G = base_graph(F, IDEAL)
+            rng = random.Random(f"path:{alpha}")
+            for _ in range(3):
+                wa = ToggleWord(IDEAL, rng.sample(range(1, F.n + 1), F.n))
+                wb = ToggleWord(IDEAL, rng.sample(range(1, F.n + 1), F.n))
+                want = oracle.conjugation_path(wa, wb, G)
+                assert conjugation_path(wa, wb, G) == want, (alpha, wa, wb)
+
+    def test_path_is_the_search_path_on_random_forests(self):
+        # base_graph gives only paths for ideals, so stars, branching trees
+        # and isolated vertices are built directly, on shuffled labels
+        rng = random.Random(7)
+        for _ in range(600):
+            n = rng.randint(1, 10)
+            label = rng.sample(range(1, n + 1), n)
+            edges = [
+                tuple(sorted((label[k], label[rng.randrange(k)])))
+                for k in range(1, n)
+                if rng.random() < 0.8
+            ]
+            G = BaseGraph(IDEAL, n, tuple(edges))
+            assert G.is_forest
+            wa = ToggleWord(IDEAL, rng.sample(range(1, n + 1), n))
+            wb = ToggleWord(IDEAL, rng.sample(range(1, n + 1), n))
+            assert admissible_toggles(wa, G) == oracle.admissible_toggles(wa, G)
+            want = oracle.conjugation_path(wa, wb, G)
+            assert conjugation_path(wa, wb, G) == want, (edges, wa, wb)
 
     def test_refuses_cyclic_graph(self, f222):
         G = base_graph(f222, ANTICHAIN)
@@ -303,11 +339,9 @@ class TestTransfer:
         assert rep.agree
 
     def test_ideal_transfer_exhaustive_tiny(self, f222):
-        from itertools import permutations
-
         battery = [indicator("chihat", k) for k in range(1, 6)]
         battery.append(indicator("chihat"))
-        words = [ToggleWord(IDEAL, p) for p in permutations(range(1, 6))]
+        words = [ToggleWord(IDEAL, p) for p in itertools.permutations(range(1, 6))]
         base = words[0]
         for w in words[1:20]:
             assert transfer_check(f222, IDEAL, base, w, battery).agree
@@ -324,11 +358,9 @@ class TestTransfer:
         assert transfer_check(f222, IDEAL, wa, wb, iter(battery)) == want
 
     def test_antichain_transfer_exhaustive_222(self, f222):
-        from itertools import permutations
-
         battery = [indicator("chi", k) for k in range(1, 6)]
         battery.append(indicator("chi"))
-        words = [ToggleWord(ANTICHAIN, p) for p in permutations(range(1, 6))]
+        words = [ToggleWord(ANTICHAIN, p) for p in itertools.permutations(range(1, 6))]
         base = words[0]
         for w in words:
             assert transfer_check(f222, ANTICHAIN, base, w, battery).agree
