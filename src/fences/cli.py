@@ -31,6 +31,7 @@ import json
 import os
 import sys
 import time
+from itertools import accumulate
 
 from . import harness
 from .enumeration import closed_form_count, count_ideals
@@ -210,6 +211,18 @@ def _cmd_count(args) -> int:
     return 0
 
 
+def _least_ideals(F: Fence, profiles) -> list[int]:
+    """The least ideal each profile's antichain orbit generates: every
+    member is closed by one packed _down_closure_mask per lane chunk, in
+    orbit order, then each orbit's slice gives its min."""
+    members = [m for p in profiles for m in p.orbit.masks]
+    ideals: list[int] = []
+    for lanes, packed in F.lane_chunks(members):
+        ideals += lanes.unpack(F._down_closure_mask(packed, lanes))
+    ends = list(accumulate(p.size for p in profiles))
+    return [min(ideals[a:b]) for a, b in zip([0, *ends], ends)]
+
+
 def _orbit_rows(F: Fence, family: str) -> list[dict]:
     profiles = harness.orbit_profiles(F)
     if family == ANTICHAIN:
@@ -217,8 +230,7 @@ def _orbit_rows(F: Fence, family: str) -> list[dict]:
     else:
         # the ideals an antichain orbit generates form an ideal orbit: the
         # least is its representative, and ideal_orbits sorts by that
-        least = {min(map(F._down_closure_mask, p.orbit.masks)): p for p in profiles}
-        reps = sorted(least.items())
+        reps = sorted(zip(_least_ideals(F, profiles), profiles))
     return [
         {
             "index": idx,

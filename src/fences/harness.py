@@ -28,13 +28,16 @@ The parts that are not linear are data of two more kinds.  A multiset
 part (_multiset_part) compares items counted off the orbits or
 superorbits with (item, count) pairs, equal items adding and zero counts
 dropping, and fails with {instance params, got, expected}, each as sorted
-(item, count) pairs.  A first-witness part (_first_witness_part) is
-vacuous when its hypothesis fails (for rows: when it leaves none), and
-otherwise fails with the first witness a lazy sequence yields: rows and
-chi orbomesy as above, {orbit, size} for an odd orbit size, {superorbit,
-chihat, size} for a superorbit off chihat's n/2 average (superorbit
-lists the representative label of each of its orbits), and {orbit,
-black, red} for an orbit palindromic in one tile sequence only.
+(item, count) pairs; the superorbit pairing adds superorbits, the
+representative labels of the orbits of each superorbit whose size tuple
+is counted more often than expected.  A first-witness part
+(_first_witness_part) is vacuous when its hypothesis fails (for rows:
+when it leaves none), and otherwise fails with the first witness a lazy
+sequence yields: rows and chi orbomesy as above, {orbit, size} for an
+odd orbit size, {superorbit, chihat, size} for a superorbit off chihat's
+n/2 average (superorbit lists the representative label of each of its
+orbits), and {orbit, black, red} for an orbit palindromic in one tile
+sequence only.
 
 The claims are data too.  CLAIMS maps each claim of `fences verify` and
 `fences scan` to its command, its one-instance checker with the options
@@ -74,6 +77,7 @@ from .toggles import (
     base_graph,
     compile_word,
     sample_linear_extensions,
+    transfer_chain,
     transfer_check,
 )
 
@@ -273,13 +277,22 @@ def _multiset(pairs) -> Counter:
     return sum((Counter({item: count}) for item, count in pairs), Counter())
 
 
-def _multiset_part(params: dict, items, expected) -> InstanceResult:
+def _multiset_part(params: dict, items, expected, excess=None) -> InstanceResult:
     """The items, counted as a multiset, equal the multiset of the
     (item, count) pairs `expected`.  A failure's witness is {got,
-    expected}, each as its sorted (item, count) pairs."""
+    expected}, each as its sorted (item, count) pairs.  With excess =
+    (key, name), it also lists under key name(i), in order, for every
+    index i whose item is counted more often than expected."""
+    items = list(items)
     got, want = Counter(items), _multiset(expected)
+    if got == want:
+        return _result(params, None)
     witness = {"got": sorted(got.items()), "expected": sorted(want.items())}
-    return _result(params, None if got == want else witness)
+    if excess:
+        key, name = excess
+        over = [i for i, item in enumerate(items) if got[item] > want[item]]
+        witness[key] = list(map(name, over))
+    return _result(params, witness)
 
 
 # -- two-segment fences ------------------------------------------------------
@@ -443,6 +456,11 @@ def verify_a1a1a(a: int) -> VerificationReport:
     )
     # each superorbit as the sizes of its orbits; 3a+2 = a^2+2a at a = 2
     pairing = (((a + 1, a + 1), a - 1), ((3 * a + 2,), 1), ((a * a + 2 * a,), a))
+    sos = superorbits(F)
+
+    def labels(i):
+        return [o.representative.label() for o in sos[i].orbits]
+
     instances = [
         _multiset_part(
             {"a": a, "part": "sizes-and-chi"},
@@ -451,8 +469,9 @@ def verify_a1a1a(a: int) -> VerificationReport:
         ),
         _multiset_part(
             {"a": a, "part": "superorbit-pairing"},
-            (tuple(o.size for o in so.orbits) for so in superorbits(F)),
+            (tuple(o.size for o in so.orbits) for so in sos),
             pairing,
+            ("superorbits", labels),
         ),
     ]
     return VerificationReport("a1a1a", {"a": a}, instances)
@@ -785,25 +804,40 @@ def _transfer(
     """The transfer driver: on `samples` sampled pairs of Coxeter words of
     the family, every indicator and the cardinality get the same
     homomesy/orbomesy verdict under both words.  The claim name, the rng
-    tag and the params key of the sample count are the caller's."""
+    tag and the params key of the sample count are the caller's.
+
+    Ideal words are drawn as one chain wa1, wb1, wa2, ... through
+    toggles.transfer_chain: one decomposition, then each word reached
+    from the one before by conjugation, recounting and reclassifying only
+    what the flips change.  The antichain base graph has cycles, so each
+    antichain pair goes through toggles.transfer_check.  Either way the
+    pairs are compared in order, and the first statistic whose (kind,
+    constant) differs in the first disagreeing pair is the witness."""
     F = _fence(alpha)
     key = tuple(F.alpha.parts)
     rng = random.Random(f"{rng_tag}:{seed}:{key}")
     kind = "chi" if family == ANTICHAIN else "chihat"
     battery = [indicator(kind, k) for k in range(1, F.n + 1)]
     battery.append(indicator(kind, None))
+
+    def word():
+        return ToggleWord(family, rng.sample(range(1, F.n + 1), F.n))
+
+    pairs = [(word(), word()) for _ in range(samples)]
+    if family == IDEAL:
+        chain = transfer_chain(F, family, (w for pair in pairs for w in pair), battery)
+        verdicts = zip(chain, chain)
+    else:
+        verdicts = (transfer_check(F, family, *ws, battery).verdicts for ws in pairs)
     bad = None
-    for _ in range(samples):
-        wa = ToggleWord(family, rng.sample(range(1, F.n + 1), F.n))
-        wb = ToggleWord(family, rng.sample(range(1, F.n + 1), F.n))
-        rep = transfer_check(F, family, wa, wb, battery)
-        if not rep.agree:
-            d = rep.disagreements()[0]
+    for (wa, wb), (va, vb) in zip(pairs, verdicts):
+        if va != vb:
+            i = next(i for i, (a, b) in enumerate(zip(va, vb)) if a != b)
             bad = {
                 "word_a": str(wa),
                 "word_b": str(wb),
-                "stat": d.stat,
-                "verdicts": (d.report_a.kind, d.report_b.kind),
+                "stat": str(battery[i]),
+                "verdicts": (va[i][0], vb[i][0]),
             }
             break
     return VerificationReport(

@@ -29,6 +29,8 @@ one column per element and one entry per orbit.  Up to
 PACKED_COUNT_MAX_N elements a mask fits one 8-byte word, and the table
 is read off one array of all the masks with C-level byte operations: a
 strided slice per byte, a translate per bit and a bytes.count per orbit.
+That reader, lane_counts, takes lanes of any width, so it also recounts
+chosen columns straight off a packed family (toggles.transfer_chain).
 Longer fences add each orbit's masks into bit planes, at a few n-bit
 operations per member.  The paper's tiling lemma, which turns a table
 of antichain orbits into their tile and ideal counts, lives in
@@ -300,16 +302,16 @@ def orbit_element_counts(
     member-counting kernel, called once per decomposition.
 
     Up to PACKED_COUNT_MAX_N elements every mask goes, in orbit order,
-    into one array of 8-byte words.  Byte b of every word is one strided
-    slice of its bytes; translating that slice through _BIT[j] leaves one
-    0/1 byte per member for bit 8b + j, and each orbit's count is a
-    bytes.count over its members' range, so the work per member is a few
-    byte operations per element, all in C.  Longer masks do not fit a
-    word; each orbit is then added into bit planes: bit k of planes[i] is
-    bit i of the count of x_{k+1}.  Adding a mask is a ripple-carry add of
-    a one-bit value into every element's counter at once, so its cost
-    follows the number of carries rather than the mask's popcount, and
-    each plane's set bits are read out once at the end.
+    into one array of 8-byte words, read by lane_counts.  Byte b of every
+    word is one strided slice of its bytes; translating that slice through
+    _BIT[j] leaves one 0/1 byte per member for bit 8b + j, and each orbit's
+    count is a bytes.count over its members' range, so the work per member
+    is a few byte operations per element, all in C.  Longer masks do not
+    fit a word; each orbit is then added into bit planes: bit k of
+    planes[i] is bit i of the count of x_{k+1}.  Adding a mask is a
+    ripple-carry add of a one-bit value into every element's counter at
+    once, so its cost follows the number of carries rather than the mask's
+    popcount, and each plane's set bits are read out once at the end.
     """
     n = F.n
     if n > PACKED_COUNT_MAX_N:
@@ -320,17 +322,31 @@ def orbit_element_counts(
     for masks in orbits:
         words.extend(masks)
         ends.append(len(words))
-    starts = [0, *ends[:-1]]
     if _SWAP:
         words.byteswap()
-    raw = memoryview(words).cast("B")
+    return tuple(lane_counts(memoryview(words).cast("B"), 8, range(n), ends))
+
+
+def lane_counts(
+    raw: bytes | memoryview, width: int, ks: Iterable[int], ends: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """The count columns of the 0-based elements ks, in that order, read
+    off raw: one little-endian lane of `width` bytes per member, in orbit
+    order, orbit o's members ending before lane ends[o].  Byte k // 8 of
+    every lane is one strided slice, translating it through _BIT[k % 8]
+    leaves one 0/1 byte per member, and each orbit's count is a
+    bytes.count over its range.  The byte table of orbit_element_counts is
+    the 8-byte case; a packed family (Fence.lane_chunks) is any width."""
+    starts = [0, *ends[:-1]]
     columns = []
-    for b in range(0, n, 8):
-        plane = bytes(raw[b // 8 :: 8])
-        for j in range(min(8, n - b)):
-            count = plane.translate(_BIT[j]).count
-            columns.append(tuple(map(count, repeat(1), starts, ends)))
-    return tuple(columns)
+    plane, b = b"", -1
+    for k in ks:
+        if k >> 3 != b:
+            b = k >> 3
+            plane = bytes(raw[b::width])
+        count = plane.translate(_BIT[k & 7]).count
+        columns.append(tuple(map(count, repeat(1), starts, ends)))
+    return columns
 
 
 def _plane_counts(n: int, masks: Sequence[int]) -> tuple[int, ...]:

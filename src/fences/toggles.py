@@ -27,6 +27,18 @@ one test against the vertex's incidence mask and a flip is one XOR with
 it.  conjugation_path builds its path from heights on a spanning forest
 of the graph, with no search over orientations.
 
+Conjugating by an admissible toggle x maps every orbit O of a word onto
+t_x(O), the orbit of the conjugate.  transfer_chain uses this to
+classify statistics under a sequence of words of an acyclic base graph
+(the ideal one) from one decomposition: the first word's orbits stay
+packed in orbit order, each later word is reached from the one before
+along conjugation_path with one toggle_mask per flip and lane chunk, and
+only the flipped elements' count columns are recounted and only the
+statistics that read them (or the cardinality) reclassified.
+transfer_check decomposes both words of a pair from scratch; it is the
+reference, and the antichain transfer scan, whose base graphs have
+cycles, runs through it.
+
 A word is checked once, by _check_word, where it meets what it acts on:
 compile_word checks it against the fence and orientation against the
 base graph, which covers admissible_toggles, conjugate_word and
@@ -36,10 +48,12 @@ conjugation_path.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import partial
 from itertools import accumulate
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .fence import (
     ANTICHAIN, IDEAL, ElementSet, Fence, FenceError, Lanes, RoleError, elements_of
@@ -50,9 +64,13 @@ from .stats import (
     StatExpr,
     _check_elements,
     classify_orbit_sums,
+    lane_counts,
     orbit_element_counts,
     scaled_sums,
 )
+
+#: The (kind, constant) verdict of each statistic of a battery under one word.
+Verdicts = tuple[tuple[str, Fraction | None], ...]
 
 
 @dataclass(frozen=True)
@@ -293,31 +311,44 @@ def conjugation_path(
     sorted order finds.
     """
     o, goal = orientation(word, G), orientation(word2, G)
+    _require_forest(G)
+    return _flip_path(o, goal, G)
+
+
+def _require_forest(G: BaseGraph) -> None:
     if not G.is_forest:
         raise FenceError(
             "base graph has a cycle; admissible conjugation paths are "
             "only guaranteed for acyclic base graphs"
         )
+
+
+def _flip_path(o: int, goal: int, G: BaseGraph) -> list[int]:
+    """conjugation_path between two orientations of the forest G."""
+    inc, upper, tree = G.inc, G.upper, G.tree
     owed = [0] * (G.n + 1)
     for p, c, i in G.tree_edges:
         need = (goal >> i & 1) - (o >> i & 1)
         owed[c] = owed[p] + (need if c > p else -need)
+    trees: dict[int, list[int]] = {}  # each tree's owed values, kept sorted
+    for x in range(1, G.n + 1):
+        trees.setdefault(tree[x], []).append(owed[x])
+    for values in trees.values():
+        values.sort()
     path = []
     while o != goal:
-        trees: dict[int, list[int]] = {}
         for x in range(1, G.n + 1):
-            trees.setdefault(G.tree[x], []).append(owed[x])
-        for values in trees.values():
-            values.sort()
-        for x in range(1, G.n + 1):
-            away, values = G.away(o, x), trees[G.tree[x]]
-            if away == G.inc[x] and owed[x] > values[(len(values) - 1) // 2]:
-                owed[x] -= 1
+            away, values = (o ^ upper[x]) & inc[x], trees[tree[x]]  # G.away(o, x)
+            if away == inc[x] and owed[x] > values[(len(values) - 1) // 2]:
+                step = -1
                 break
             if not away and owed[x] < values[len(values) // 2]:
-                owed[x] += 1
+                step = 1
                 break
-        o ^= G.inc[x]
+        values.remove(owed[x])
+        owed[x] += step
+        insort(values, owed[x])
+        o ^= inc[x]
         path.append(x)
     return path
 
@@ -414,6 +445,15 @@ class TransferReport:
     def agree(self) -> bool:
         return all(r.agree for r in self.results)
 
+    @property
+    def verdicts(self) -> tuple[Verdicts, Verdicts]:
+        """The (kind, constant) of every statistic under word_a, and under
+        word_b: what transfer_chain yields for each word."""
+        return (
+            tuple((r.report_a.kind, r.report_a.constant) for r in self.results),
+            tuple((r.report_b.kind, r.report_b.constant) for r in self.results),
+        )
+
     def disagreements(self) -> tuple[TransferResult, ...]:
         return tuple(r for r in self.results if not r.agree)
 
@@ -441,14 +481,7 @@ def transfer_check(
     """
     if word_a.family != family or word_b.family != family:
         raise RoleError("words do not act on the requested family")
-    exprs = [exprs] if isinstance(exprs, StatExpr) else list(exprs)
-    fams = []
-    for e in exprs:
-        fams.append(e.family())
-        _check_elements(F, e)
-    for e, fam in zip(exprs, fams):
-        if fam is not None and fam != family:
-            raise RoleError(f"statistic {e} targets {fam}s, not {family}s")
+    exprs = _check_stats(F, family, exprs)
     masks = F.family_masks(family)
     tables = []
     for word in (word_a, word_b):
@@ -462,3 +495,90 @@ def transfer_check(
         ]
         results.append(TransferResult(e, a, b))
     return TransferReport(family, word_a, word_b, tuple(results))
+
+
+def transfer_chain(
+    F: Fence,
+    family: str,
+    words: Iterable[ToggleWord],
+    exprs: StatExpr | Iterable[StatExpr],
+) -> Iterator[Verdicts]:
+    """The (kind, constant) verdict of every statistic under each word in
+    turn, as transfer_check reads them, from one decomposition.
+
+    Only the first word is decomposed.  Each later word is reached from
+    the one before it along conjugation_path on the family's base graph,
+    which must be a forest (it is the path 1..n for ideals).  Conjugating
+    by an admissible toggle x maps every orbit O onto t_x(O) (Striker-
+    Williams, arXiv:1108.1172), so the members stay packed in orbit order
+    (Fence.lane_chunks) and a flip is one toggle_mask per chunk: orbit
+    sizes and order never change, and only column x of the count table
+    can.  After each word the flipped columns are recounted from the lane
+    bytes (stats.lane_counts), and only the statistics whose integer form
+    reads a flipped element or the cardinality are classified again.
+    Verdicts do not depend on the orbit order, so they are transfer_check's.
+    (Column x keeps its counts too, since the other toggles of the word
+    leave x alone; that is the transfer theorem, which the recount checks
+    on the toggled lanes.)
+    The statistics are checked as transfer_check checks them, and each
+    word where it meets what it acts on, when its verdicts are drawn.
+    """
+    exprs = _check_stats(F, family, exprs)
+    words = iter(words)
+    first = next(words, None)
+    if first is None:
+        return
+    G = base_graph(F, family)
+    o = orientation(first, G)
+    _require_forest(G)
+    orbits = decompose(F, F.family_masks(family), compile_word(F, first))
+    sizes = list(map(len, orbits))
+    ends = list(accumulate(sizes))
+    chunks = list(F.lane_chunks([m for orbit in orbits for m in orbit]))
+    readers: list[list[int]] = [[] for _ in range(F.n + 1)]  # [n]: cardinality
+    for i, e in enumerate(exprs):
+        for k, _ in e.integer_form[2]:
+            readers[F.n if k is None else k].append(i)
+
+    def recount(ks: Iterable[int]) -> list[tuple[int, ...]]:
+        raw = b"".join(p.to_bytes(L.width * L.count, "little") for L, p in chunks)
+        return lane_counts(raw, F.lane.width, ks, ends)
+
+    def verdict(e: StatExpr) -> tuple[str, Fraction | None]:
+        sums = scaled_sums(e, sizes, columns)
+        report = classify_orbit_sums(sizes, sums, e.integer_form[0])
+        return report.kind, report.constant
+
+    columns = recount(range(F.n))
+    verdicts = list(map(verdict, exprs))
+    yield tuple(verdicts)
+    for word in words:
+        goal = orientation(word, G)
+        path = _flip_path(o, goal, G)
+        if path:
+            for x in path:
+                chunks = [(L, toggle_mask(F, family, x, p, L)) for L, p in chunks]
+            flipped = sorted({x - 1 for x in path})
+            for k, column in zip(flipped, recount(flipped)):
+                columns[k] = column
+            for i in set(readers[F.n]).union(*map(readers.__getitem__, flipped)):
+                verdicts[i] = verdict(exprs[i])
+        yield tuple(verdicts)
+        o = goal
+
+
+def _check_stats(
+    F: Fence, family: str, exprs: StatExpr | Iterable[StatExpr]
+) -> list[StatExpr]:
+    """The statistics as a list, read once, once every one's atoms are
+    checked (one family, elements in range) and then its family against
+    the words'."""
+    exprs = [exprs] if isinstance(exprs, StatExpr) else list(exprs)
+    fams = []
+    for e in exprs:
+        fams.append(e.family())
+        _check_elements(F, e)
+    for e, fam in zip(exprs, fams):
+        if fam is not None and fam != family:
+            raise RoleError(f"statistic {e} targets {fam}s, not {family}s")
+    return exprs

@@ -71,6 +71,21 @@ class TestOrbits:
         code, out, _ = run(capsys, "orbits", "--alpha", "4,3,4", "--family", "ideals")
         assert sorted(json.loads(out)["sizes"]) == [5, 17, 17, 17]
 
+    @pytest.mark.parametrize("alpha", ["4,3,4", "2,2", "3,1,3,1,3", "2^5", "5,1,4"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_ideal_rows_as_per_member_closure(self, capsys, monkeypatch, alpha, fmt):
+        # the packed closure of every member gives the rows that closing
+        # each member on its own gives
+        argv = ("orbits", "--alpha", alpha, "--family", "ideals", "--format", fmt)
+        _, packed, _ = run(capsys, *argv)
+
+        def per_member(F, profiles):
+            return [min(map(F._down_closure_mask, p.orbit.masks)) for p in profiles]
+
+        monkeypatch.setattr(cli, "_least_ideals", per_member)
+        _, want, _ = run(capsys, *argv)
+        assert packed == want
+
     def test_byte_identical(self, capsys):
         _, a, _ = run(capsys, "orbits", "--alpha", "4,3,4")
         _, b, _ = run(capsys, "orbits", "--alpha", "4,3,4")

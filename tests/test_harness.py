@@ -226,6 +226,50 @@ class TestToggleHarness:
     def test_transfer_ideal(self):
         assert verify_transfer_ideal((3, 3, 2), pairs=40).verdict == "pass"
 
+    @pytest.mark.parametrize("alpha", [(3, 3, 2), (4, 3, 4)])
+    def test_forced_transfer_disagreement(self, monkeypatch, alpha):
+        # Column k of one drawn word, the third pair's word_b, is misread
+        # as all zeros: chihat[k] looks homomesic with average 0 there.  k
+        # is flipped on the way from word_a, so the chain recounts it.  The
+        # witness must be the one found when every word is decomposed and
+        # classified by transfer_check on its own.
+        real_chain, real_sums = harness.transfer_chain, toggles.scaled_sums
+        drawn = []
+
+        def tracked(chain):
+            def run(F, family, words, exprs):
+                return chain(F, family, (drawn.append(w) or w for w in words), exprs)
+            return run
+
+        def per_word(F, family, words, exprs):
+            exprs = list(exprs)
+            for w in words:
+                yield toggles.transfer_check(F, family, w, w, exprs).verdicts[0]
+
+        monkeypatch.setattr(harness, "transfer_chain", tracked(real_chain))
+        assert verify_transfer_ideal(alpha, pairs=3).verdict == "pass"
+        wa, wb = drawn[4:6]
+        F = build_fence(alpha)
+        k = toggles.conjugation_path(wa, wb, toggles.base_graph(F, "ideal"))[0]
+        stat = f"chihat[{k}]"
+
+        def misread(expr, sizes, columns):
+            if drawn[-1] == wb and str(expr) == stat:
+                return [0] * len(sizes)
+            return real_sums(expr, sizes, columns)
+
+        monkeypatch.setattr(toggles, "scaled_sums", misread)
+        drawn.clear()
+        chained = verify_transfer_ideal(alpha, pairs=3)
+        monkeypatch.setattr(harness, "transfer_chain", tracked(per_word))
+        drawn.clear()
+        reference = verify_transfer_ideal(alpha, pairs=3)
+        assert chained.verdict == "fail"
+        (w,) = chained.witnesses
+        assert (w["word_a"], w["word_b"], w["stat"]) == (str(wa), str(wb), stat)
+        assert w["verdicts"][1] == "homomesic"
+        assert chained.witnesses == reference.witnesses
+
     def test_report_json_schema(self, capsys):
         # a report is data; the CLI times the claim and adds runtime_ms
         d = verify_two_segment(3, 2).to_json_dict()
@@ -295,8 +339,9 @@ def _split_superorbits(monkeypatch):
 class TestForcedFailures:
     """A corrupted profile or superorbit makes one part fail with its
     whole witness: the row witness {instance params, row keys, orbit,
-    size, value, expected}, a multiset part's {got, expected}, or a
-    first-witness part's own."""
+    size, value, expected}, a multiset part's {got, expected} (with the
+    over-counted superorbits for the pairing), or a first-witness part's
+    own."""
 
     @pytest.mark.parametrize(
         "check,args,patch,part,want",
@@ -330,10 +375,13 @@ class TestForcedFailures:
             (verify_a1a1a, (2,), _profile(0, _bump("chi")), "sizes-and-chi",
              {"a": 2, "got": [((3, 6), 2), ((8, 15), 1), ((8, 16), 1), ((8, 17), 1)],
               "expected": [((3, 6), 2), ((8, 15), 1), ((8, 16), 2)]}),
-            # multiset: the two pairs of size-4 orbits of (3,1,3,1,3) split
+            # multiset: the two pairs of size-4 orbits of (3,1,3,1,3) split,
+            # and the four halves, counted where none was expected, are named
             (verify_a1a1a, (3,), _split_superorbits, "superorbit-pairing",
              {"a": 3, "got": [((4,), 4), ((11,), 1), ((15,), 3)],
-              "expected": [((4, 4), 2), ((11,), 1), ((15,), 3)]}),
+              "expected": [((4, 4), 2), ((11,), 1), ((15,), 3)],
+              "superorbits": [["{x1,x2,x3,x4}"], ["{x1,x2,x3,x4,x5,x6}"],
+                              ["{x4,x5}"], ["{x4,x5,x6}"]]}),
             # first witness: an odd orbit size on (4,4,4)
             (verify_general_homomesies, ((4, 4, 4),), _profile(0, _bump("size")),
              "even-orbit-sizes", {"alpha": (4, 4, 4), "orbit": "{}", "size": 37}),

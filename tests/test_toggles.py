@@ -25,6 +25,7 @@ from fences import (
     transfer_check,
     word_orbits,
 )
+from fences import fence
 from fences.harness import all_fence_compositions
 from fences.rowmotion import _rho_hat_mask
 from fences import toggles
@@ -35,6 +36,7 @@ from fences.toggles import (
     is_linear_extension,
     orientation,
     toggle_mask,
+    transfer_chain,
 )
 
 
@@ -365,6 +367,15 @@ class TestTransfer:
         for w in words:
             assert transfer_check(f222, ANTICHAIN, base, w, battery).agree
 
+    def test_verdicts_are_the_results(self, f222):
+        battery = [indicator("chihat", k) for k in range(1, 6)]
+        wa = ToggleWord(IDEAL, (1, 2, 3, 4, 5))
+        wb = ToggleWord(IDEAL, (5, 3, 1, 2, 4))
+        rep = transfer_check(f222, IDEAL, wa, wb, battery)
+        va, vb = rep.verdicts
+        assert va == tuple((r.report_a.kind, r.report_a.constant) for r in rep.results)
+        assert vb == tuple((r.report_b.kind, r.report_b.constant) for r in rep.results)
+
     def test_word_orbits_partition(self, f222):
         w = ToggleWord(IDEAL, (5, 3, 1, 2, 4))
         orbits = word_orbits(f222, w)
@@ -376,3 +387,104 @@ class TestTransfer:
         assert sorted(o.size for o in word_orbits(f434, w)) == sorted(
             o.size for o in ideal_orbits(f434)
         )
+
+
+def _battery(F, kind="chihat"):
+    """Every indicator of the family, then its cardinality."""
+    return [*(indicator(kind, k) for k in range(1, F.n + 1)), indicator(kind)]
+
+
+def _sampled_words(F, count, seed=0):
+    rng = random.Random(f"chain:{seed}:{F.alpha}")
+    return [ToggleWord(IDEAL, rng.sample(range(1, F.n + 1), F.n)) for _ in range(count)]
+
+
+class TestTransferChain:
+    """transfer_chain decomposes the first word only and reaches each
+    later one by conjugation; its verdicts are transfer_check's, word by
+    word."""
+
+    @staticmethod
+    def _check(F, words):
+        battery = _battery(F)
+        got = list(transfer_chain(F, IDEAL, words, battery))
+        want = [transfer_check(F, IDEAL, w, w, battery).verdicts[0] for w in words]
+        assert len(got) == len(words)
+        for w, g, v in zip(words, got, want):
+            assert g == v, (F.alpha, str(w))
+
+    @pytest.mark.parametrize("alpha", [(2, 2, 2), (3, 3)])
+    def test_every_ideal_coxeter_word(self, alpha):
+        F = build_fence(alpha)
+        perms = itertools.permutations(range(1, F.n + 1))
+        self._check(F, [ToggleWord(IDEAL, p) for p in perms])
+
+    @pytest.mark.parametrize("alpha", [(3,) * 6, (4, 3, 4)])
+    def test_sampled_words(self, alpha):
+        F = build_fence(alpha)
+        self._check(F, _sampled_words(F, 40))
+
+    def test_several_lane_chunks(self, monkeypatch):
+        # 16 bytes hold 8 of (4,3,4)'s 2-byte lanes, so its 56 ideals
+        # span 7 chunks
+        monkeypatch.setattr(fence, "LANE_CHUNK_BYTES", 16)
+        F = build_fence((4, 3, 4))
+        assert len(list(F.lane_chunks(F.ideal_masks()))) == 7
+        self._check(F, _sampled_words(F, 40))
+
+    def test_wide_lanes(self):
+        # n = 69: 9-byte lanes, past the 8-byte count table
+        F = build_fence((40, 30))
+        assert F.lane.width == 9
+        self._check(F, _sampled_words(F, 6))
+
+    @pytest.mark.parametrize("chunk_bytes", [fence.LANE_CHUNK_BYTES, 16])
+    def test_lanes_hold_each_words_orbits(self, monkeypatch, chunk_bytes):
+        # verdicts and even per-orbit count rows are the same under every
+        # Coxeter word, so they cannot show that the chain moves; the lanes
+        # it recounts must hold the current word's orbits, each a rotation
+        # of the orbit's own cycle, in the slices the orbit sizes give
+        monkeypatch.setattr(fence, "LANE_CHUNK_BYTES", chunk_bytes)
+        F = build_fence((4, 3, 4))
+        words = _sampled_words(F, 20)
+        real = toggles.lane_counts
+        current, seen = [], []
+
+        def spy(raw, width, ks, ends):
+            lanes = range(0, len(raw), width)
+            members = [int.from_bytes(raw[i : i + width], "little") for i in lanes]
+            seen.append((current[-1], [members[a:b] for a, b in zip([0, *ends], ends)]))
+            return real(raw, width, ks, ends)
+
+        monkeypatch.setattr(toggles, "lane_counts", spy)
+        drawn = (current.append(w) or w for w in words)
+        list(transfer_chain(F, IDEAL, drawn, _battery(F)))
+        assert len(seen) > len(words) // 2
+        for w, slices in seen:
+            cycles = {frozenset(o.masks): o.masks for o in word_orbits(F, w)}
+            assert len(slices) == len(cycles)
+            for got in slices:
+                cycle = cycles[frozenset(got)]
+                i = cycle.index(got[0])
+                assert list(cycle[i:] + cycle[:i]) == got, str(w)
+
+    def test_no_words_no_verdicts(self, f222):
+        assert list(transfer_chain(f222, IDEAL, [], _battery(f222))) == []
+
+    def test_checked_as_transfer_check_checks(self, f222):
+        # checked when the first verdicts are drawn
+        w = ToggleWord(IDEAL, (1, 2, 3, 4, 5))
+        for words, stat, error in [
+            ([w], "chi[1]", RoleError),
+            ([w], "chihat[6]", FenceError),
+            ([ToggleWord(ANTICHAIN, w.order)], "chihat[1]", RoleError),
+            ([w, ToggleWord(IDEAL, (1, 2, 3, 4))], "chihat[1]", FenceError),
+        ]:
+            with pytest.raises(error):
+                list(transfer_chain(f222, IDEAL, words, [parse_stat(stat)]))
+
+    def test_cyclic_base_graph_refused(self, f222):
+        words = [ToggleWord(ANTICHAIN, p) for p in [(1, 2, 3, 4, 5), (5, 4, 3, 2, 1)]]
+        chain = transfer_chain(f222, ANTICHAIN, words, _battery(f222, "chi"))
+        with pytest.raises(FenceError, match="cycle"):
+            next(chain)

@@ -15,6 +15,14 @@ codes (old/new, from the first round) are printed beside it; when any
 job exits non-zero in any round on either side the script prints "JOB
 FAILED" and exits 1, so a job that fails the same way on both sides is
 not taken for a timing of the work.
+
+Each round also times, per side and in the same shuffled order, one
+fresh interpreter running the bench's setup probe (bench/run.py's
+_SETUP_PROBE: import fences.cli, build the parser, list the jobs) and
+prints its median as setup_s.  Both sides run it on a copy of their src
+made without __pycache__, under PYTHONDONTWRITEBYTECODE=1, so each probe
+compiles every fences module, as a fresh checkout does under the bench's
+environment, and neither side profits from bytecode the other lacks.
 """
 
 import argparse
@@ -22,10 +30,14 @@ import contextlib
 import gc
 import importlib
 import io
+import os
 import random
 import re
+import shutil
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from operator import truediv
 from pathlib import Path
@@ -55,6 +67,17 @@ def run(modules: dict, argv: list) -> tuple:
     return seconds, code, _RUNTIME_MS.sub("", out.getvalue())
 
 
+def setup_seconds(code: str) -> float:
+    """Seconds of the setup probe `code` in one fresh interpreter that
+    writes no bytecode."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    return float(out.stdout.split()[-1])
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("old", type=Path)
@@ -65,18 +88,32 @@ def main() -> int:
     args = p.parse_args()
     sys.path.insert(0, str(args.new / "bench"))
     job_list = importlib.import_module("jobs").jobs(args.workload, args.seed)
+    probe = importlib.import_module("run")._SETUP_PROBE
     sides = {"old": load(args.old), "new": load(args.new)}
     indices = range(len(job_list))
-    order = [(s, j) for s in sides for j in indices]
+    order = [(s, j) for s in sides for j in [*indices, None]]  # None: setup
     times = {key: [] for key in order}
-    outputs = {key: [] for key in order}  # (exit code, output) per round
+    outputs = {(s, j): [] for s in sides for j in indices}  # (exit code, output)
     rng = random.Random(args.seed)
-    for _ in range(args.rounds):
-        rng.shuffle(order)
-        for side, j in order:
-            seconds, code, text = run(sides[side], job_list[j])
-            times[side, j].append(seconds)
-            outputs[side, j].append((code, text))
+    with tempfile.TemporaryDirectory() as tmp:
+        probes = {}
+        for side, root in (("old", args.old), ("new", args.new)):
+            src = Path(tmp, side)
+            ignore = shutil.ignore_patterns("__pycache__")
+            shutil.copytree(root / "src", src, ignore=ignore)
+            probes[side] = probe.format(
+                src=str(src), bench=str(args.new / "bench"),
+                workload=args.workload, seed=args.seed, scale="full",
+            )
+        for _ in range(args.rounds):
+            rng.shuffle(order)
+            for side, j in order:
+                if j is None:
+                    times[side, j].append(setup_seconds(probes[side]))
+                    continue
+                seconds, code, text = run(sides[side], job_list[j])
+                times[side, j].append(seconds)
+                outputs[side, j].append((code, text))
     med = {key: statistics.median(v) for key, v in times.items()}
     for j in indices:
         ratio = statistics.median(map(truediv, times["new", j], times["old", j]))
@@ -87,7 +124,10 @@ def main() -> int:
     for side in sides:
         walls = [sum(times[side, j][r] for j in indices) for r in range(args.rounds)]
         job_max = max(med[side, j] for j in indices)
-        print(f"{side}: wall_s {statistics.median(walls):.3f}  job_max_s {job_max:.3f}")
+        print(
+            f"{side}: wall_s {statistics.median(walls):.3f}  job_max_s {job_max:.3f}"
+            f"  setup_s {med[side, None]:.3f}"
+        )
     same = all(len({*outputs["old", j], *outputs["new", j]}) == 1 for j in indices)
     print("outputs identical" if same else "OUTPUTS DIFFER")
     if any(code for runs in outputs.values() for code, _ in runs):
