@@ -277,21 +277,24 @@ def _multiset(pairs) -> Counter:
     return sum((Counter({item: count}) for item, count in pairs), Counter())
 
 
-def _multiset_part(params: dict, items, expected, excess=None) -> InstanceResult:
+def _multiset_part(params: dict, items, expected, superorbits=None) -> InstanceResult:
     """The items, counted as a multiset, equal the multiset of the
     (item, count) pairs `expected`.  A failure's witness is {got,
-    expected}, each as its sorted (item, count) pairs.  With excess =
-    (key, name), it also lists under key name(i), in order, for every
-    index i whose item is counted more often than expected."""
+    expected}, each as its sorted (item, count) pairs.  When the items
+    are read off `superorbits`, one each, it also lists under
+    "superorbits", in order, the representative labels of the orbits of
+    every superorbit whose item is counted more often than expected."""
     items = list(items)
     got, want = Counter(items), _multiset(expected)
     if got == want:
         return _result(params, None)
     witness = {"got": sorted(got.items()), "expected": sorted(want.items())}
-    if excess:
-        key, name = excess
-        over = [i for i, item in enumerate(items) if got[item] > want[item]]
-        witness[key] = list(map(name, over))
+    if superorbits is not None:
+        witness["superorbits"] = [
+            [o.representative.label() for o in so.orbits]
+            for so, item in zip(superorbits, items)
+            if got[item] > want[item]
+        ]
     return _result(params, witness)
 
 
@@ -457,10 +460,6 @@ def verify_a1a1a(a: int) -> VerificationReport:
     # each superorbit as the sizes of its orbits; 3a+2 = a^2+2a at a = 2
     pairing = (((a + 1, a + 1), a - 1), ((3 * a + 2,), 1), ((a * a + 2 * a,), a))
     sos = superorbits(F)
-
-    def labels(i):
-        return [o.representative.label() for o in sos[i].orbits]
-
     instances = [
         _multiset_part(
             {"a": a, "part": "sizes-and-chi"},
@@ -471,7 +470,7 @@ def verify_a1a1a(a: int) -> VerificationReport:
             {"a": a, "part": "superorbit-pairing"},
             (tuple(o.size for o in so.orbits) for so in sos),
             pairing,
-            ("superorbits", labels),
+            sos,
         ),
     ]
     return VerificationReport("a1a1a", {"a": a}, instances)
@@ -808,8 +807,9 @@ def _transfer(
 
     Ideal words are drawn as one chain wa1, wb1, wa2, ... through
     toggles.transfer_chain: one decomposition, then each word reached
-    from the one before by conjugation, recounting and reclassifying only
-    what the flips change.  The antichain base graph has cycles, so each
+    from the one before by conjugation, checked by one step of the word
+    to hold its orbits, recounting and reclassifying only what the flips
+    change.  The antichain base graph has cycles, so each
     antichain pair goes through toggles.transfer_check.  Either way the
     pairs are compared in order, and the first statistic whose (kind,
     constant) differs in the first disagreeing pair is the witness."""

@@ -32,9 +32,11 @@ t_x(O), the orbit of the conjugate.  transfer_chain uses this to
 classify statistics under a sequence of words of an acyclic base graph
 (the ideal one) from one decomposition: the first word's orbits stay
 packed in orbit order, each later word is reached from the one before
-along conjugation_path with one toggle_mask per flip and lane chunk, and
-only the flipped elements' count columns are recounted and only the
-statistics that read them (or the cardinality) reclassified.
+along conjugation_path with one toggle_mask per flip and lane chunk,
+one packed step of the word checks that every orbit slice is one of its
+cycles (a word that fails is decomposed afresh), and only the flipped
+elements' count columns are recounted and only the statistics that read
+them (or the cardinality) reclassified.
 transfer_check decomposes both words of a pair from scratch; it is the
 reference, and the antichain transfer scan, whose base graphs have
 cycles, runs through it.
@@ -504,22 +506,24 @@ def transfer_chain(
     exprs: StatExpr | Iterable[StatExpr],
 ) -> Iterator[Verdicts]:
     """The (kind, constant) verdict of every statistic under each word in
-    turn, as transfer_check reads them, from one decomposition.
+    turn, as transfer_check reads them, with one decomposition where
+    conjugation carries the orbits.
 
-    Only the first word is decomposed.  Each later word is reached from
-    the one before it along conjugation_path on the family's base graph,
+    The first word is decomposed.  Each later word is reached from the
+    one before it along conjugation_path on the family's base graph,
     which must be a forest (it is the path 1..n for ideals).  Conjugating
     by an admissible toggle x maps every orbit O onto t_x(O) (Striker-
     Williams, arXiv:1108.1172), so the members stay packed in orbit order
-    (Fence.lane_chunks) and a flip is one toggle_mask per chunk: orbit
-    sizes and order never change, and only column x of the count table
-    can.  After each word the flipped columns are recounted from the lane
-    bytes (stats.lane_counts), and only the statistics whose integer form
-    reads a flipped element or the cardinality are classified again.
-    Verdicts do not depend on the orbit order, so they are transfer_check's.
-    (Column x keeps its counts too, since the other toggles of the word
-    leave x alone; that is the transfer theorem, which the recount checks
-    on the toggled lanes.)
+    (Fence.lane_chunks) and a flip is one toggle_mask per chunk.  That is
+    checked, not assumed: one packed step of the word itself must move
+    every lane to the next one of its orbit's slice (the slice rotated by
+    one, decompose's cycle order).  When it does not, the word is
+    decomposed afresh and the chain goes on from there.  When it does,
+    orbit sizes and order are unchanged and only the flipped elements'
+    count columns can change: they are recounted from the lane bytes
+    (stats.lane_counts), and only the statistics whose integer form reads
+    a flipped element or the cardinality are classified again.  Verdicts
+    do not depend on the orbit order, so they are transfer_check's.
     The statistics are checked as transfer_check checks them, and each
     word where it meets what it acts on, when its verdicts are drawn.
     """
@@ -531,40 +535,81 @@ def transfer_chain(
     G = base_graph(F, family)
     o = orientation(first, G)
     _require_forest(G)
-    orbits = decompose(F, F.family_masks(family), compile_word(F, first))
-    sizes = list(map(len, orbits))
-    ends = list(accumulate(sizes))
-    chunks = list(F.lane_chunks([m for orbit in orbits for m in orbit]))
+    width = F.lane.width
     readers: list[list[int]] = [[] for _ in range(F.n + 1)]  # [n]: cardinality
     for i, e in enumerate(exprs):
         for k, _ in e.integer_form[2]:
             readers[F.n if k is None else k].append(i)
 
-    def recount(ks: Iterable[int]) -> list[tuple[int, ...]]:
-        raw = b"".join(p.to_bytes(L.width * L.count, "little") for L, p in chunks)
-        return lane_counts(raw, F.lane.width, ks, ends)
+    def anchor(word: ToggleWord):
+        """The word's orbit sizes, members packed in orbit order, and the
+        rotation that one step of the word makes of those lanes."""
+        orbits = decompose(F, F.family_masks(family), compile_word(F, word))
+        sizes = list(map(len, orbits))
+        chunks = list(F.lane_chunks([m for orbit in orbits for m in orbit]))
+        return sizes, chunks, _slice_rotation(sizes, width)
+
+    def packed(chunks: Iterable[tuple[Lanes, int]]) -> bytes:
+        return b"".join(p.to_bytes(L.width * L.count, "little") for L, p in chunks)
 
     def verdict(e: StatExpr) -> tuple[str, Fraction | None]:
         sums = scaled_sums(e, sizes, columns)
         report = classify_orbit_sums(sizes, sums, e.integer_form[0])
         return report.kind, report.constant
 
-    columns = recount(range(F.n))
+    sizes, chunks, rotate = anchor(first)
+    ends = list(accumulate(sizes))
+    columns = lane_counts(packed(chunks), width, range(F.n), ends)
     verdicts = list(map(verdict, exprs))
     yield tuple(verdicts)
     for word in words:
         goal = orientation(word, G)
         path = _flip_path(o, goal, G)
-        if path:
-            for x in path:
-                chunks = [(L, toggle_mask(F, family, x, p, L)) for L, p in chunks]
-            flipped = sorted({x - 1 for x in path})
-            for k, column in zip(flipped, recount(flipped)):
+        o = goal
+        for x in path:
+            chunks = [(L, toggle_mask(F, family, x, p, L)) for L, p in chunks]
+        step = compile_word(F, word)
+        raw = packed(chunks)
+        stepped = packed((L, step(p, L)) for L, p in chunks)
+        flipped: Sequence[int] = sorted({x - 1 for x in path})
+        stale = set(readers[F.n]).union(*map(readers.__getitem__, flipped))
+        if int.from_bytes(stepped, "little") != rotate(int.from_bytes(raw, "little")):
+            sizes, chunks, rotate = anchor(word)  # not the word's orbits
+            ends = list(accumulate(sizes))
+            raw = packed(chunks)
+            flipped, stale = range(F.n), set(range(len(exprs)))
+        if flipped:
+            for k, column in zip(flipped, lane_counts(raw, width, flipped, ends)):
                 columns[k] = column
-            for i in set(readers[F.n]).union(*map(readers.__getitem__, flipped)):
+            for i in stale:
                 verdicts[i] = verdict(exprs[i])
         yield tuple(verdicts)
-        o = goal
+
+
+def _slice_rotation(sizes: Sequence[int], width: int) -> Callable[[int], int]:
+    """For lanes of `width` bytes packed in slices of these sizes, the map
+    that moves each lane to the one before it in its slice and the first
+    lane of each slice to the slice's last: what one step of a word makes
+    of its orbits packed in cycle order."""
+    bits, total, lane = 8 * width, sum(sizes), b"\xff" * width
+    rest = bytearray(lane * total)  # every lane but the last of its slice
+    heads: dict[int, bytearray] = {}  # per size, the first lane of each slice
+    start = 0
+    for s in sizes:
+        rest[(start + s - 1) * width : (start + s) * width] = bytes(width)
+        head = heads.setdefault(s, bytearray(width * total))
+        head[start * width : (start + 1) * width] = lane
+        start += s
+    keep = int.from_bytes(rest, "little")
+    wraps = [((s - 1) * bits, int.from_bytes(h, "little")) for s, h in heads.items()]
+
+    def rotate(packed: int) -> int:
+        out = (packed >> bits) & keep
+        for shift, head in wraps:
+            out |= (packed & head) << shift
+        return out
+
+    return rotate
 
 
 def _check_stats(

@@ -226,6 +226,33 @@ class TestToggleHarness:
     def test_transfer_ideal(self):
         assert verify_transfer_ideal((3, 3, 2), pairs=40).verdict == "pass"
 
+    @staticmethod
+    def _tracked(chain, drawn):
+        """chain, recording every word as it is drawn."""
+
+        def run(F, family, words, exprs):
+            return chain(F, family, (drawn.append(w) or w for w in words), exprs)
+
+        return run
+
+    @staticmethod
+    def _per_word(F, family, words, exprs):
+        """The reference: every word decomposed and classified on its own."""
+        exprs = list(exprs)
+        for w in words:
+            yield toggles.transfer_check(F, family, w, w, exprs).verdicts[0]
+
+    def _chained_and_reference(self, monkeypatch, alpha, drawn):
+        """The reports of the chain and of the per-word reference, with
+        whatever the caller has patched."""
+        real_chain = toggles.transfer_chain
+        monkeypatch.setattr(harness, "transfer_chain", self._tracked(real_chain, drawn))
+        drawn.clear()
+        chained = verify_transfer_ideal(alpha, pairs=3)
+        monkeypatch.setattr(harness, "transfer_chain", self._tracked(self._per_word, drawn))
+        drawn.clear()
+        return chained, verify_transfer_ideal(alpha, pairs=3)
+
     @pytest.mark.parametrize("alpha", [(3, 3, 2), (4, 3, 4)])
     def test_forced_transfer_disagreement(self, monkeypatch, alpha):
         # Column k of one drawn word, the third pair's word_b, is misread
@@ -233,20 +260,8 @@ class TestToggleHarness:
         # is flipped on the way from word_a, so the chain recounts it.  The
         # witness must be the one found when every word is decomposed and
         # classified by transfer_check on its own.
-        real_chain, real_sums = harness.transfer_chain, toggles.scaled_sums
-        drawn = []
-
-        def tracked(chain):
-            def run(F, family, words, exprs):
-                return chain(F, family, (drawn.append(w) or w for w in words), exprs)
-            return run
-
-        def per_word(F, family, words, exprs):
-            exprs = list(exprs)
-            for w in words:
-                yield toggles.transfer_check(F, family, w, w, exprs).verdicts[0]
-
-        monkeypatch.setattr(harness, "transfer_chain", tracked(real_chain))
+        real_sums, drawn = toggles.scaled_sums, []
+        monkeypatch.setattr(harness, "transfer_chain", self._tracked(toggles.transfer_chain, drawn))
         assert verify_transfer_ideal(alpha, pairs=3).verdict == "pass"
         wa, wb = drawn[4:6]
         F = build_fence(alpha)
@@ -259,15 +274,33 @@ class TestToggleHarness:
             return real_sums(expr, sizes, columns)
 
         monkeypatch.setattr(toggles, "scaled_sums", misread)
-        drawn.clear()
-        chained = verify_transfer_ideal(alpha, pairs=3)
-        monkeypatch.setattr(harness, "transfer_chain", tracked(per_word))
-        drawn.clear()
-        reference = verify_transfer_ideal(alpha, pairs=3)
+        chained, reference = self._chained_and_reference(monkeypatch, alpha, drawn)
         assert chained.verdict == "fail"
         (w,) = chained.witnesses
         assert (w["word_a"], w["word_b"], w["stat"]) == (str(wa), str(wb), stat)
         assert w["verdicts"][1] == "homomesic"
+        assert chained.witnesses == reference.witnesses
+
+    @pytest.mark.parametrize("alpha", [(3, 3, 2), (4, 3, 4)])
+    def test_forced_wrong_step(self, monkeypatch, alpha):
+        # The third pair's word_b compiles to the identity, so its orbits
+        # are single members and the cardinality is not homomesic under
+        # it.  The chain must find that the lanes conjugation reaches are
+        # not that step's orbits and give the reference's witness.
+        real_compile, drawn = toggles.compile_word, []
+        monkeypatch.setattr(harness, "transfer_chain", self._tracked(toggles.transfer_chain, drawn))
+        assert verify_transfer_ideal(alpha, pairs=3).verdict == "pass"
+        wa, wb = drawn[4:6]
+
+        def compile_word(F, word):
+            step = real_compile(F, word)
+            return (lambda m, lanes=None: m) if word == wb else step
+
+        monkeypatch.setattr(toggles, "compile_word", compile_word)
+        chained, reference = self._chained_and_reference(monkeypatch, alpha, drawn)
+        assert chained.verdict == "fail"
+        (w,) = chained.witnesses
+        assert (w["word_a"], w["word_b"]) == (str(wa), str(wb))
         assert chained.witnesses == reference.witnesses
 
     def test_report_json_schema(self, capsys):

@@ -400,9 +400,9 @@ def _sampled_words(F, count, seed=0):
 
 
 class TestTransferChain:
-    """transfer_chain decomposes the first word only and reaches each
-    later one by conjugation; its verdicts are transfer_check's, word by
-    word."""
+    """transfer_chain decomposes the first word and reaches each later one
+    by conjugation, checking that it lands on that word's orbits; its
+    verdicts are transfer_check's, word by word."""
 
     @staticmethod
     def _check(F, words):
@@ -467,6 +467,34 @@ class TestTransferChain:
                 cycle = cycles[frozenset(got)]
                 i = cycle.index(got[0])
                 assert list(cycle[i:] + cycle[:i]) == got, str(w)
+
+    def test_a_wrong_step_is_decomposed_afresh(self, monkeypatch):
+        # words[7] compiles to the identity, which no Coxeter word is: the
+        # lanes conjugation reaches are not its orbits, so it and the word
+        # after it must be decomposed afresh, and every verdict must still
+        # be transfer_check's under the same steps
+        F = build_fence((4, 3, 4))
+        words = _sampled_words(F, 12)
+        battery = _battery(F)
+        honest = list(transfer_chain(F, IDEAL, words, battery))
+        real, decomposed = toggles.compile_word, []
+
+        def compile_word(F, word):
+            step = real(F, word)
+            return (lambda m, lanes=None: m) if word == words[7] else step
+
+        def spy(F, masks, step):
+            decomposed.append(step)
+            return real_decompose(F, masks, step)
+
+        real_decompose = toggles.decompose
+        monkeypatch.setattr(toggles, "compile_word", compile_word)
+        monkeypatch.setattr(toggles, "decompose", spy)
+        got = list(transfer_chain(F, IDEAL, words, battery))
+        assert len(decomposed) == 3
+        self._check(F, words)
+        assert got[7] != honest[7]
+        assert got[:7] + got[8:] == honest[:7] + honest[8:]
 
     def test_no_words_no_verdicts(self, f222):
         assert list(transfer_chain(f222, IDEAL, [], _battery(f222))) == []
