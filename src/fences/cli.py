@@ -161,11 +161,11 @@ def _fence_from(args) -> Fence:
 
 def _cmd_info(args) -> int:
     F = Fence(_parse_alpha(args.alpha))
-    shared = {str(i): F.shared_element(i) for i in range(1, F.s)}
+    shared = {str(i): x for i, x in enumerate(F.shared, start=1)}
     unshared = {
-        f"{i},{j}": F.unshared_element(i, j)
+        f"{i},{j}": x
         for i in range(1, F.s + 1)
-        for j in range(1, len(F.unshared[i]) + 1)
+        for j, x in enumerate(F.unshared[i], start=1)
     }
     covers = [
         [e + 1, e + 2, "up" if up else "down"]
@@ -176,7 +176,7 @@ def _cmd_info(args) -> int:
         "alpha": list(F.alpha.parts),
         "n": F.n,
         "segments": F.s,
-        "shared_elements": [F.shared_element(i) for i in range(1, F.s)],
+        "shared_elements": list(F.shared),
         "shared_index": shared,
         "unshared_index": unshared,
         "covers": covers,

@@ -6,7 +6,12 @@ Walking the path x_1, x_2, ..., x_n left to right, the chain ascends
 inside odd-numbered segments and descends inside even ones; segment i
 carries a_i - 1 elements of its own plus the elements it shares with its
 neighbours.  The element count is n = sum(alpha) - 1, and the shared
-element of segments i and i+1 sits at position a_1 + ... + a_i.
+element of segments i and i+1 sits at position a_1 + ... + a_i.  Two
+elements are comparable exactly when one segment holds both, so one pass
+over the segments builds every table of a Fence: edge_up, the cover-
+direction masks below, shared, unshared (each segment's own elements in
+order) and span (the segments holding each element: it and every
+element comparable to it).
 
 Elements are exposed 1-based (x_1 ... x_n) in every public interface.
 Internally subsets are bitmasks with bit k-1 standing for x_k, and every
@@ -56,8 +61,8 @@ from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 ANTICHAIN = "antichain"
@@ -253,7 +258,8 @@ class ElementSet:
 
 
 class Fence:
-    """The fence poset of a composition, with precomputed index maps.
+    """The fence poset of a composition, built in one pass over its
+    segments (module docstring).
 
     max_family caps the size of every enumerated family (None means
     DEFAULT_MAX_FAMILY).  It is read once, when the ideals are first
@@ -270,66 +276,43 @@ class Fence:
         self.alpha = alpha
         self.max_family = max_family
         self.s = alpha.s
-        self.n = alpha.n
-        self.full_mask = (1 << self.n) - 1
-        # cums[i] = a_1 + ... + a_i, so shared element s_i is x_{cums[i]}.
-        cums = [0]
-        for part in alpha:
-            cums.append(cums[-1] + part)
-        self.cums = tuple(cums)
-
-        n = self.n
-        # edge e joins x_{e+1} and x_{e+2} (0-based e in [0, n-1)); it lies
-        # in segment i iff cums[i-1] <= e+1 <= cums[i]-1, ascending iff i odd.
-        edge_segment = [bisect_right(cums, e + 1) for e in range(n - 1)]
-        self.edge_up = tuple(i % 2 == 1 for i in edge_segment)
-
-        # the cover-direction masks of the module docstring
-        up_right = up_left = down_right = down_left = 0
-        for e, up in enumerate(self.edge_up):
-            if up:  # x_{e+1} < x_{e+2}
-                up_right |= 1 << e
-                down_left |= 1 << (e + 1)
-            else:  # x_{e+1} > x_{e+2}
-                down_right |= 1 << e
-                up_left |= 1 << (e + 1)
-        self.up_right = up_right
-        self.up_left = up_left
-        self.down_right = down_right
-        self.down_left = down_left
-        self.lane = self.lanes(1)
-
-        # Full strict down/up sets.  Below (above) x lie exactly the
-        # elements reached from it along the path by edges that all go down
-        # (up), so each set is an interval of the path less x itself.
-        self.strict_down = _path_intervals(self.edge_up, False)
-        self.strict_up = _path_intervals(self.edge_up, True)
-        self.comparable = tuple(
-            self.strict_down[e] | self.strict_up[e] for e in range(n)
-        )
-
-        # shared element s_i = x_{cums[i]} for 1 <= i <= s-1
-        self.shared = tuple(cums[i] for i in range(1, self.s))
+        self.n = n = alpha.n
+        self.full_mask = (1 << n) - 1
+        # shared element s_i = x_{a_1 + ... + a_i} for 1 <= i <= s-1
+        self.shared = tuple(accumulate(alpha.parts[:-1]))
         self._shared_index = {x: i for i, x in enumerate(self.shared, start=1)}
 
-        # unshared elements of segment i, listed so entry j-1 is the j-th
-        # smallest in the partial order (ascending segments read left to
-        # right, descending ones right to left)
+        edge_up: list[bool] = []
+        up_right = up_left = down_right = down_left = 0
         unshared: list[tuple[int, ...]] = [()]
-        for i in range(1, self.s + 1):
-            # positions strictly between the shared endpoints; the path ends
-            # x_1 and x_n are unshared, which this range already covers
-            elems = list(range(cums[i - 1] + 1, min(cums[i], n + 1)))
-            if i % 2 == 0:
-                elems = elems[::-1]
-            unshared.append(tuple(elems))
+        self._unshared_pos: dict[int, tuple[int, int]] = {}
+        span = [0] * n
+        # Segment i is bounded by x_a and x_b, a and b its shared elements'
+        # positions, or 0 and n+1 past the ends of the path.
+        bounds = zip((0, *self.shared), (*self.shared, n + 1))
+        for i, (a, b) in enumerate(bounds, start=1):
+            lo, hi = max(a, 1), min(b, n)  # the segment is x_lo .. x_hi
+            seg = (1 << hi) - (1 << (lo - 1))
+            below_top, above_bottom = seg ^ 1 << (hi - 1), seg ^ 1 << (lo - 1)
+            up = i % 2 == 1  # ascending left to right
+            edge_up += [up] * (hi - lo)
+            if up:  # x_k < x_{k+1} inside the segment
+                up_right |= below_top
+                down_left |= above_bottom
+            else:  # x_k > x_{k+1} inside the segment
+                down_right |= below_top
+                up_left |= above_bottom
+            # the inner elements, entry j-1 the j-th smallest in the order
+            inner = tuple(range(a + 1, b) if up else range(b - 1, a, -1))
+            unshared.append(inner)
+            self._unshared_pos.update((x, (i, j)) for j, x in enumerate(inner, 1))
+            span[lo - 1 : hi] = [m | seg for m in span[lo - 1 : hi]]
+        self.edge_up = tuple(edge_up)
+        self.up_right, self.up_left = up_right, up_left
+        self.down_right, self.down_left = down_right, down_left
         self.unshared = tuple(unshared)
-        self._unshared_pos = {
-            x: (i, j)
-            for i in range(1, self.s + 1)
-            for j, x in enumerate(self.unshared[i], start=1)
-        }
-
+        self.span = tuple(span)
+        self.lane = self.lanes(1)
         self._cache: dict = {}
 
     # -- basic accessors ------------------------------------------------
@@ -627,12 +610,13 @@ class Fence:
         # added holds the new bit, so it exceeds every mask already there.
         free: list[int] = [0]
         used: list[int] = []
-        for k in range(1, self.n + 1):
-            bit = 1 << (k - 1)
-            if k in self._shared_index:  # closes a segment, opens the next
-                free, used = sorted(free + used), [m | bit for m in free]
-            else:
+        for a, b in zip((0, *self.shared), (*self.shared, self.n + 1)):
+            for k in range(a, b - 1):  # the bits of x_{a+1} .. x_{b-1}
+                bit = 1 << k
                 used += [m | bit for m in free]
+            if b <= self.n:  # x_b closes this segment and opens the next
+                bit = 1 << (b - 1)
+                free, used = sorted(free + used), [m | bit for m in free]
         return tuple(sorted(free + used))
 
     def family_masks(self, family: str) -> tuple[int, ...]:
@@ -658,25 +642,6 @@ def elements_of(m: int) -> Iterator[int]:
         low = m & -m
         yield low.bit_length()
         m ^= low
-
-
-def _path_intervals(edge_up: Sequence[bool], up: bool) -> tuple[int, ...]:
-    """For each bit k of the path, the mask of the run of edges leading
-    away from k that all go up (up=True) or all go down, on both sides,
-    less bit k: the strict up or down set of k.  Each run end comes from
-    its neighbour's, so the whole table takes one pass each way."""
-    n = len(edge_up) + 1
-    lo = list(range(n))  # lo[k]: the lowest bit of k's interval
-    for k in range(1, n):
-        if edge_up[k - 1] != up:  # the edge from k to k-1 goes the right way
-            lo[k] = lo[k - 1]
-    hi = list(range(n))
-    for k in range(n - 2, -1, -1):
-        if edge_up[k] == up:  # the edge from k to k+1 goes the right way
-            hi[k] = hi[k + 1]
-    return tuple(
-        ((1 << (h + 1)) - (1 << l)) ^ (1 << k) for k, (l, h) in enumerate(zip(lo, hi))
-    )
 
 
 def build_fence(

@@ -275,12 +275,11 @@ def orbit_of_tiling(F: Fence, T: AlphaTiling) -> Orbit:
     _require_tiling(T, F)
     w = T.width
     masks = [0] * w
-    for t in T.tiles:
+    for t in T.tiles:  # valid: every row in range, each black tile spans its row
         if t.kind == RED:
-            masks[t.col] |= 1 << (F.shared_element(t.row) - 1)
+            masks[t.col] |= 1 << (F.shared[t.row - 1] - 1)
         elif t.kind == BLACK:
-            for j in range(t.span):
-                k = F.unshared_element(t.row, j + 1)
+            for j, k in enumerate(F.unshared[t.row]):
                 masks[(t.col + j) % w] |= 1 << (k - 1)
     start = masks.index(min(masks))
     orbit = Orbit(ANTICHAIN, tuple(masks[start:] + masks[:start]))

@@ -13,9 +13,10 @@ flips x in the lanes where the ideal holds no upper cover of x and every
 lower cover: one shift of the set each way, XORed with the lower-cover
 direction masks, reads both tests at x's bit.  An antichain toggle flips
 x in the lanes where no element comparable to x is present; those
-elements form an interval of the path around x, and adding each side's
-interval mask to the set's bits inside it carries into one known bit
-exactly when one of them is present.
+elements are the rest of the segments holding x (Fence.span), an
+interval of the path around x, and adding each side's interval mask to
+the set's bits inside it carries into one known bit exactly when one of
+them is present.
 
 The base graph joins two toggles when they fail to commute as functions
 on the whole family.  A toggle is admissible for a word when it is a
@@ -129,7 +130,7 @@ def toggle_mask(
         if k:
             blocked |= (m << 1) ^ L.down_left
     elif family == ANTICHAIN:
-        span = F.comparable[k] | 1 << k  # an interval of the path
+        span = F.span[k]  # x and the elements comparable to it: an interval
         lo, hi = (span & -span).bit_length() - 1, span.bit_length() - 1
         if lo < k:  # bits lo..k-1: their sum with m's bits carries into k
             left = ((1 << k) - (1 << lo)) * L.rep
@@ -509,8 +510,9 @@ def transfer_chain(
     turn, as transfer_check reads them, with one decomposition where
     conjugation carries the orbits.
 
-    The first word is decomposed.  Each later word is reached from the
-    one before it along conjugation_path on the family's base graph,
+    The first word is decomposed and its orbits counted by the one
+    kernel, stats.orbit_element_counts.  Each later word is reached from
+    the one before it along conjugation_path on the family's base graph,
     which must be a forest (it is the path 1..n for ideals).  Conjugating
     by an admissible toggle x maps every orbit O onto t_x(O) (Striker-
     Williams, arXiv:1108.1172), so the members stay packed in orbit order
@@ -518,12 +520,12 @@ def transfer_chain(
     checked, not assumed: one packed step of the word itself must move
     every lane to the next one of its orbit's slice (the slice rotated by
     one, decompose's cycle order).  When it does not, the word is
-    decomposed afresh and the chain goes on from there.  When it does,
-    orbit sizes and order are unchanged and only the flipped elements'
-    count columns can change: they are recounted from the lane bytes
-    (stats.lane_counts), and only the statistics whose integer form reads
-    a flipped element or the cardinality are classified again.  Verdicts
-    do not depend on the orbit order, so they are transfer_check's.
+    decomposed and counted afresh and the chain goes on from there.  When
+    it does, orbit sizes and order are unchanged and only the flipped
+    elements' count columns can change: they are recounted from the lane
+    bytes (stats.lane_counts), and only the statistics whose integer form
+    reads a flipped element or the cardinality are classified again.
+    Verdicts do not depend on the orbit order, so they are transfer_check's.
     The statistics are checked as transfer_check checks them, and each
     word where it meets what it acts on, when its verdicts are drawn.
     """
@@ -542,12 +544,14 @@ def transfer_chain(
             readers[F.n if k is None else k].append(i)
 
     def anchor(word: ToggleWord):
-        """The word's orbit sizes, members packed in orbit order, and the
-        rotation that one step of the word makes of those lanes."""
+        """The word's orbit sizes, members packed in orbit order, the
+        rotation that one step of the word makes of those lanes, and the
+        orbits' count table."""
         orbits = decompose(F, F.family_masks(family), compile_word(F, word))
         sizes = list(map(len, orbits))
         chunks = list(F.lane_chunks([m for orbit in orbits for m in orbit]))
-        return sizes, chunks, _slice_rotation(sizes, width)
+        columns = list(orbit_element_counts(F, orbits))
+        return sizes, chunks, _slice_rotation(sizes, width), columns
 
     def packed(chunks: Iterable[tuple[Lanes, int]]) -> bytes:
         return b"".join(p.to_bytes(L.width * L.count, "little") for L, p in chunks)
@@ -557,9 +561,8 @@ def transfer_chain(
         report = classify_orbit_sums(sizes, sums, e.integer_form[0])
         return report.kind, report.constant
 
-    sizes, chunks, rotate = anchor(first)
+    sizes, chunks, rotate, columns = anchor(first)
     ends = list(accumulate(sizes))
-    columns = lane_counts(packed(chunks), width, range(F.n), ends)
     verdicts = list(map(verdict, exprs))
     yield tuple(verdicts)
     for word in words:
@@ -571,16 +574,15 @@ def transfer_chain(
         step = compile_word(F, word)
         raw = packed(chunks)
         stepped = packed((L, step(p, L)) for L, p in chunks)
-        flipped: Sequence[int] = sorted({x - 1 for x in path})
-        stale = set(readers[F.n]).union(*map(readers.__getitem__, flipped))
         if int.from_bytes(stepped, "little") != rotate(int.from_bytes(raw, "little")):
-            sizes, chunks, rotate = anchor(word)  # not the word's orbits
+            sizes, chunks, rotate, columns = anchor(word)  # not the word's orbits
             ends = list(accumulate(sizes))
-            raw = packed(chunks)
-            flipped, stale = range(F.n), set(range(len(exprs)))
-        if flipped:
+            verdicts = list(map(verdict, exprs))
+        elif path:
+            flipped = sorted({x - 1 for x in path})
             for k, column in zip(flipped, lane_counts(raw, width, flipped, ends)):
                 columns[k] = column
+            stale = set(readers[F.n]).union(*map(readers.__getitem__, flipped))
             for i in stale:
                 verdicts[i] = verdict(exprs[i])
         yield tuple(verdicts)

@@ -4,7 +4,9 @@ Everything here recomputes order theory from the cover list alone:
 comparability by transitive closure, families by scanning all 2^n
 subsets, and rowmotion by the raw three-map definition on Python sets.
 Slow on purpose; used to cross-check the bitmask implementations at
-small n.  aba_orbit_structure keeps the search for m that the modular
+small n.  segment_tables keeps the per-edge rule (a bisect on the
+partial sums) that Fence's one pass over the segments replaced.
+aba_orbit_structure keeps the search for m that the modular
 inverse in fences.harness replaced.  The orientations as edge sets and
 the breadth-first conjugation_path are the search that the integer
 orientations and the path construction in fences.toggles replaced.  The
@@ -12,8 +14,9 @@ tiling references at the end are the cell-by-cell builder, painter and
 validator that the row-at-a-time ones in fences.tiling replaced.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import gcd
 
 from fences.fence import ANTICHAIN, Composition, elements_of
@@ -26,6 +29,40 @@ from fences.tiling import (
     TilingError,
     TilingReport,
 )
+
+
+def segment_tables(alpha):
+    """Fence's tables derived edge by edge: edge e, joining x_{e+1} and
+    x_{e+2}, lies in segment bisect_right(partial sums, e + 1) and ascends
+    when that segment is odd.  An element is shared when its edges lie in
+    two segments, and its span holds every element of those segments."""
+    parts = Composition.coerce(alpha).parts
+    n, s = sum(parts) - 1, len(parts)
+    cums = [0, *accumulate(parts)]
+    edge_segment = [bisect_right(cums, e + 1) for e in range(n - 1)]
+    edge_up = tuple(i % 2 == 1 for i in edge_segment)
+    covers = dict.fromkeys(("up_right", "up_left", "down_right", "down_left"), 0)
+    for e, up in enumerate(edge_up):
+        covers["up_right" if up else "down_right"] |= 1 << e
+        covers["down_left" if up else "up_left"] |= 1 << (e + 1)
+    holds = [set() for _ in range(s + 1)]  # holds[i]: the elements of segment i
+    segments = [set() for _ in range(n + 1)]  # segments[k]: those holding x_k
+    for e, i in enumerate(edge_segment):
+        holds[i] |= {e + 1, e + 2}
+        segments[e + 1].add(i)
+        segments[e + 2].add(i)
+    if n == 1:  # one segment and no edge
+        holds[1].add(1)
+        segments[1].add(1)
+    shared = tuple(k for k in range(1, n + 1) if len(segments[k]) == 2)
+    unshared = tuple(
+        tuple(sorted(holds[i] - set(shared), reverse=i % 2 == 0)) for i in range(s + 1)
+    )
+    span = tuple(
+        sum(1 << (j - 1) for j in set().union(*(holds[i] for i in segments[k])))
+        for k in range(1, n + 1)
+    )
+    return dict(edge_up=edge_up, **covers, shared=shared, unshared=unshared, span=span)
 
 
 _LEQ_TABLES = {}

@@ -100,6 +100,14 @@ class TestConstruction:
                 else:
                     assert not below, (alpha, i)
 
+    def test_segment_pass_matches_per_edge_rule(self):
+        alphas = all_fence_compositions(12)
+        assert len(alphas) == 2048
+        for alpha in alphas:
+            F = build_fence(alpha)
+            for name, value in oracle.segment_tables(alpha).items():
+                assert getattr(F, name) == value, (alpha, name)
+
     def test_element_count_matches_composition(self):
         for alpha in all_fence_compositions(9):
             F = build_fence(alpha)

@@ -369,13 +369,12 @@ def long_part_compositions(draw):
 
 @PROPERTY
 @given(st.one_of(compositions(), long_part_compositions()))
-def test_strict_down_and_up_sets_match_oracle(alpha):
+def test_span_is_each_element_with_those_comparable_to_it(alpha):
     F = build_fence(alpha)
     leq = oracle.leq_table(F)
     elements = range(1, F.n + 1)
     for k in elements:
-        assert F.strict_down[k - 1] == _mask(a for a in elements if a != k and leq[a][k])
-        assert F.strict_up[k - 1] == _mask(b for b in elements if b != k and leq[k][b])
+        assert F.span[k - 1] == _mask(a for a in elements if leq[a][k] or leq[k][a])
 
 
 @PROPERTY
