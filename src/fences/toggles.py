@@ -19,14 +19,19 @@ the set's bits inside it carries into one known bit exactly when one of
 them is present.
 
 The base graph joins two toggles when they fail to commute as functions
-on the whole family.  A toggle is admissible for a word when it is a
-source or a sink of the orientation the word induces on the base graph;
-conjugating by an admissible toggle moves it to the far end of the word,
-which flips that vertex in the orientation.  An orientation is an int
-with one bit per edge of the graph (BaseGraph), so a source or sink is
-one test against the vertex's incidence mask and a flip is one XOR with
-it.  conjugation_path builds its path from heights on a spanning forest
-of the graph, with no search over orientations.
+on the whole family.  base_graph reads it off the fence: the cover path
+x_1 - ... - x_n for ideals (Striker-Williams, arXiv:1108.1172) and the
+comparability graph for antichains.  `verify base-graph` checks the
+ideal one member by member (_commutation_edges).
+
+A toggle is admissible for a word when it is a source or a sink of the
+orientation the word induces on the base graph; conjugating by an
+admissible toggle moves it to the far end of the word, which flips that
+vertex in the orientation.  An orientation is an int with one bit per
+edge of the graph (BaseGraph), so a source or sink is one test against
+the vertex's incidence mask and a flip is one XOR with it.
+conjugation_path builds its path from heights on a spanning forest of
+the graph, with no search over orientations.
 
 Conjugating by an admissible toggle x maps every orbit O of a word onto
 t_x(O), the orbit of the conjugate.  transfer_chain uses this to
@@ -199,10 +204,13 @@ class BaseGraph:
     def __post_init__(self) -> None:
         edges = tuple(sorted(self.edges))
         inc, upper, tree = [0] * (self.n + 1), [0] * (self.n + 1), [0] * (self.n + 1)
+        ends: list[list[tuple[int, int]]] = [[] for _ in range(self.n + 1)]
         for i, (u, v) in enumerate(edges):
             inc[u] |= 1 << i
             inc[v] |= 1 << i
             upper[v] |= 1 << i
+            ends[u].append((i, v))  # x's edges and their other ends, as in inc[x]
+            ends[v].append((i, u))
         tree_edges = []
         for root in range(1, self.n + 1):
             if tree[root]:
@@ -210,9 +218,8 @@ class BaseGraph:
             tree[root] = root
             reached = [root]
             for x in reached:  # grows as the tree is traversed
-                for i, (u, v) in enumerate(edges):
-                    y = u + v - x
-                    if inc[x] >> i & 1 and not tree[y]:
+                for i, y in ends[x]:
+                    if not tree[y]:
                         tree[y] = root
                         tree_edges.append((x, y, i))
                         reached.append(y)
@@ -233,14 +240,33 @@ class BaseGraph:
 
 
 def base_graph(F: Fence, family: str) -> BaseGraph:
-    """Edges join toggles that fail to commute somewhere on the family.
+    """The toggles of the family on F, joined when they fail to commute,
+    read off the fence with no family enumerated.
 
-    Commutation is decided exhaustively over the enumerated family rather
-    than by structural rules, so the antichain graph (which has no known
-    structural description) is obtained the same way as the ideal one.
-    The family is packed (Fence.lane_chunks) and each pair not yet joined
-    is tested on every member of a chunk at once: toggling x then y
-    against y then x, as two packed ints.
+    Ideal toggles t_x and t_y commute unless one of x, y covers the other
+    (Striker-Williams, arXiv:1108.1172): the edges are the path
+    (k, k+1).  Antichain toggles commute exactly when x and y are
+    incomparable: the edges are the pairs (x, y), x < y, of a segment,
+    y in Fence.span[x-1].  `verify base-graph` checks the ideal graph
+    member by member (_commutation_edges).
+    """
+    if family == IDEAL:
+        edges = [(k, k + 1) for k in range(1, F.n)]
+    elif family == ANTICHAIN:
+        edges = [
+            (x, y) for x in range(1, F.n + 1) for y in elements_of(F.span[x - 1] >> x << x)
+        ]
+    else:
+        raise FenceError(f"no toggles for family {family!r}")
+    return BaseGraph(family, F.n, tuple(edges))
+
+
+def _commutation_edges(F: Fence, family: str) -> set[tuple[int, int]]:
+    """The pairs (x, y), x < y, whose toggles fail to commute on some
+    member of the enumerated family: the exhaustive evidence for
+    base_graph.  The family is packed (Fence.lane_chunks) and each pair
+    not yet joined is tested on every member of a chunk at once: toggling
+    x then y against y then x, as two packed ints.
     """
     edges = set()
     for lanes, packed in F.lane_chunks(F.family_masks(family)):
@@ -252,7 +278,7 @@ def base_graph(F: Fence, family: str) -> BaseGraph:
                     continue
                 if flip(y, x_first) != flip(x, flip(y, packed)):
                     edges.add((x, y))
-    return BaseGraph(family, F.n, tuple(edges))
+    return edges
 
 
 def orientation(word: ToggleWord, G: BaseGraph) -> int:

@@ -245,7 +245,9 @@ def brute_base_graph(F, family):
     """Base-graph edges (x, y), x < y, found by applying both orders of
     every pair of toggles to every member of the family.  The single
     toggle is the library's toggle_mask on one mask at a time; what this
-    checks is the library's test of each pair on the packed family."""
+    checks is the library's test of each pair on the packed family
+    (toggles._commutation_edges) and the graph base_graph reads off the
+    fence."""
     from fences.toggles import toggle_mask
 
     masks = F.family_masks(family)

@@ -226,6 +226,10 @@ class TestToggleHarness:
     def test_transfer_ideal(self):
         assert verify_transfer_ideal((3, 3, 2), pairs=40).verdict == "pass"
 
+    def test_transfer_ideal_on_a_long_fence(self):
+        # n = 200: the chain's base graph is read off the fence, not scanned
+        assert verify_transfer_ideal((100, 101), pairs=2).verdict == "pass"
+
     @staticmethod
     def _tracked(chain, drawn):
         """chain, recording every word as it is drawn."""

@@ -7,6 +7,7 @@ import pytest
 from fences import (
     ANTICHAIN,
     IDEAL,
+    UPPER,
     FenceError,
     RoleError,
     ToggleWord,
@@ -26,7 +27,7 @@ from fences import (
     word_orbits,
 )
 from fences import fence
-from fences.harness import all_fence_compositions
+from fences.harness import all_fence_compositions, verify_base_graph
 from fences.rowmotion import _rho_hat_mask
 from fences import toggles
 from fences.toggles import (
@@ -168,12 +169,25 @@ class TestBaseGraph:
         assert sorted(G.edges) == [(k, k + 1) for k in range(1, 5)]
 
     def test_ideal_edges_are_cover_pairs(self):
+        # the exhaustive commutation scan finds exactly base_graph's path
         for alpha in all_fence_compositions(8):
-            F = build_fence(alpha)
-            G = base_graph(F, IDEAL)
-            covers = {tuple(sorted(p)) for p in F.cover_pairs()}
-            assert set(G.edges) == covers, alpha
-            assert G.is_forest
+            assert verify_base_graph(alpha).verdict == "pass", alpha
+
+    def test_built_from_the_fence_alone(self):
+        # (100,101) has 10,101 ideals; a cap of one enumerates none of them
+        F = build_fence((100, 101), max_family=1)
+        ideal, antichain = base_graph(F, IDEAL), base_graph(F, ANTICHAIN)
+        assert ideal.edges == tuple((k, k + 1) for k in range(1, 200))
+        assert ideal.is_forest
+        segments = [range(1, 101), range(100, 201)]  # each a clique
+        assert antichain.edges == tuple(
+            sorted(p for seg in segments for p in itertools.combinations(seg, 2))
+        )
+        assert not antichain.is_forest
+
+    def test_upper_ideals_have_no_toggles(self, f222):
+        with pytest.raises(FenceError, match="no toggles for family"):
+            base_graph(f222, UPPER)
 
 
 class TestAdmissibility:
