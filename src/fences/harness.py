@@ -807,11 +807,13 @@ def _transfer(
     Ideal words are drawn as one chain wa1, wb1, wa2, ... through
     toggles.transfer_chain: one decomposition, then each word reached
     from the one before by conjugation, checked by one step of the word
-    to hold its orbits, recounting and reclassifying only what the flips
-    change.  The antichain base graph has cycles, so each
-    antichain pair goes through toggles.transfer_check.  Either way the
-    pairs are compared in order, and the first statistic whose (kind,
-    constant) differs in the first disagreeing pair is the witness."""
+    to hold its orbits, with the flipped columns recounted and the
+    battery classified again only when a recounted column changed.  The
+    antichain base graph is a forest only when every segment holds at
+    most two elements (alpha = (2, 1, ..., 1, 2)); each antichain pair
+    goes through toggles.transfer_check.  Either way the pairs are
+    compared in order, and the first statistic whose (kind, constant)
+    differs in the first disagreeing pair is the witness."""
     F = _fence(alpha)
     key = tuple(F.alpha.parts)
     rng = random.Random(f"{rng_tag}:{seed}:{key}")

@@ -444,7 +444,14 @@ def check_homomesy(F: Fence, family: str, expr: StatExpr) -> MesyReport:
         raise FenceError(f"no orbit family {family!r}")
     _check_elements(F, expr)
     orbits = antichain_orbits(F) if family == ANTICHAIN else ideal_orbits(F)
-    sizes = [o.size for o in orbits]
     columns = orbit_element_counts(F, [o.masks for o in orbits])
+    return _classify(expr, [o.size for o in orbits], columns)
+
+
+def _classify(
+    expr: StatExpr, sizes: Sequence[int], columns: Sequence[Sequence[int]]
+) -> MesyReport:
+    """The statistic's verdict over a count table: its orbit sums
+    (scaled_sums) classified by classify_orbit_sums."""
     sums = scaled_sums(expr, sizes, columns)
     return classify_orbit_sums(sizes, sums, expr.integer_form[0])

@@ -22,7 +22,10 @@ The base graph joins two toggles when they fail to commute as functions
 on the whole family.  base_graph reads it off the fence: the cover path
 x_1 - ... - x_n for ideals (Striker-Williams, arXiv:1108.1172) and the
 comparability graph for antichains.  `verify base-graph` checks the
-ideal one member by member (_commutation_edges).
+ideal one member by member (_commutation_edges).  Each segment is a
+chain, so a clique of the antichain graph, which is a forest exactly
+when every segment holds at most two elements: alpha = (2, 1, ..., 1, 2),
+or the one-segment fences (2) and (3).
 
 A toggle is admissible for a word when it is a source or a sink of the
 orientation the word induces on the base graph; conjugating by an
@@ -34,18 +37,20 @@ conjugation_path builds its path from heights on a spanning forest of
 the graph, with no search over orientations.
 
 Conjugating by an admissible toggle x maps every orbit O of a word onto
-t_x(O), the orbit of the conjugate.  transfer_chain uses this to
-classify statistics under a sequence of words of an acyclic base graph
-(the ideal one) from one decomposition: the first word's orbits stay
-packed in orbit order, each later word is reached from the one before
-along conjugation_path with one toggle_mask per flip and lane chunk,
-one packed step of the word checks that every orbit slice is one of its
-cycles (a word that fails is decomposed afresh), and only the flipped
-elements' count columns are recounted and only the statistics that read
-them (or the cardinality) reclassified.
-transfer_check decomposes both words of a pair from scratch; it is the
-reference, and the antichain transfer scan, whose base graphs have
-cycles, runs through it.
+t_x(O), the orbit of the conjugate, with O's count row: for a source the
+word is t_x r, t_x(O) = r(O) as sets, and r never changes x's membership
+(a sink is the mirror case).  transfer_chain uses this to classify
+statistics under a sequence of words of a forest base graph from one
+decomposition.  The first word's orbits stay packed in orbit order, each
+later word is reached from the one before along conjugation_path with
+one toggle_mask per flip and lane chunk, and one packed step of the word
+checks that every orbit slice is one of its cycles.  The flipped
+elements' columns are recounted, and the statistics are classified again
+only when a recounted column differs from the stored one, then all of
+them from the true counts.  A word that fails the step check is
+decomposed afresh, as the first word is.  transfer_check decomposes both
+words of a pair from scratch (_word_table); it is the reference, and the
+antichain transfer scan runs through it.
 
 A word is checked once, by _check_word, where it meets what it acts on:
 compile_word checks it against the fence and orientation against the
@@ -71,10 +76,9 @@ from .stats import (
     MesyReport,
     StatExpr,
     _check_elements,
-    classify_orbit_sums,
+    _classify,
     lane_counts,
     orbit_element_counts,
-    scaled_sums,
 )
 
 #: The (kind, constant) verdict of each statistic of a battery under one word.
@@ -91,7 +95,7 @@ class ToggleWord:
     def __post_init__(self) -> None:
         object.__setattr__(self, "order", tuple(int(x) for x in self.order))
         if self.family not in (ANTICHAIN, IDEAL):
-            raise FenceError(f"toggle words act on antichains or ideals")
+            raise FenceError("toggle words act on antichains or ideals")
         if len(set(self.order)) != len(self.order) or any(
             x < 1 for x in self.order
         ):
@@ -451,11 +455,6 @@ class TransferResult:
     report_b: MesyReport
 
     @property
-    def stat(self) -> str:
-        """The statistic as text, built when read (for a disagreement)."""
-        return str(self.expr)
-
-    @property
     def agree(self) -> bool:
         return (
             self.report_a.kind == self.report_b.kind
@@ -483,8 +482,13 @@ class TransferReport:
             tuple((r.report_b.kind, r.report_b.constant) for r in self.results),
         )
 
-    def disagreements(self) -> tuple[TransferResult, ...]:
-        return tuple(r for r in self.results if not r.agree)
+
+def _word_table(F: Fence, masks: Sequence[int], word: ToggleWord):
+    """The orbits of the family members `masks` under the word (decompose's
+    order and cycle order), their sizes and their count table, counted by
+    the one kernel, stats.orbit_element_counts."""
+    orbits = decompose(F, masks, compile_word(F, word))
+    return orbits, list(map(len, orbits)), list(orbit_element_counts(F, orbits))
 
 
 def transfer_check(
@@ -497,9 +501,9 @@ def transfer_check(
     """Compare homomesy/orbomesy verdicts of statistics under two words.
 
     Each word's orbits come from one decompose and are counted as one
-    table (stats.orbit_element_counts); each statistic is then one column
-    of orbit sums per word, read off its integer form (StatExpr.integer_form,
-    made once per statistic) and classified by stats.classify_orbit_sums.
+    table (_word_table); each statistic is then classified over each
+    table by stats._classify, which reads its column of orbit sums off
+    its integer form (StatExpr.integer_form, made once per statistic).
     The statistics are read once, so any iterable will do.  Every
     statistic's atoms are checked (one family, elements in range) before
     any statistic's family is compared with the words'.
@@ -512,18 +516,12 @@ def transfer_check(
         raise RoleError("words do not act on the requested family")
     exprs = _check_stats(F, family, exprs)
     masks = F.family_masks(family)
-    tables = []
-    for word in (word_a, word_b):
-        orbits = decompose(F, masks, compile_word(F, word))
-        tables.append((list(map(len, orbits)), orbit_element_counts(F, orbits)))
-    results = []
-    for e in exprs:
-        a, b = [
-            classify_orbit_sums(sizes, scaled_sums(e, sizes, columns), e.integer_form[0])
-            for sizes, columns in tables
-        ]
-        results.append(TransferResult(e, a, b))
-    return TransferReport(family, word_a, word_b, tuple(results))
+    tables = [_word_table(F, masks, word)[1:] for word in (word_a, word_b)]
+    results = tuple(
+        TransferResult(e, *(_classify(e, sizes, columns) for sizes, columns in tables))
+        for e in exprs
+    )
+    return TransferReport(family, word_a, word_b, results)
 
 
 def transfer_chain(
@@ -536,82 +534,59 @@ def transfer_chain(
     turn, as transfer_check reads them, with one decomposition where
     conjugation carries the orbits.
 
-    The first word is decomposed and its orbits counted by the one
-    kernel, stats.orbit_element_counts.  Each later word is reached from
-    the one before it along conjugation_path on the family's base graph,
-    which must be a forest (it is the path 1..n for ideals).  Conjugating
-    by an admissible toggle x maps every orbit O onto t_x(O) (Striker-
-    Williams, arXiv:1108.1172), so the members stay packed in orbit order
-    (Fence.lane_chunks) and a flip is one toggle_mask per chunk.  That is
-    checked, not assumed: one packed step of the word itself must move
-    every lane to the next one of its orbit's slice (the slice rotated by
-    one, decompose's cycle order).  When it does not, the word is
-    decomposed and counted afresh and the chain goes on from there.  When
-    it does, orbit sizes and order are unchanged and only the flipped
-    elements' count columns can change: they are recounted from the lane
-    bytes (stats.lane_counts), and only the statistics whose integer form
-    reads a flipped element or the cardinality are classified again.
-    Verdicts do not depend on the orbit order, so they are transfer_check's.
-    The statistics are checked as transfer_check checks them, and each
-    word where it meets what it acts on, when its verdicts are drawn.
+    Each word after the first is reached from the one before along
+    conjugation_path on the family's base graph, which must be a forest:
+    the path 1..n for ideals, for antichains only when no segment holds
+    more than two elements.  Conjugating by an admissible toggle x maps every orbit O onto t_x(O)
+    (Striker-Williams, arXiv:1108.1172), so the members stay packed in
+    orbit order (Fence.lane_chunks) and a flip is one toggle_mask per
+    chunk.  That is checked, not assumed: one packed step of the word
+    itself must move every lane to the next one of its orbit's slice (the
+    slice rotated by one, decompose's cycle order).  The first word, and
+    any word that fails that check, is decomposed and counted afresh
+    (_word_table) and every statistic classified; the chain goes on from
+    there.  A word that passes keeps the orbit sizes and order, so only
+    the flipped elements' count columns can change.  They are recounted
+    from the lane bytes (stats.lane_counts), and only when a recounted
+    column differs from the stored one is every statistic classified
+    again, from the true counts; otherwise the last verdicts stand.
+    Verdicts depend only on the sizes and the columns, not on the orbit
+    order, so they are transfer_check's.  The statistics are checked as
+    transfer_check checks them, and each word where it meets what it acts
+    on, when its verdicts are drawn.
     """
     exprs = _check_stats(F, family, exprs)
-    words = iter(words)
-    first = next(words, None)
-    if first is None:
-        return
-    G = base_graph(F, family)
-    o = orientation(first, G)
-    _require_forest(G)
-    width = F.lane.width
-    readers: list[list[int]] = [[] for _ in range(F.n + 1)]  # [n]: cardinality
-    for i, e in enumerate(exprs):
-        for k, _ in e.integer_form[2]:
-            readers[F.n if k is None else k].append(i)
-
-    def anchor(word: ToggleWord):
-        """The word's orbit sizes, members packed in orbit order, the
-        rotation that one step of the word makes of those lanes, and the
-        orbits' count table."""
-        orbits = decompose(F, F.family_masks(family), compile_word(F, word))
-        sizes = list(map(len, orbits))
-        chunks = list(F.lane_chunks([m for orbit in orbits for m in orbit]))
-        columns = list(orbit_element_counts(F, orbits))
-        return sizes, chunks, _slice_rotation(sizes, width), columns
+    G, width, rotate = base_graph(F, family), F.lane.width, None
 
     def packed(chunks: Iterable[tuple[Lanes, int]]) -> bytes:
         return b"".join(p.to_bytes(L.width * L.count, "little") for L, p in chunks)
 
-    def verdict(e: StatExpr) -> tuple[str, Fraction | None]:
-        sums = scaled_sums(e, sizes, columns)
-        report = classify_orbit_sums(sizes, sums, e.integer_form[0])
-        return report.kind, report.constant
-
-    sizes, chunks, rotate, columns = anchor(first)
-    ends = list(accumulate(sizes))
-    verdicts = list(map(verdict, exprs))
-    yield tuple(verdicts)
     for word in words:
         goal = orientation(word, G)
-        path = _flip_path(o, goal, G)
+        stale = rotate is None
+        if stale:
+            _require_forest(G)
+        else:  # carry the last word's orbits to this word's by conjugation
+            path = _flip_path(o, goal, G)
+            for x in path:
+                chunks = [(L, toggle_mask(F, family, x, p, L)) for L, p in chunks]
+            step, raw = compile_word(F, word), packed(chunks)
+            stepped = packed((L, step(p, L)) for L, p in chunks)
+            stale = int.from_bytes(stepped, "little") != rotate(int.from_bytes(raw, "little"))
         o = goal
-        for x in path:
-            chunks = [(L, toggle_mask(F, family, x, p, L)) for L, p in chunks]
-        step = compile_word(F, word)
-        raw = packed(chunks)
-        stepped = packed((L, step(p, L)) for L, p in chunks)
-        if int.from_bytes(stepped, "little") != rotate(int.from_bytes(raw, "little")):
-            sizes, chunks, rotate, columns = anchor(word)  # not the word's orbits
-            ends = list(accumulate(sizes))
-            verdicts = list(map(verdict, exprs))
+        if stale:  # decompose afresh
+            orbits, sizes, columns = _word_table(F, F.family_masks(family), word)
+            chunks = list(F.lane_chunks([m for orbit in orbits for m in orbit]))
+            rotate, ends = _slice_rotation(sizes, width), list(accumulate(sizes))
         elif path:
             flipped = sorted({x - 1 for x in path})
             for k, column in zip(flipped, lane_counts(raw, width, flipped, ends)):
+                stale |= column != columns[k]
                 columns[k] = column
-            stale = set(readers[F.n]).union(*map(readers.__getitem__, flipped))
-            for i in stale:
-                verdicts[i] = verdict(exprs[i])
-        yield tuple(verdicts)
+        if stale:
+            reports = [_classify(e, sizes, columns) for e in exprs]
+            verdicts = tuple((r.kind, r.constant) for r in reports)
+        yield verdicts
 
 
 def _slice_rotation(sizes: Sequence[int], width: int) -> Callable[[int], int]:

@@ -4,7 +4,7 @@ import json
 import oracle
 import pytest
 
-from fences import FamilyCapError, FenceError, build_fence, harness, toggles
+from fences import FamilyCapError, FenceError, build_fence, harness, stats, toggles
 from fences.cli import main
 from fences.harness import (
     aba_orbit_structure,
@@ -259,12 +259,14 @@ class TestToggleHarness:
 
     @pytest.mark.parametrize("alpha", [(3, 3, 2), (4, 3, 4)])
     def test_forced_transfer_disagreement(self, monkeypatch, alpha):
-        # Column k of one drawn word, the third pair's word_b, is misread
+        # Column k of one drawn word, the third pair's word_b, is recounted
         # as all zeros: chihat[k] looks homomesic with average 0 there.  k
-        # is flipped on the way from word_a, so the chain recounts it.  The
-        # witness must be the one found when every word is decomposed and
-        # classified by transfer_check on its own.
-        real_sums, drawn = toggles.scaled_sums, []
+        # is flipped on the way from word_a, so the chain recounts it, finds
+        # it changed and classifies again.  lane_counts is patched where the
+        # chain and the count kernel both read it, so the witness must be
+        # the one found when every word is decomposed and classified by
+        # transfer_check on its own.
+        real_counts, drawn = stats.lane_counts, []
         monkeypatch.setattr(harness, "transfer_chain", self._tracked(toggles.transfer_chain, drawn))
         assert verify_transfer_ideal(alpha, pairs=3).verdict == "pass"
         wa, wb = drawn[4:6]
@@ -272,12 +274,14 @@ class TestToggleHarness:
         k = toggles.conjugation_path(wa, wb, toggles.base_graph(F, "ideal"))[0]
         stat = f"chihat[{k}]"
 
-        def misread(expr, sizes, columns):
-            if drawn[-1] == wb and str(expr) == stat:
-                return [0] * len(sizes)
-            return real_sums(expr, sizes, columns)
+        def misread(raw, width, ks, ends):
+            columns = real_counts(raw, width, ks, ends)
+            if drawn[-1] != wb:
+                return columns
+            return [(0,) * len(ends) if j == k - 1 else c for j, c in zip(ks, columns)]
 
-        monkeypatch.setattr(toggles, "scaled_sums", misread)
+        monkeypatch.setattr(toggles, "lane_counts", misread)
+        monkeypatch.setattr(stats, "lane_counts", misread)
         chained, reference = self._chained_and_reference(monkeypatch, alpha, drawn)
         assert chained.verdict == "fail"
         (w,) = chained.witnesses

@@ -26,7 +26,7 @@ from fences import (
     transfer_check,
     word_orbits,
 )
-from fences import fence
+from fences import fence, stats
 from fences.harness import all_fence_compositions, verify_base_graph
 from fences.rowmotion import _rho_hat_mask
 from fences import toggles
@@ -419,10 +419,10 @@ class TestTransferChain:
     verdicts are transfer_check's, word by word."""
 
     @staticmethod
-    def _check(F, words):
-        battery = _battery(F)
-        got = list(transfer_chain(F, IDEAL, words, battery))
-        want = [transfer_check(F, IDEAL, w, w, battery).verdicts[0] for w in words]
+    def _check(F, words, family=IDEAL):
+        battery = _battery(F, "chihat" if family == IDEAL else "chi")
+        got = list(transfer_chain(F, family, words, battery))
+        want = [transfer_check(F, family, w, w, battery).verdicts[0] for w in words]
         assert len(got) == len(words)
         for w, g, v in zip(words, got, want):
             assert g == v, (F.alpha, str(w))
@@ -433,10 +433,62 @@ class TestTransferChain:
         perms = itertools.permutations(range(1, F.n + 1))
         self._check(F, [ToggleWord(IDEAL, p) for p in perms])
 
+    @pytest.mark.parametrize("alpha", [(2, 2), (2, 1, 2), (2, 1, 1, 2)])
+    def test_every_antichain_coxeter_word_of_a_path(self, alpha):
+        # every segment holds at most two elements, so the antichain base
+        # graph is the path 1..n and the chain runs antichain flips
+        F = build_fence(alpha)
+        assert base_graph(F, ANTICHAIN).edges == tuple((k, k + 1) for k in range(1, F.n))
+        perms = itertools.permutations(range(1, F.n + 1))
+        self._check(F, [ToggleWord(ANTICHAIN, p) for p in perms], ANTICHAIN)
+
     @pytest.mark.parametrize("alpha", [(3,) * 6, (4, 3, 4)])
     def test_sampled_words(self, alpha):
         F = build_fence(alpha)
         self._check(F, _sampled_words(F, 40))
+
+    @pytest.mark.parametrize("alpha", [(3,) * 6, (4, 3, 4)])
+    def test_classifies_once_per_decomposition(self, monkeypatch, alpha):
+        # conjugation keeps every orbit's count row, so no recounted column
+        # changes and the battery of n + 1 statistics is classified once
+        # per decomposition; a recount made to differ, the last word's
+        # first flipped column read as zeros, classifies it once more, all
+        # of it, from the counts as read
+        F = build_fence(alpha)
+        words, battery = _sampled_words(F, 40), _battery(F)
+        calls = {"decompose": 0, "classify": 0}
+
+        def counted(name, real):
+            def spy(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return spy
+
+        monkeypatch.setattr(toggles, "decompose", counted("decompose", toggles.decompose))
+        monkeypatch.setattr(
+            stats, "classify_orbit_sums", counted("classify", stats.classify_orbit_sums)
+        )
+        honest = list(transfer_chain(F, IDEAL, words, battery))
+        assert calls["decompose"] >= 1
+        assert calls["classify"] == (F.n + 1) * calls["decompose"]
+
+        k = conjugation_path(words[-2], words[-1], base_graph(F, IDEAL))[0] - 1
+        real_counts, current = toggles.lane_counts, []
+
+        def misread(raw, width, ks, ends):
+            columns = real_counts(raw, width, ks, ends)
+            if current[-1] != words[-1]:
+                return columns
+            return [(0,) * len(ends) if j == k else c for j, c in zip(ks, columns)]
+
+        monkeypatch.setattr(toggles, "lane_counts", misread)
+        calls.update(decompose=0, classify=0)
+        drawn = (current.append(w) or w for w in words)
+        got = list(transfer_chain(F, IDEAL, drawn, battery))
+        assert calls["classify"] == (F.n + 1) * (calls["decompose"] + 1)
+        assert got[:-1] == honest[:-1]
+        assert got[-1][k] == ("homomesic", 0) != honest[-1][k]
 
     def test_several_lane_chunks(self, monkeypatch):
         # 16 bytes hold 8 of (4,3,4)'s 2-byte lanes, so its 56 ideals
