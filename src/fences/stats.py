@@ -13,25 +13,32 @@ Orbit sums are integers.  A statistic carries its own integer form
 d of its denominators, the constant times d, and (element, weight) pairs,
 the element being a 0-based index or None for the cardinality.  d times
 an orbit sum is then constant*size plus each weight times its element's
-count, the cardinality's count being the sum of all counts.  scaled_sums
-gives that for every orbit of a count table at once, as one column of
-integers, and classify_orbit_sums, the one classifier, decides a column:
-it cross-multiplies every orbit against the first for homomesy, and
+count, the cardinality's count being the orbit's summed bit count (the
+sum of all its element counts).  scaled_sums gives that for every orbit
+of a count table at once, as one column of integers, and
+classify_orbit_sums, the one classifier, decides a column: it
+cross-multiplies every orbit against the first for homomesy, and
 compares the number of distinct (size, sum) pairs with the number of
 distinct sizes for orbomesy.  Fractions are built only at the report:
-MesyReport.constant, and MesyReport.per_orbit when it is read.
+MesyReport.constant, and MesyReport.per_orbit when it is read; the JSON
+report writes its fractions from gcd-reduced integers.
 weighted_sum reads the same pairs on one orbit's counts, for the
 harness's rows and witnesses.
 
-The element counts come from one kernel, orbit_element_counts, called
-once per decomposition: it returns the count table of a list of orbits,
-one column per element and one entry per orbit.  Up to
-PACKED_COUNT_MAX_N elements a mask fits one 8-byte word, and the table
-is read off one array of all the masks with C-level byte operations: a
-strided slice per byte, a translate per bit and a bytes.count per orbit.
-That reader, lane_counts, takes lanes of any width, so it also recounts
-chosen columns straight off a packed family (toggles.transfer_chain).
-Longer fences add each orbit's masks into bit planes, at a few n-bit
+The element counts come from one kernel, orbit_element_counts: it
+returns count columns of a list of orbits, one entry per orbit, for
+the 0-based elements asked for (every element by default).
+check_homomesy and orbit_sum ask only for the elements of their
+statistic's integer form, and take the cardinality column, when the
+statistic reads it, from each orbit's summed int.bit_count, so `chi` and
+`chihat` count no element column at all; orbit profiles and the
+transfer tables count every column.  Up to PACKED_COUNT_MAX_N elements
+a mask fits one 8-byte word, and a column is read off one array of all
+the masks with C-level byte operations: a strided slice per byte, a
+translate per bit and a bytes.count per orbit.  That reader,
+lane_counts, takes lanes of any width, so it also recounts chosen
+columns straight off a packed family (toggles.transfer_chain).  Longer
+fences add each orbit's masks into bit planes, at a few n-bit
 operations per member.  The paper's tiling lemma, which turns a table
 of antichain orbits into their tile and ideal counts, lives in
 fences.tiling (tiling_lemma).
@@ -49,9 +56,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from math import lcm
+from math import gcd, lcm
 from operator import eq, mul
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .fence import (
     _SWAP, ANTICHAIN, IDEAL, ElementSet, Fence, FenceError, RoleError, elements_of
@@ -250,16 +257,27 @@ def weighted_sum(pairs: Iterable[tuple[int | None, int]], counts: Sequence[int])
 
 
 def scaled_sums(
-    expr: StatExpr, sizes: Sequence[int], columns: Sequence[Sequence[int]]
+    expr: StatExpr,
+    sizes: Sequence[int],
+    columns: Sequence[Sequence[int]] | Mapping[int, Sequence[int]],
+    cardinality: Sequence[int] | None = None,
 ) -> list[int]:
     """The statistic's orbit sums times its denominator d, over every orbit
     of a count table, from its integer form: constant * sizes plus each
-    weight times its element's column, the cardinality's column being the
-    sum of all columns."""
+    weight times its element's column.  columns[k] is the column of the
+    0-based element k: a full table, or a mapping holding at least the
+    statistic's elements (_statistic_columns).  The cardinality's column
+    is `cardinality` when given, else the sum of all columns of the full
+    table."""
     _, constant, pairs = expr.integer_form
     terms = []
     for k, w in pairs:
-        column = list(map(sum, zip(*columns))) if k is None else columns[k]
+        if k is not None:
+            column = columns[k]
+        elif cardinality is not None:
+            column = cardinality
+        else:
+            column = list(map(sum, zip(*columns)))
         terms.append(column if w == 1 else map(mul, column, repeat(w)))
     if constant:
         terms.append(map(mul, sizes, repeat(constant)))
@@ -279,8 +297,26 @@ def orbit_sum(F: Fence, expr: StatExpr, orbit: Orbit) -> Fraction:
         raise RoleError(f"statistic over {fam}s summed over an {orbit.family} orbit")
     _check_elements(F, expr)
     require_orbit(F, orbit, orbit.family)
-    columns = orbit_element_counts(F, [orbit.masks])
-    return Fraction(scaled_sums(expr, [orbit.size], columns)[0], expr.integer_form[0])
+    columns, cardinality = _statistic_columns(F, expr, [orbit.masks])
+    total = scaled_sums(expr, [orbit.size], columns, cardinality)[0]
+    return Fraction(total, expr.integer_form[0])
+
+
+def _statistic_columns(
+    F: Fence, expr: StatExpr, orbits: Sequence[Sequence[int]]
+) -> tuple[dict[int, tuple[int, ...]], list[int] | None]:
+    """The count columns a statistic reads over a list of orbits, each a
+    sequence of masks: {k: column} for the 0-based elements of its integer
+    form, counted by orbit_element_counts and no other, and the cardinality
+    column, each orbit's summed int.bit_count, or None when the statistic
+    does not read it."""
+    pairs = expr.integer_form[2]
+    ks = sorted(k for k, _ in pairs if k is not None)
+    columns = dict(zip(ks, orbit_element_counts(F, orbits, ks))) if ks else {}
+    cardinality = None
+    if any(k is None for k, _ in pairs):
+        cardinality = [sum(map(int.bit_count, masks)) for masks in orbits]
+    return columns, cardinality
 
 
 #: Largest n counted through the byte table; longer fences use bit planes.
@@ -295,28 +331,34 @@ _BIT = tuple(bytes(b >> j & 1 for b in range(256)) for j in range(8))
 
 
 def orbit_element_counts(
-    F: Fence, orbits: Sequence[Sequence[int]]
+    F: Fence, orbits: Sequence[Sequence[int]], ks: Sequence[int] | None = None
 ) -> tuple[tuple[int, ...], ...]:
-    """The count table of a list of orbits of F, each a sequence of masks:
-    columns[k][o] is how many members of orbit o contain x_{k+1}.  The one
-    member-counting kernel, called once per decomposition.
+    """Count columns of a list of orbits of F, each a sequence of masks,
+    for the 0-based elements ks, in that order (every element of F when
+    ks is None): columns[i][o] is how many members of orbit o contain
+    x_{ks[i]+1}.  The one member-counting kernel.  A caller counts only
+    the columns it reads: check_homomesy and orbit_sum the elements of
+    their statistic, orbit profiles and the transfer tables all of them.
 
     Up to PACKED_COUNT_MAX_N elements every mask goes, in orbit order,
     into one array of 8-byte words, read by lane_counts.  Byte b of every
     word is one strided slice of its bytes; translating that slice through
     _BIT[j] leaves one 0/1 byte per member for bit 8b + j, and each orbit's
     count is a bytes.count over its members' range, so the work per member
-    is a few byte operations per element, all in C.  Longer masks do not
-    fit a word; each orbit is then added into bit planes: bit k of
+    is a few byte operations per element counted, all in C.  Longer masks
+    do not fit a word; each orbit is then added into bit planes: bit k of
     planes[i] is bit i of the count of x_{k+1}.  Adding a mask is a
     ripple-carry add of a one-bit value into every element's counter at
     once, so its cost follows the number of carries rather than the mask's
     popcount, and each plane's set bits are read out once at the end.
     """
     n = F.n
+    if ks is None:
+        ks = range(n)
     if n > PACKED_COUNT_MAX_N:
         rows = [_plane_counts(n, masks) for masks in orbits]
-        return tuple(zip(*rows)) if rows else ((),) * n
+        table = tuple(zip(*rows)) if rows else ((),) * n
+        return tuple(table[k] for k in ks)
     words = array("Q")
     ends = []
     for masks in orbits:
@@ -324,7 +366,7 @@ def orbit_element_counts(
         ends.append(len(words))
     if _SWAP:
         words.byteswap()
-    return tuple(lane_counts(memoryview(words).cast("B"), 8, range(n), ends))
+    return tuple(lane_counts(memoryview(words).cast("B"), 8, ks, ends))
 
 
 def lane_counts(
@@ -404,14 +446,23 @@ class MesyReport:
         return self.kind in ("homomesic", "orbomesic")
 
     def to_json_dict(self) -> dict:
+        d = self.denom
         return {
             "kind": self.kind,
             "constant": None if self.constant is None else str(self.constant),
             "per_orbit": [
-                {"size": size, "sum": str(sm), "average": str(avg)}
-                for size, sm, avg in self.per_orbit
+                {"size": size, "sum": _ratio(sm, d), "average": _ratio(sm, size * d)}
+                for size, sm in self.sums
             ],
         }
+
+
+def _ratio(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, reduced by math.gcd without
+    building the Fraction."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def classify_orbit_sums(
@@ -444,14 +495,17 @@ def check_homomesy(F: Fence, family: str, expr: StatExpr) -> MesyReport:
         raise FenceError(f"no orbit family {family!r}")
     _check_elements(F, expr)
     orbits = antichain_orbits(F) if family == ANTICHAIN else ideal_orbits(F)
-    columns = orbit_element_counts(F, [o.masks for o in orbits])
-    return _classify(expr, [o.size for o in orbits], columns)
+    columns, cardinality = _statistic_columns(F, expr, [o.masks for o in orbits])
+    return _classify(expr, [o.size for o in orbits], columns, cardinality)
 
 
 def _classify(
-    expr: StatExpr, sizes: Sequence[int], columns: Sequence[Sequence[int]]
+    expr: StatExpr,
+    sizes: Sequence[int],
+    columns: Sequence[Sequence[int]] | Mapping[int, Sequence[int]],
+    cardinality: Sequence[int] | None = None,
 ) -> MesyReport:
     """The statistic's verdict over a count table: its orbit sums
     (scaled_sums) classified by classify_orbit_sums."""
-    sums = scaled_sums(expr, sizes, columns)
+    sums = scaled_sums(expr, sizes, columns, cardinality)
     return classify_orbit_sums(sizes, sums, expr.integer_form[0])

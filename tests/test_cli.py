@@ -2,6 +2,7 @@ import argparse
 import ast
 import contextlib
 import dataclasses
+import hashlib
 import inspect
 import io
 import json
@@ -112,6 +113,31 @@ class TestTiling:
 
         root = ET.parse(dest).getroot()
         assert root.attrib["version"] == "1.1"
+
+    # SHA-256 of stdout, recorded while the tiling command still took its
+    # orbits from the whole decomposition rather than walking them
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["--orbit-index", "0..3"],
+                "c4061783cd118700ea7b58a22c0841ca10236d46ab4ceb8a81cd948d89a6d4f3",
+            ),
+            (
+                ["--orbit-index", "1..2", "--render", "svg"],
+                "e34c09a2653e02628202a1e65006c6fbd9bf9aaa0551669f2292766ada9b63c0",
+            ),
+        ],
+    )
+    def test_walked_orbits_draw_the_same_bytes(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "tiling", "--alpha", "4,3,4", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_out_of_range_names_the_orbit_count(self, capsys):
+        code, out, err = run(capsys, "tiling", "--alpha", "4,3,4", "--orbit-index", "0..9")
+        assert (code, out) == (1, "")
+        assert err == "fences: error: orbit index out of range (fence has 4 orbits)\n"
 
     def test_orbit_index_range(self, capsys):
         code, out, _ = run(

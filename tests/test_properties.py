@@ -9,9 +9,10 @@ tiling lemma reads off an orbit's antichain counts.  Every orbit
 round-trips through its tiling, and ideal toggles along sampled linear
 extensions equal the oracle's rowmotion.  The integer statistic classifier is
 checked against the oracle's Fraction classifier on random rational
-statistics with n <= 12, the column classifier over a denominator > 1
-likewise, the transfer check of one such word against check_homomesy, and
-the count table of a list of orbits against a plain count.  Two Coxeter
+statistics with n <= 12, and on the oracle's own brute-force orbits with
+n <= 9, the column classifier over a denominator > 1 likewise, the
+transfer check of one such word against check_homomesy, and the count
+table of a list of orbits against a plain count.  Two Coxeter
 words with one orientation of the base graph (n <= 8) give one orbit
 partition, the oracle's, and conjugating one ideal word along its
 conjugation path to another gives the other's Coxeter element.
@@ -279,6 +280,32 @@ def test_integer_classifier_matches_fraction_reference(data):
     column = [d * sm for _, sm in report.sums]
     again = classify_orbit_sums(sizes, column, d * report.denom)
     assert (again.kind, again.constant, again.per_orbit) == (kind, constant, per_orbit)
+
+
+@PROPERTY
+@given(st.data())
+def test_check_homomesy_matches_brute_force_orbits(data):
+    # check_homomesy counts only its statistic's columns and reads the
+    # cardinality off bit counts; the oracle sums the statistic over its own
+    # orbits of frozensets, in its own order, so the per-orbit rows are
+    # compared as a multiset
+    F = build_fence(data.draw(compositions(max_n=9)))
+    family, expr = data.draw(statistics(F.n))
+    if family == ANTICHAIN:
+        brute = oracle.brute_orbits(F, oracle.brute_antichains(F), oracle.brute_rho)
+    else:
+        brute = oracle.brute_orbits(F, oracle.brute_ideals(F), oracle.brute_rho_hat)
+
+    def value(S):
+        return expr.constant + sum(
+            c * (len(S) if a.element is None else a.element in S) for c, a in expr.terms
+        )
+
+    sums = [(len(o), sum(map(value, o))) for o in brute]
+    kind, constant, per_orbit = oracle.classify_orbit_sums(sums)
+    report = check_homomesy(F, family, expr)
+    assert (report.kind, report.constant) == (kind, constant)
+    assert sorted(report.per_orbit) == sorted(per_orbit)
 
 
 @PROPERTY

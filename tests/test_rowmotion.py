@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 from functools import partial
 
@@ -24,7 +25,10 @@ from fences import (
     superorbits,
 )
 from fences.harness import all_fence_compositions
-from fences.rowmotion import _rho_hat_mask, decompose
+from fences.rowmotion import _rho_hat_mask, decompose, first_orbits
+
+# the module itself: the package's `rowmotion` is the step function
+rowmotion_module = importlib.import_module("fences.rowmotion")
 
 
 def lanewise(f):
@@ -264,6 +268,50 @@ class TestOrbits:
             assert sorted(len(x) for x in brute) == orbit_sizes(
                 antichain_orbits(F)
             )
+
+
+class TestFirstOrbits:
+    """first_orbits walks the least unseen member's orbit with orbit_of
+    until it has stepped a quarter of the family, then decomposes.  Every
+    prefix it returns is the canonical one, whichever way it got there:
+    the real budget (mostly decomposition on small families), no budget
+    at all (decomposition at once) and the whole family (the walk alone,
+    up to the last orbit)."""
+
+    @pytest.mark.parametrize(
+        "budget",
+        [None, lambda members: 0, lambda members: members],
+        ids=["quarter", "zero", "whole"],
+    )
+    def test_every_prefix_is_canonical(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(rowmotion_module, "_walk_budget", budget)
+        for alpha in all_fence_compositions(10):
+            for family, every in ((ANTICHAIN, antichain_orbits), (IDEAL, ideal_orbits)):
+                want = every(build_fence(alpha))
+                for k in range(len(want) + 2):
+                    F = build_fence(alpha)  # a fresh memo for every walk
+                    assert first_orbits(F, family, k) == want[:k], (alpha, family, k)
+
+    def test_a_short_prefix_decomposes_nothing(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0].alpha)
+            return decompose(*args)
+
+        monkeypatch.setattr(rowmotion_module, "decompose", counted)
+        F = build_fence((3,) * 8)
+        first = first_orbits(F, ANTICHAIN, 5)
+        assert not calls
+        # far past the budget, the family is decomposed once instead
+        assert first_orbits(F, ANTICHAIN, 300)[:5] == first
+        assert len(calls) == 1
+        assert antichain_orbits(F)[:300] == first_orbits(F, ANTICHAIN, 300)
+
+    def test_only_rowmotion_families(self, f434):
+        with pytest.raises(RoleError):
+            first_orbits(f434, "upper", 1)
 
 
 class TestIdealComplement:

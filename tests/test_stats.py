@@ -25,8 +25,9 @@ from fences import (
     tiling_of_orbit,
     transfer_check,
 )
+from fences import stats
 from fences.harness import all_fence_compositions, orbit_profiles
-from fences.stats import StatExprError, orbit_element_counts
+from fences.stats import MesyReport, StatExprError, orbit_element_counts
 
 
 class TestParser:
@@ -167,6 +168,67 @@ class TestHomomesy:
         d = r.to_json_dict()
         assert set(d) == {"kind", "constant", "per_orbit"}
         assert all(set(x) == {"size", "sum", "average"} for x in d["per_orbit"])
+
+
+class TestStatisticColumns:
+    """check_homomesy and orbit_sum count only the element columns their
+    statistic reads, and read the cardinality off each orbit's bit count."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """The 0-based elements every lane_counts call counts."""
+        seen, real = [], stats.lane_counts
+
+        def spy(raw, width, ks, ends):
+            ks = list(ks)
+            seen.extend(ks)
+            return real(raw, width, ks, ends)
+
+        monkeypatch.setattr(stats, "lane_counts", spy)
+        return seen
+
+    def test_chi_counts_no_element_column(self, f434, counted):
+        r = check_homomesy(f434, ANTICHAIN, parse_stat("chi"))
+        assert r.kind == "orbomesic" and counted == []
+        assert orbit_sum(f434, parse_stat("chi"), antichain_orbits(f434)[0]) == 10
+        assert counted == []
+
+    def test_two_elements_count_two_columns(self, f434, counted):
+        e = parse_stat("chi[3] - chi[5]")
+        check_homomesy(f434, ANTICHAIN, e)
+        assert sorted(counted) == [2, 4]
+        counted.clear()
+        orbit_sum(f434, e, antichain_orbits(f434)[0])
+        assert sorted(counted) == [2, 4]
+
+    def test_cardinality_is_the_sum_of_element_columns(self):
+        for alpha in all_fence_compositions(10):
+            F = build_fence(alpha)
+            for kind, orbits in (("chi", antichain_orbits(F)), ("chihat", ideal_orbits(F))):
+                masks = [o.masks for o in orbits]
+                _, cardinality = stats._statistic_columns(F, indicator(kind), masks)
+                want = list(map(sum, zip(*orbit_element_counts(F, masks))))
+                assert cardinality == want, (alpha, kind)
+
+
+class TestReportJson:
+    @pytest.mark.parametrize(
+        "sums, denom",
+        [
+            (((5, -10), (17, -34)), 1),  # negative sums and averages
+            (((5, 0), (3, 0)), 6),  # zero over any denominator
+            (((4, 6), (6, -9), (5, 7)), 12),  # denominators that reduce
+            (((1, 3), (2, -5)), 4),
+        ],
+    )
+    def test_text_is_the_fraction_text(self, sums, denom):
+        d = MesyReport("neither", None, sums, denom).to_json_dict()
+        want = [
+            {"size": size, "sum": str(Fraction(sm, denom)),
+             "average": str(Fraction(sm, size * denom))}
+            for size, sm in sums
+        ]
+        assert d["per_orbit"] == want
 
 
 class TestErrorPaths:

@@ -2,6 +2,7 @@
 """Interleaved A/B timing of a bench workload's jobs on two checkouts.
 
     python3 tools/ab_jobs.py OLD_CHECKOUT NEW_CHECKOUT --workload big-fence --rounds 20
+    python3 tools/ab_jobs.py OLD NEW --job tiling --job "check --alpha" --rounds 40
 
 Both `fences` packages live in this one process, swapped into sys.modules
 before each job, so both see the same machine state.  Each round runs the
@@ -23,6 +24,11 @@ prints its median as setup_s.  Both sides run it on a copy of their src
 made without __pycache__, under PYTHONDONTWRITEBYTECODE=1, so each probe
 compiles every fences module, as a fresh checkout does under the bench's
 environment, and neither side profits from bytecode the other lacks.
+
+--job SUBSTRING, repeatable, keeps only the jobs whose argv (joined by
+spaces) contains one of the substrings, so a change to one command can
+get more rounds in the same time; wall_s and job_max_s are then over
+the kept jobs.  Without it every job of the workload is timed.
 """
 
 import argparse
@@ -85,9 +91,17 @@ def main() -> int:
     p.add_argument("--workload", default="big-fence")
     p.add_argument("--rounds", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--job", action="append", metavar="SUBSTRING",
+        help="time only the jobs whose argv contains SUBSTRING (repeatable)",
+    )
     args = p.parse_args()
     sys.path.insert(0, str(args.new / "bench"))
     job_list = importlib.import_module("jobs").jobs(args.workload, args.seed)
+    if args.job:
+        job_list = [a for a in job_list if any(s in " ".join(a) for s in args.job)]
+        if not job_list:
+            p.error(f"no {args.workload} job contains any of {args.job}")
     probe = importlib.import_module("run")._SETUP_PROBE
     sides = {"old": load(args.old), "new": load(args.new)}
     indices = range(len(job_list))
