@@ -347,12 +347,16 @@ class Fence:
             self.up_left * rep, self.down_right * rep, self.down_left * rep,
         )
 
-    def lane_chunks(self, masks: Sequence[int]) -> Iterator[tuple[Lanes, int]]:
+    def lane_chunks(
+        self, masks: Sequence[int], images: int = 1
+    ) -> Iterator[tuple[Lanes, int]]:
         """The masks packed in order, as (layout, packed int) pairs of at
-        most LANE_CHUNK_BYTES of masks each.  A step on a packed int keeps
-        a few temporaries of its size, and a layout holds six more, so the
+        most LANE_CHUNK_BYTES // images bytes of masks each, so that a
+        caller holding `images` packed ints of a chunk at once stays in
+        one LANE_CHUNK_BYTES budget.  A step on a packed int keeps a few
+        temporaries of its size, and a layout holds six more, so the
         chunks bound that memory however large the family."""
-        per = max(1, LANE_CHUNK_BYTES // self.lane.width)
+        per = max(1, LANE_CHUNK_BYTES // (self.lane.width * images))
         for lo in range(0, len(masks), per):
             lanes = self.lanes(min(per, len(masks) - lo))
             yield lanes, lanes.pack(masks[lo : lo + per])

@@ -48,6 +48,17 @@ name and looked up on this module when a claim runs, so a wrapper that
 replaces the module attribute (a tracer, a test double) is the function
 called.  Every sweep and grid scan collects its instances through one
 loop, _sweep.
+
+The transfer claims compare verdicts under sampled pairs of Coxeter
+words (_transfer).  Ideal pairs run as one chain of conjugations
+(toggles.transfer_chain).  The antichain scan keeps a map from a word's
+table, the multiset of its (orbit size, count row) pairs, to its
+verdicts, which read nothing else: each word is decomposed for its key,
+and only a pair with a key new to the scan goes through
+toggles.transfer_check, so a scan whose words all share one table
+classifies its battery twice, not twice per pair.  transfer_check stays
+the path of every new table: it is the per-pair reference, and the
+bench's tracer books toggles.transfer_s to it.
 """
 
 from __future__ import annotations
@@ -59,7 +70,7 @@ from functools import partial
 from itertools import combinations
 from math import gcd
 from operator import mul, sub
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .fence import ANTICHAIN, IDEAL, Composition, ElementSet, Fence, FenceError
 from .rowmotion import (
@@ -74,7 +85,9 @@ from .stats import classify_orbit_sums, indicator, orbit_element_counts, weighte
 from .tiling import TileCounts, tiling_lemma
 from .toggles import (
     ToggleWord,
+    Verdicts,
     _commutation_edges,
+    _word_table,
     base_graph,
     compile_word,
     sample_linear_extensions,
@@ -810,8 +823,10 @@ def _transfer(
     to hold its orbits, with the flipped columns recounted and the
     battery classified again only when a recounted column changed.  The
     antichain base graph is a forest only when every segment holds at
-    most two elements (alpha = (2, 1, ..., 1, 2)); each antichain pair
-    goes through toggles.transfer_check.  Either way the pairs are
+    most two elements (alpha = (2, 1, ..., 1, 2)), so antichain pairs go
+    through _antichain_verdicts: every word is decomposed, and a pair
+    goes through toggles.transfer_check only when one of its words has a
+    table no earlier word of the scan had.  Either way the pairs are
     compared in order, and the first statistic whose (kind, constant)
     differs in the first disagreeing pair is the witness."""
     F = _fence(alpha)
@@ -829,7 +844,7 @@ def _transfer(
         chain = transfer_chain(F, family, (w for pair in pairs for w in pair), battery)
         verdicts = zip(chain, chain)
     else:
-        verdicts = (transfer_check(F, family, *ws, battery).verdicts for ws in pairs)
+        verdicts = _antichain_verdicts(F, pairs, battery)
     bad = None
     for (wa, wb), (va, vb) in zip(pairs, verdicts):
         if va != vb:
@@ -846,6 +861,47 @@ def _transfer(
         {"alpha": key, count_key: samples, "seed": seed},
         [_result({"alpha": key}, bad)],
     )
+
+
+def _antichain_verdicts(
+    F: Fence, pairs, battery
+) -> Iterator[tuple[Verdicts, Verdicts]]:
+    """The verdicts of every antichain statistic of the battery under
+    each pair's two words, as toggles.transfer_check gives them, with the
+    battery classified only for a pair that brings a table new to the
+    scan.
+
+    A verdict reads only the multiset of (orbit size, count row) of a
+    word's table: an orbit's sum is linear in its row, and
+    stats.classify_orbit_sums' (kind, constant) depends only on the
+    (size, sum) multiset.  So each word is decomposed and counted
+    (toggles._word_table) and its table's multiset kept as a key.  A pair
+    whose two keys are known takes its verdicts from the scan's map; any
+    other pair goes through transfer_check, which decomposes both words
+    again and classifies the battery under each, and its verdicts are
+    stored under its keys.  transfer_check stays on that path as the
+    reference the per-pair scan ran through, which the bench's tracer
+    books as toggles.transfer_s.  On every fence tried so far, all the
+    antichain Coxeter words have one table multiset, so a scan calls
+    transfer_check once and decomposes 2 * samples + 2 times.
+    """
+    known: dict[tuple, Verdicts] = {}
+    masks = F.family_masks(ANTICHAIN)
+    for pair in pairs:
+        keys = [_table_key(F, masks, w) for w in pair]
+        if all(k in known for k in keys):
+            yield known[keys[0]], known[keys[1]]
+        else:
+            verdicts = transfer_check(F, ANTICHAIN, *pair, battery).verdicts
+            known.update(zip(keys, verdicts))
+            yield verdicts
+
+
+def _table_key(F: Fence, masks, word: ToggleWord) -> tuple:
+    """The sorted (orbit size, count row) pairs of the word's table on
+    the family members `masks`: what its verdicts read."""
+    _, sizes, columns = _word_table(F, masks, word)
+    return tuple(sorted(zip(sizes, zip(*columns))))
 
 
 def verify_transfer_ideal(

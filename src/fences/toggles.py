@@ -50,7 +50,8 @@ only when a recounted column differs from the stored one, then all of
 them from the true counts.  A word that fails the step check is
 decomposed afresh, as the first word is.  transfer_check decomposes both
 words of a pair from scratch (_word_table); it is the reference, and the
-antichain transfer scan runs through it.
+antichain transfer scan (harness._antichain_verdicts) sends through it
+each pair holding a word whose table is new to the scan.
 
 A word is checked once, by _check_word, where it meets what it acts on:
 compile_word checks it against the fence and orientation against the
@@ -268,19 +269,21 @@ def base_graph(F: Fence, family: str) -> BaseGraph:
 def _commutation_edges(F: Fence, family: str) -> set[tuple[int, int]]:
     """The pairs (x, y), x < y, whose toggles fail to commute on some
     member of the enumerated family: the exhaustive evidence for
-    base_graph.  The family is packed (Fence.lane_chunks) and each pair
-    not yet joined is tested on every member of a chunk at once: toggling
-    x then y against y then x, as two packed ints.
+    base_graph.  The family is packed in chunks (Fence.lane_chunks) and
+    each element's toggle image of a chunk is made once; a pair not yet
+    joined is then tested on every member of the chunk at once, toggling
+    y after x against x after y: two packed toggles.  The chunk and its
+    n images are held together, so a chunk holds LANE_CHUNK_BYTES //
+    (n + 1) bytes of masks and all of them fit one LANE_CHUNK_BYTES.
     """
     edges = set()
-    for lanes, packed in F.lane_chunks(F.family_masks(family)):
+    for lanes, packed in F.lane_chunks(F.family_masks(family), F.n + 1):
         flip = partial(toggle_mask, F, family, lanes=lanes)
+        # single[x]: the chunk with x toggled (single[0], the chunk itself)
+        single = [packed, *(flip(x, packed) for x in range(1, F.n + 1))]
         for x in range(1, F.n + 1):
-            x_first = flip(x, packed)
             for y in range(x + 1, F.n + 1):
-                if (x, y) in edges:
-                    continue
-                if flip(y, x_first) != flip(x, flip(y, packed)):
+                if (x, y) not in edges and flip(y, single[x]) != flip(x, single[y]):
                     edges.add((x, y))
     return edges
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import oracle
@@ -319,6 +320,98 @@ class TestToggleHarness:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == set(d) | {"schema_version", "runtime_ms"}
         assert type(payload["runtime_ms"]) is int
+
+
+class TestAntichainVerdictMap:
+    """The antichain transfer scan classifies a pair only when it brings a
+    word table new to the scan; its reports are those of transfer_check
+    run on every pair."""
+
+    @staticmethod
+    def _per_pair(F, pairs, battery):
+        """The reference: every pair through transfer_check."""
+        for pair in pairs:
+            yield toggles.transfer_check(F, "antichain", *pair, battery).verdicts
+
+    @staticmethod
+    def _tracked(drawn):
+        """harness._antichain_verdicts, recording the pairs as drawn."""
+        real = harness._antichain_verdicts
+
+        def run(F, pairs, battery):
+            return real(F, (drawn.append(p) or p for p in pairs), battery)
+
+        return run
+
+    def test_one_transfer_check_per_scan(self, monkeypatch):
+        # every Coxeter word of (3^6) has one table, so the battery of
+        # n + 1 statistics is classified under the first pair's two words
+        # only; a per-pair scan classifies 2 * (n + 1) * 40 times
+        calls = {"classify": 0, "check": 0}
+        real_classify, real_check = stats.classify_orbit_sums, harness.transfer_check
+
+        def classify(*args):
+            calls["classify"] += 1
+            return real_classify(*args)
+
+        def check(*args):
+            calls["check"] += 1
+            return real_check(*args)
+
+        monkeypatch.setattr(stats, "classify_orbit_sums", classify)
+        monkeypatch.setattr(harness, "transfer_check", check)
+        rep = scan_conjecture_antichain_transfer((3,) * 6, 40, 0)
+        assert rep.verdict == "pass"
+        n = build_fence((3,) * 6).n
+        assert calls == {"classify": 2 * (n + 1), "check": 1}
+
+    @pytest.mark.parametrize("alpha", [(3, 3, 2), (4, 3, 4), (2, 1, 2), (5, 4)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reports_equal_per_pair_reference(self, monkeypatch, alpha, seed):
+        scanned = scan_conjecture_antichain_transfer(alpha, 12, seed)
+        monkeypatch.setattr(harness, "_antichain_verdicts", self._per_pair)
+        assert scanned == scan_conjecture_antichain_transfer(alpha, 12, seed)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("alpha", [(3, 3, 2), (4, 3, 4)])
+    def test_forced_wrong_step(self, monkeypatch, alpha, which):
+        # One word of the third pair compiles to the identity, so its
+        # orbits are single members and the cardinality is not homomesic
+        # under it.  Its table is new to the scan, so the pair must go
+        # through transfer_check and give the per-pair reference's witness.
+        real_compile, drawn = toggles.compile_word, []
+        monkeypatch.setattr(harness, "_antichain_verdicts", self._tracked(drawn))
+        assert scan_conjecture_antichain_transfer(alpha, 4).verdict == "pass"
+        wa, wb = drawn[2]
+        bent = (wa, wb)[which]
+
+        def compile_word(F, word):
+            step = real_compile(F, word)
+            return (lambda m, lanes=None: m) if word == bent else step
+
+        monkeypatch.setattr(toggles, "compile_word", compile_word)
+        scanned = scan_conjecture_antichain_transfer(alpha, 4)
+        monkeypatch.setattr(harness, "_antichain_verdicts", self._per_pair)
+        reference = scan_conjecture_antichain_transfer(alpha, 4)
+        assert scanned.verdict == "fail"
+        (w,) = scanned.witnesses
+        assert (w["word_a"], w["word_b"]) == (str(wa), str(wb))
+        assert w["verdicts"][which] != "homomesic"
+        assert scanned.witnesses == reference.witnesses
+
+    @pytest.mark.parametrize(
+        "alpha", [(2, 2), (3, 3), (2, 1, 2), (2, 2, 2), (3, 1, 3), (4, 2)]
+    )
+    def test_every_coxeter_word_has_one_table(self, alpha):
+        # stronger than agreeing verdicts: over all n! antichain Coxeter
+        # words, the multiset of (orbit size, count row) is one and the same
+        F = build_fence(alpha)
+        masks = F.antichain_masks()
+        keys = {
+            harness._table_key(F, masks, toggles.ToggleWord("antichain", order))
+            for order in itertools.permutations(range(1, F.n + 1))
+        }
+        assert len(keys) == 1
 
 
 class TestProfileCache:

@@ -185,6 +185,24 @@ class TestBaseGraph:
         )
         assert not antichain.is_forest
 
+    def test_commutation_scan_across_chunks(self, monkeypatch):
+        # a chunk and its n toggle images share one LANE_CHUNK_BYTES: 176
+        # bytes over (4,3,4)'s 11 images of 2-byte lanes is 8 lanes, so
+        # its 56 ideals span 7 chunks, and the scan still finds every edge
+        monkeypatch.setattr(fence, "LANE_CHUNK_BYTES", 176)
+        F = build_fence((4, 3, 4))
+        assert len(list(F.lane_chunks(F.ideal_masks(), F.n + 1))) == 7
+        real, lanes_seen = toggles.toggle_mask, set()
+
+        def spy(F, family, x, m, lanes=None):
+            lanes_seen.add(lanes.count)
+            return real(F, family, x, m, lanes)
+
+        monkeypatch.setattr(toggles, "toggle_mask", spy)
+        for family in (ANTICHAIN, IDEAL):
+            assert toggles._commutation_edges(F, family) == set(base_graph(F, family).edges)
+        assert max(lanes_seen) == 8
+
     def test_upper_ideals_have_no_toggles(self, f222):
         with pytest.raises(FenceError, match="no toggles for family"):
             base_graph(f222, UPPER)

@@ -7,15 +7,17 @@
 Both `fences` packages live in this one process, swapped into sys.modules
 before each job, so both see the same machine state.  Each round runs the
 workload's jobs (NEW_CHECKOUT's bench/jobs.py) once per side in shuffled
-order, gc.collect() first.  Prints per-job medians and median new/old
-ratios, each side's median wall time and job max, and whether every round
-of every job gave one exit code and stdout, runtime_ms masked, on both
-sides; a job whose output changes in a later round on either side (state
-carried across rounds, say) prints "OUTPUTS DIFFER".  Each job's exit
-codes (old/new, from the first round) are printed beside it; when any
-job exits non-zero in any round on either side the script prints "JOB
-FAILED" and exits 1, so a job that fails the same way on both sides is
-not taken for a timing of the work.
+order, gc.collect() first.  Prints per-job medians and the median of the
+per-round new/old ratios, in brackets between their lower and upper
+quartiles, so a gain can be read against the rounds a slow stretch of
+the machine skews; then each side's median wall time and job max, and
+whether every round of every job gave one exit code and stdout,
+runtime_ms masked, on both sides; a job whose output changes in a later
+round on either side (state carried across rounds, say) prints "OUTPUTS
+DIFFER".  Each job's exit codes (old/new, from the first round) are
+printed beside it; when any job exits non-zero in any round on either
+side the script prints "JOB FAILED" and exits 1, so a job that fails the
+same way on both sides is not taken for a timing of the work.
 
 Each round also times, per side and in the same shuffled order, one
 fresh interpreter running the bench's setup probe (bench/run.py's
@@ -130,10 +132,17 @@ def main() -> int:
                 outputs[side, j].append((code, text))
     med = {key: statistics.median(v) for key, v in times.items()}
     for j in indices:
-        ratio = statistics.median(map(truediv, times["new", j], times["old", j]))
+        ratios = list(map(truediv, times["new", j], times["old", j]))
+        # the middle quartile is the median; one round has no quartiles
+        low, ratio, high = (
+            statistics.quantiles(ratios, n=4) if args.rounds > 1 else ratios * 3
+        )
         argv = " ".join(job_list[j])
         codes = f"exit {outputs['old', j][0][0]}/{outputs['new', j][0][0]}"
-        timing = f"{med['old', j]:7.3f} {med['new', j]:7.3f}  x{ratio:.3f}"
+        timing = (
+            f"{med['old', j]:7.3f} {med['new', j]:7.3f}"
+            f"  x{low:.3f} [x{ratio:.3f}] x{high:.3f}"
+        )
         print(f"{timing}  {codes}  {argv}")
     for side in sides:
         walls = [sum(times[side, j][r] for j in indices) for r in range(args.rounds)]
